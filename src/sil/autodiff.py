@@ -2,8 +2,13 @@
 
 A computation builds an acyclic graph of `Node`s; `backward` walks it in
 reverse topological order and accumulates gradients in place. Graphs are
-built fresh for every forward pass (the LSTM recurrence needs per-timestep
-structure anyway), are single-threaded per graph, and hold no global state.
+built fresh for every forward pass, are single-threaded per graph, and
+hold no global state.
+
+The tape now serves only the per-item reference forward, `model.forward`,
+and `finite_diff_check`: tests compare the batched kernel in
+`model.run_batch`, which has hand-written backward code, against them.
+Training and inference never build a graph.
 
 Values are numpy float64 arrays throughout. Scalars are 0-d arrays.
 """
@@ -47,12 +52,9 @@ def softmax(x, axis: int = -1) -> np.ndarray:
 def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------

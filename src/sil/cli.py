@@ -30,7 +30,8 @@ from .embeddings import embed_utterance, load_glove, load_precomputed, tokenize
 from .errors import (ContractError, IntegrityError, NumericError, ParseError,
                      UndefinedCorrelationError, ValidationError)
 from .metrics import bootstrap_ceiling, mse, pearson
-from .model import ModelConfig, forward, load_checkpoint, save_checkpoint
+from .model import (ModelConfig, load_checkpoint, predict_batch,
+                    save_checkpoint)
 from .probes import (attention_by_position, attention_for_records,
                      generate_minimal_pairs, load_frames, minimal_pair_report,
                      partitive_of_analysis, regression_compare,
@@ -223,6 +224,14 @@ def _import_float(cell: str, what: str, row: int) -> float:
         raise ParseError(f"cannot read {what} from {cell!r}", line=row) from None
 
 
+def _import_indices(cell: str, path: Path, what: str, row: int) -> list[int]:
+    try:
+        return [int(v) for v in cell.split(",") if v]
+    except ValueError:
+        raise ValidationError(
+            f"{path}: cannot read {what} from {cell!r}", row=row) from None
+
+
 def cmd_import(args, argv):
     keys = ["input", "output", "pretokenized", "column_map"]
     cfg = _effective_config(args, keys, {"pretokenized": False,
@@ -313,8 +322,10 @@ def cmd_import(args, argv):
         of_part_cell = cell(row, "of_partitive_indices")
         of_other_cell = cell(row, "of_other_indices")
         if of_part_cell or of_other_cell:
-            of_partitive = [int(v) for v in of_part_cell.split(",") if v]
-            of_other = [int(v) for v in of_other_cell.split(",") if v]
+            of_partitive = _import_indices(of_part_cell, raw_path,
+                                           "of_partitive_indices", row_num)
+            of_other = _import_indices(of_other_cell, raw_path,
+                                       "of_other_indices", row_num)
         else:
             # heuristic: a partitive item's "of" right after "some" is the
             # partitive one; every other "of" is non-partitive
@@ -574,14 +585,13 @@ def cmd_eval(args, argv):
     pooling = "attention" if mconfig.use_attention else "final_state"
 
     mode = "with_context" if cfg["with_context"] else "target_only"
-    preds = []
-    for record in records:
-        truncated = truncate(record, mode)
-        embedded = embed_utterance(truncated, source, cfg["with_context"])
-        fp = forward(embedded, params, mconfig, train=False, pooling=pooling)
-        weights = [] if fp.attention is None else list(fp.attention)
-        preds.append((record.id, float(fp.score.value), weights,
-                      record.mean_rating))
+    embedded = [embed_utterance(truncate(record, mode), source,
+                                cfg["with_context"]) for record in records]
+    scores, attention = predict_batch(embedded, params, mconfig, pooling)
+    if attention is None:
+        attention = [[] for _ in records]
+    preds = [(record.id, float(score), list(weights), record.mean_rating)
+             for record, score, weights in zip(records, scores, attention)]
 
     scores = np.array([p[1] for p in preds])
     targets = np.array([rescale_rating(p[3]) for p in preds])
@@ -770,8 +780,13 @@ def cmd_regress(args, argv):
                 or "score" not in reader.fieldnames:
             raise ValidationError(
                 f"{cfg['predictions']}: need id,score columns")
-        for row in reader:
-            preds[row["id"]] = float(row["score"])
+        for row_num, row in enumerate(reader, start=2):
+            try:
+                preds[row["id"]] = float(row["score"])
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{cfg['predictions']}: cannot read score from "
+                    f"{row['score']!r}", row=row_num) from None
 
     interactions = []
     if cfg["interactions"]:

@@ -5,11 +5,18 @@ are pooled either by single-head additive self-attention (a weighted
 average with weights softmax(v . tanh(W h_t))) or by concatenating the
 two directions' final states; an affine head with a logistic sigmoid maps
 the pooled vector to a score in (0, 1).
+
+`run_batch` is the production path: one call packs a batch of ragged
+sequences and runs forward and, in train mode, hand-written backward
+code over whole sequences. `forward` builds the same model per item on
+the autodiff tape and is kept as the reference that tests compare the
+kernel against.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -17,7 +24,8 @@ import numpy as np
 
 from .autodiff import Node, _accum, concat, constant, parameter, stack
 from .autodiff import sigmoid as np_sigmoid
-from .errors import ContractError, IntegrityError
+from .autodiff import softmax
+from .errors import ContractError, IntegrityError, NumericError
 from .seeding import rng_for
 
 CHECKPOINT_MAGIC = b"SIL1"
@@ -174,14 +182,7 @@ def _attention_nodes(h_mat: Node, attn_w: Node, attn_v: Node):
     return weights, pooled
 
 
-def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
-            train: bool = False, rng=None, pooling: str | None = None
-            ) -> ForwardPass:
-    """Run the encoder on one utterance's embedding matrix (T x input_dim).
-
-    Train mode applies inverted dropout to the outputs of every non-final
-    biLSTM layer and requires an rng; eval mode is deterministic.
-    """
+def _checked_input(embedded, config: ModelConfig) -> np.ndarray:
     embedded = np.asarray(embedded, dtype=np.float64)
     if embedded.ndim != 2 or embedded.shape[0] < 1:
         raise ContractError("embedded input must be a nonempty T x D matrix")
@@ -189,12 +190,31 @@ def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
         raise ContractError(
             f"embedding width {embedded.shape[1]} != input_dim "
             f"{config.input_dim}")
+    return embedded
+
+
+def _checked_pooling(pooling: str | None, params: ModelParams,
+                     config: ModelConfig) -> str:
     if pooling is None:
         pooling = "attention" if config.use_attention else "final_state"
     if pooling not in POOLING_MODES:
         raise ContractError(f"unknown pooling {pooling!r}")
     if pooling == "attention" and "attn.W" not in params.tensors:
         raise ContractError("attention pooling requires attention parameters")
+    return pooling
+
+
+def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
+            train: bool = False, rng=None, pooling: str | None = None
+            ) -> ForwardPass:
+    """Run the encoder on one utterance's embedding matrix (T x input_dim).
+
+    Reference implementation on the autodiff tape; `run_batch` computes
+    the same model for production callers. Train mode applies inverted dropout to the outputs of every non-final
+    biLSTM layer and requires an rng; eval mode is deterministic.
+    """
+    embedded = _checked_input(embedded, config)
+    pooling = _checked_pooling(pooling, params, config)
     if train and config.dropout_rate > 0.0 and rng is None:
         raise ContractError("train-mode forward needs an rng for dropout")
 
@@ -279,10 +299,320 @@ def predict(record_id: str, embedded: np.ndarray, params: ModelParams,
             config: ModelConfig, pooling: str | None = None
             ) -> PredictionReport:
     """Deterministic eval-mode prediction for one utterance."""
-    fp = forward(embedded, params, config, train=False, pooling=pooling)
-    attention = [] if fp.attention is None else [float(w) for w in fp.attention]
-    return PredictionReport(id=record_id, score=float(fp.score.value),
+    res = run_batch([embedded], params, config, pooling)
+    attention = ([] if res.attention is None
+                 else [float(w) for w in res.attention[0]])
+    return PredictionReport(id=record_id, score=float(res.scores[0]),
                             attention=attention)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel: packed whole-sequence biLSTM with hand-written BPTT
+# ---------------------------------------------------------------------------
+
+# items per `run_batch` call in `predict_batch`; bounds the packed
+# activations (rows x 4H floats per layer and direction) an eval keeps
+PREDICT_CHUNK = 32
+
+
+@dataclass
+class BatchPass:
+    """One `run_batch` result; every per-item field is in input order."""
+
+    scores: np.ndarray                  # (N,) sigmoid outputs
+    attention: list[np.ndarray] | None  # (T_i,) weights; None for final_state
+    losses: np.ndarray | None = None    # (N,) squared errors, train mode
+    grads: dict[str, np.ndarray] | None = None  # summed over items, train mode
+
+
+class _Packing:
+    """Time-major packed layout of a batch sorted by decreasing length.
+
+    Row `offsets[t] + k` holds timestep t of the k-th longest item. Items
+    alive at step t are the first `active[t]` of that order, so a finished
+    sequence drops off the end of every later step and no padded timestep
+    is computed. Each direction's steps are (rows, predecessor rows, m):
+    the first m rows continue a sequence from the predecessor step and the
+    rest start from a zero state.
+    """
+
+    def __init__(self, lengths: np.ndarray):
+        self.order = np.argsort(-lengths, kind="stable")
+        sorted_len = lengths[self.order]
+        T = int(sorted_len[0])
+        active = (sorted_len[None, :] > np.arange(T)[:, None]).sum(axis=1)
+        off = np.concatenate([[0], np.cumsum(active)])
+        self.total = int(off[-1])
+        self.item_rows = [off[:L] + k for k, L in enumerate(sorted_len)]
+
+        def rows(t):
+            return slice(int(off[t]), int(off[t] + active[t]))
+
+        def prev(t, tp):
+            if not 0 <= tp < T:
+                return rows(t), None, 0
+            m = int(min(active[t], active[tp]))
+            return rows(t), slice(int(off[tp]), int(off[tp]) + m), m
+
+        self.steps = {"fw": [prev(t, t - 1) for t in range(T)],
+                      "bw": [prev(t, t + 1) for t in reversed(range(T))]}
+
+    def pack(self, items: list[np.ndarray]) -> np.ndarray:
+        """Stack per-item (T_i x d) arrays, given in input order."""
+        out = np.empty((self.total, items[0].shape[1]))
+        for k, i in enumerate(self.order):
+            out[self.item_rows[k]] = items[i]
+        return out
+
+    def predecessor(self, direction: str, values: np.ndarray) -> np.ndarray:
+        """Each row's value at its sequence's previous step, zero at the first."""
+        out = np.zeros_like(values)
+        for r, rp, m in self.steps[direction]:
+            if m:
+                out[r.start:r.start + m] = values[rp]
+        return out
+
+
+def _rowwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """`A @ B` as one matrix-vector product per row of A.
+
+    numpy runs the same BLAS gemv the per-item tape runs, so every row is
+    bit-identical to the tape's product whatever else is in the batch; a
+    GEMM over the whole batch rounds differently for different batches.
+    """
+    return np.matmul(A[:, None, :], B)[:, 0]
+
+
+def _lstm_forward(X, W, U, b, steps, h_out, C, TC, matmul) -> np.ndarray:
+    """Run one direction's recurrence over packed rows.
+
+    Returns the activated gates (i, f, g, o) of every row; `h_out`, `C`
+    and `TC` receive h, c and tanh(c). The arithmetic follows the tape's
+    `lstm_cell`: z = (W x + U h) + b.
+    """
+    H = U.shape[1]
+    UT = U.T
+    G = matmul(X, W.T)
+    for r, rp, m in steps:
+        z = G[r]
+        if m:
+            z[:m] += matmul(h_out[rp], UT)
+        z += b
+        g = np.tanh(z[:, 2 * H:3 * H])
+        z[...] = np_sigmoid(z)
+        z[:, 2 * H:3 * H] = g
+        c = C[r]
+        np.multiply(z[:, :H], g, out=c)
+        if m:
+            c[:m] += z[:m, H:2 * H] * C[rp]
+        np.tanh(c, out=TC[r])
+        np.multiply(z[:, 3 * H:], TC[r], out=h_out[r])
+    return G
+
+
+def _lstm_backward(dH, G, C, TC, U, packing, direction) -> np.ndarray:
+    """BPTT for one direction: gradient w.r.t. the gate pre-activations.
+
+    `dH` is the loss gradient w.r.t. this direction's h outputs (packed);
+    the recurrent gradients are carried row by row from step to step.
+    """
+    steps = packing.steps[direction]
+    total, H = C.shape
+    gates = G.reshape(total, 4, H)
+    i, f, g, o = (gates[:, k] for k in range(4))
+    c_prev = packing.predecessor(direction, C)
+    # per-row factors of dz that do not depend on the carried gradients
+    Q = np.empty((total, 4, H))
+    np.multiply(g, i * (1.0 - i), out=Q[:, 0])
+    np.multiply(c_prev, f * (1.0 - f), out=Q[:, 1])
+    np.multiply(i, 1.0 - g * g, out=Q[:, 2])
+    np.multiply(TC, o * (1.0 - o), out=Q[:, 3])
+    o_dtanh = o * (1.0 - TC * TC)
+
+    dZ = np.empty((total, 4, H))
+    n_max = max(r.stop - r.start for r, _, _ in steps)
+    carry_h = np.zeros((n_max, H))
+    carry_c = np.zeros((n_max, H))
+    for r, _, m in reversed(steps):
+        n = r.stop - r.start
+        dh = dH[r] + carry_h[:n]
+        dc = dh * o_dtanh[r]
+        dc += carry_c[:n]
+        dz = dZ[r]
+        np.multiply(dc[:, None, :], Q[r, :3], out=dz[:, :3])
+        np.multiply(dh, Q[r, 3], out=dz[:, 3])
+        if m:
+            np.dot(dz[:m].reshape(m, 4 * H), U, out=carry_h[:m])
+            np.multiply(dc[:m], f[r][:m], out=carry_c[:m])
+    return dZ.reshape(total, 4 * H)
+
+
+def run_batch(inputs, params: ModelParams, config: ModelConfig,
+              pooling: str | None = None, targets=None, rng=None
+              ) -> BatchPass:
+    """Score a batch of ragged (T_i x input_dim) inputs in one pass.
+
+    With `targets` the call runs in train mode: inverted dropout on every
+    non-final biLSTM layer (masks drawn item by item in batch order, one
+    `rng.random((T_i, 2H))` per layer, the per-item tape's stream order),
+    squared-error losses, and the gradients of their sum w.r.t. every
+    parameter the pooling reaches. Raises NumericError for a non-finite
+    loss or gradient. Eval mode is deterministic and computes no
+    gradients.
+    """
+    inputs = [_checked_input(x, config) for x in inputs]
+    if not inputs:
+        raise ContractError("run_batch needs at least one input")
+    pooling = _checked_pooling(pooling, params, config)
+    train = targets is not None
+    if train:
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.shape != (len(inputs),):
+            raise ContractError("need exactly one target per input")
+    p = config.dropout_rate
+    use_dropout = train and p > 0.0 and config.num_layers > 1
+    if use_dropout and rng is None:
+        raise ContractError("train-mode forward needs an rng for dropout")
+
+    P = params.tensors
+    H = config.hidden_dim
+    L = config.num_layers
+    packing = _Packing(np.array([x.shape[0] for x in inputs]))
+    order, item_rows = packing.order, packing.item_rows
+    # training sums gradients over the batch anyway, so it takes the
+    # faster whole-batch GEMMs; eval stays bit-identical to the tape
+    matmul = np.matmul if train else _rowwise
+    masks = []
+    if use_dropout:
+        drawn = [[(rng.random((x.shape[0], 2 * H)) >= p) / (1.0 - p)
+                  for _ in range(L - 1)] for x in inputs]
+        masks = [packing.pack([d[layer] for d in drawn])
+                 for layer in range(L - 1)]
+
+    X = packing.pack(inputs)
+    # train mode keeps, per layer, the input, the output and each
+    # direction's (G, C, TC) for the backward pass; eval keeps nothing
+    layers = []
+    for layer in range(L):
+        out = np.empty((packing.total, 2 * H))
+        states = {}
+        for d, cols in (("fw", slice(0, H)), ("bw", slice(H, 2 * H))):
+            prefix = f"lstm.{layer}.{d}"
+            C = np.empty((packing.total, H))
+            TC = np.empty((packing.total, H))
+            G = _lstm_forward(X, P[f"{prefix}.W"], P[f"{prefix}.U"],
+                              P[f"{prefix}.b"], packing.steps[d],
+                              out[:, cols], C, TC, matmul)
+            if train:
+                states[d] = (G, C, TC)
+        if train:
+            layers.append((X, out, states))
+        X = out * masks[layer] if layer < L - 1 and masks else out
+    top = X
+
+    N = len(inputs)
+    if pooling == "attention":
+        # per item, as the tape does: the products keep the tape's shapes
+        A = np.empty((packing.total, H))
+        weights = []
+        pooled = np.empty((N, 2 * H))
+        for k, rows in enumerate(item_rows):
+            h = top[rows]
+            A[rows] = a = np.tanh(h @ P["attn.W"])
+            weights.append(softmax(a @ P["attn.v"]))
+            pooled[k] = weights[k] @ h
+    else:
+        last = np.array([rows[-1] for rows in item_rows])
+        first = np.array([rows[0] for rows in item_rows])
+        pooled = np.hstack([top[last, :H], top[first, H:]])
+    sorted_scores = np_sigmoid(_rowwise(pooled, P["head.w"]) + P["head.b"])
+
+    scores = np.empty(N)
+    scores[order] = sorted_scores
+    attention = None
+    if pooling == "attention":
+        attention = [None] * N
+        for k, w in zip(order, weights):
+            attention[k] = w
+    if not train:
+        return BatchPass(scores=scores, attention=attention)
+
+    err = sorted_scores - targets[order]
+    sorted_losses = err * err
+    losses = np.empty(N)
+    losses[order] = sorted_losses
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        raise NumericError(f"loss value is non-finite for batch item {bad[0]}")
+
+    grads: dict[str, np.ndarray] = {}
+    d_logit = (err + err) * sorted_scores * (1.0 - sorted_scores)
+    grads["head.w"] = pooled.T @ d_logit
+    grads["head.b"] = np.asarray(d_logit.sum())
+    d_pooled = d_logit[:, None] * P["head.w"]
+    d_top = np.zeros_like(top)
+    if pooling == "attention":
+        d_e = np.empty(packing.total)
+        for k, (w, rows) in enumerate(zip(weights, item_rows)):
+            dw = top[rows] @ d_pooled[k]
+            d_e[rows] = w * (dw - dw @ w)
+            d_top[rows] += np.outer(w, d_pooled[k])
+        grads["attn.v"] = A.T @ d_e
+        dS = np.outer(d_e, P["attn.v"])
+        dS *= 1.0 - A * A
+        grads["attn.W"] = top.T @ dS
+        d_top += dS @ P["attn.W"].T
+    else:
+        d_top[last, :H] += d_pooled[:, :H]
+        d_top[first, H:] += d_pooled[:, H:]
+
+    dH = d_top
+    for layer in reversed(range(L)):
+        X, out, states = layers[layer]
+        dX = None
+        for d, cols in (("fw", slice(0, H)), ("bw", slice(H, 2 * H))):
+            prefix = f"lstm.{layer}.{d}"
+            G, C, TC = states[d]
+            W, U = P[f"{prefix}.W"], P[f"{prefix}.U"]
+            dZ = _lstm_backward(dH[:, cols], G, C, TC, U, packing, d)
+            h_prev = packing.predecessor(d, out[:, cols])
+            grads[f"{prefix}.W"] = dZ.T @ X
+            grads[f"{prefix}.U"] = dZ.T @ h_prev
+            grads[f"{prefix}.b"] = dZ.sum(axis=0)
+            if layer > 0:
+                dX = dZ @ W if dX is None else dX + dZ @ W
+        if layer > 0:
+            dH = dX * masks[layer - 1] if masks else dX
+
+    for name, g in grads.items():
+        if not math.isfinite(float(np.sum(g))):
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
+    return BatchPass(scores=scores, attention=attention, losses=losses,
+                     grads=grads)
+
+
+def predict_batch(inputs, params: ModelParams, config: ModelConfig,
+                  pooling: str | None = None
+                  ) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """Eval-mode scores and attention weights for any number of inputs.
+
+    Inputs are sorted by length and run `PREDICT_CHUNK` at a time, so
+    each chunk packs items of similar length; results come back in input
+    order. Attention is None under final-state pooling.
+    """
+    inputs = list(inputs)
+    pooling = _checked_pooling(pooling, params, config)
+    order = sorted(range(len(inputs)), key=lambda i: -len(inputs[i]))
+    scores = np.empty(len(inputs))
+    attention = [None] * len(inputs) if pooling == "attention" else None
+    for start in range(0, len(order), PREDICT_CHUNK):
+        idx = order[start:start + PREDICT_CHUNK]
+        res = run_batch([inputs[i] for i in idx], params, config, pooling)
+        scores[idx] = res.scores
+        if attention is not None:
+            for i, w in zip(idx, res.attention):
+                attention[i] = w
+    return scores, attention
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,16 @@ from ..corpus import truncate
 from ..embeddings import embed_utterance
 from ..errors import ContractError
 from ..metrics import bootstrap_ci
-from ..model import forward
+from ..model import predict_batch
 
 
 def attention_for_records(records, params, config, source) -> dict[str, np.ndarray]:
     """Eval-mode attention weights per record id (target-only inputs)."""
-    weights: dict[str, np.ndarray] = {}
-    for record in records:
-        truncated = truncate(record, "target_only")
-        embedded = embed_utterance(truncated, source, with_context=False)
-        fp = forward(embedded, params, config, train=False, pooling="attention")
-        weights[record.id] = fp.attention
-    return weights
+    records = list(records)
+    embedded = [embed_utterance(truncate(record, "target_only"), source,
+                                with_context=False) for record in records]
+    _, attention = predict_batch(embedded, params, config, "attention")
+    return {record.id: w for record, w in zip(records, attention)}
 
 
 @dataclass

@@ -22,7 +22,7 @@ from ..corpus import unscale_rating
 from ..embeddings import embed_utterance, tokenize
 from ..errors import ValidationError
 from ..metrics import bootstrap_ci
-from ..model import forward
+from ..model import predict_batch
 
 FRAME_COLUMNS = [
     "frame_id", "subj_premod", "subj_head", "subj_postmod", "obj_premod",
@@ -165,12 +165,10 @@ def generate_minimal_pairs(frames: list[SentenceFrame]
 def score_variants(variants, params, config, table,
                    pooling: str | None = None) -> np.ndarray:
     """Eval-mode model scores in [0, 1] for each variant's tokenization."""
-    scores = []
-    for variant in variants:
-        embedded = np.vstack([table.lookup(t) for t in variant.tokens()])
-        fp = forward(embedded, params, config, train=False, pooling=pooling)
-        scores.append(float(fp.score.value))
-    return np.array(scores)
+    embedded = [np.vstack([table.lookup(t) for t in variant.tokens()])
+                for variant in variants]
+    scores, _ = predict_batch(embedded, params, config, pooling)
+    return scores
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Training loop (Adam on MSE), 5-fold grid search, out-of-fold prediction.
 
-Sequences are processed one at a time (no padding): the corpus is small
-and per-item graphs avoid masking bugs. Minibatches only average the
-per-item gradients.
+Each minibatch is one call of the batched kernel `model.run_batch`: it
+packs the batch's ragged sequences by length (no padding), runs the biLSTM
+over whole sequences and returns the gradients summed over the batch,
+which are averaged before the Adam step. Evaluation scores examples in
+fixed-size chunks through `model.predict_batch`.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import backward
 from .corpus import rescale_rating, truncate
 from .embeddings import embed_utterance
 from .errors import ContractError, NumericError, UndefinedCorrelationError
 from .metrics import pearson
-from .model import (ModelConfig, ModelParams, forward, init_params,
-                    POOLING_MODES)
+from .model import (ModelConfig, ModelParams, init_params, predict_batch,
+                    run_batch, POOLING_MODES)
 from .optim import AdamState, adam_step
 from .seeding import derive_seed, rng_for
 
@@ -54,6 +55,15 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1")
         if self.pooling not in POOLING_MODES:
             raise ContractError(f"unknown pooling {self.pooling!r}")
+        # the pooling decides which parameters get gradients, so it must
+        # match the parameters the model is built with
+        if self.pooling == "attention" and not self.model.use_attention:
+            raise ContractError(
+                "attention pooling needs a model built with use_attention")
+        if self.pooling == "final_state" and self.model.use_attention:
+            raise ContractError(
+                "final_state pooling would leave the attention parameters "
+                "untrained; build the model with use_attention=False")
 
 
 @dataclass
@@ -98,11 +108,9 @@ def examples_from_records(records, source, with_context: bool = False,
 def evaluate(examples: list[Example], params: ModelParams,
              config: TrainConfig) -> np.ndarray:
     """Eval-mode scores for examples, in input order."""
-    return np.array([
-        float(forward(ex.embedded, params, config.model,
-                      pooling=config.pooling).score.value)
-        for ex in examples
-    ])
+    scores, _ = predict_batch([ex.embedded for ex in examples], params,
+                              config.model, config.pooling)
+    return scores
 
 
 def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
@@ -149,20 +157,14 @@ def train(train_examples: list[Example], valid_examples: list[Example],
             for start in range(0, n, config.batch_size):
                 batch = [train_examples[i]
                          for i in order[start:start + config.batch_size]]
-                summed: dict[str, np.ndarray] = {}
-                for ex in batch:
-                    fp = forward(ex.embedded, params, config.model,
-                                 train=True, rng=dropout_rng,
-                                 pooling=config.pooling)
-                    err = fp.score - ex.target
-                    loss = err * err
-                    sq_errors.append(float(loss.value))
-                    for name, g in backward(loss).items():
-                        if name in summed:
-                            summed[name] += g
-                        else:
-                            summed[name] = g.copy()
-                grads = {name: g / len(batch) for name, g in summed.items()}
+                result = run_batch(
+                    [ex.embedded for ex in batch], params, config.model,
+                    config.pooling, targets=[ex.target for ex in batch],
+                    rng=dropout_rng)
+                sq_errors.extend(result.losses.tolist())
+                grads = result.grads
+                for g in grads.values():
+                    g /= len(batch)
                 if config.grad_clip is not None:
                     _clip_grads(grads, config.grad_clip)
                 adam_step(params.tensors, grads, state)

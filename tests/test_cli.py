@@ -350,6 +350,21 @@ def test_import_missing_feature_column_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column", ["of_partitive_indices",
+                                    "of_other_indices"])
+def test_import_non_integer_of_index_exits_one(tmp_path, capsys, column):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(RAW_HEADER + f",{column}\n" + RAW_ROWS[0] + ',"1,x"\n',
+                   encoding="utf-8")
+    out = tmp_path / "corpus.tsv"
+    rc = main(["import", "--input", str(raw), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "raw.csv" in err and "row 2" in err and column in err
+    assert not out.exists()
+
+
 def test_import_column_map_override(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text(
@@ -451,6 +466,21 @@ def test_regress_bad_interaction_exits_one(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "c.csv")])
     assert rc == 1
     assert "a:b" in capsys.readouterr().err
+
+
+def test_regress_non_numeric_score_exits_one(workspace, tmp_path, capsys):
+    preds = tmp_path / "p.csv"
+    with open(preds, "w", encoding="utf-8", newline="") as fh:
+        fh.write("id,score\n")
+        for i, r in enumerate(workspace["records"]):
+            fh.write(f"{r.id},{'high' if i == 2 else 0.5}\n")
+    rc = main(["regress", "--corpus", str(workspace["corpus"]),
+               "--predictions", str(preds), "--bootstrap", "0",
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "p.csv" in err and "row 4" in err and "'high'" in err
 
 
 def test_minimal_pairs_command(workspace, trained, tmp_path):

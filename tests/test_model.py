@@ -1,13 +1,15 @@
-"""Encoder model: init, fused LSTM cell, forward pass, pooling, checkpoints."""
+"""Encoder model: init, fused LSTM cell, forward pass, pooling, batched
+kernel, checkpoints."""
 
 import numpy as np
 import pytest
 
 from sil.autodiff import backward, constant, finite_diff_check, parameter
-from sil.errors import ContractError, IntegrityError
-from sil.model import (CHECKPOINT_MAGIC, ModelConfig, attention_pool,
-                       final_state_pool, forward, init_params,
-                       load_checkpoint, lstm_cell, predict, save_checkpoint)
+from sil.errors import ContractError, IntegrityError, NumericError
+from sil.model import (CHECKPOINT_MAGIC, PREDICT_CHUNK, ModelConfig,
+                       attention_pool, final_state_pool, forward, init_params,
+                       load_checkpoint, lstm_cell, predict, predict_batch,
+                       run_batch, save_checkpoint)
 
 
 def small_config(**kw):
@@ -393,6 +395,164 @@ def test_predict_report_shapes():
     assert len(report.attention) == 4
     no_attn = predict("u1", x, params, config, pooling="final_state")
     assert no_attn.attention == []
+
+
+# ---------------------------------------------------------------------------
+# batched kernel against the per-item tape
+# ---------------------------------------------------------------------------
+
+RAGGED_LENGTHS = (1, 2, 7, 30)
+
+
+def _ragged_batch(seed, dim=3, lengths=RAGGED_LENGTHS):
+    rng = np.random.default_rng(seed)
+    inputs = [rng.standard_normal((T, dim)) for T in lengths]
+    return inputs, rng.uniform(0.1, 0.9, size=len(lengths))
+
+
+def _tape_batch(inputs, targets, params, config, pooling, rng):
+    """Per-item tape forwards and backwards, gradients summed in order."""
+    scores, attention, summed = [], [], {}
+    for x, target in zip(inputs, targets):
+        fp = forward(x, params, config, train=True, rng=rng, pooling=pooling)
+        err = fp.score - float(target)
+        scores.append(float(fp.score.value))
+        attention.append(fp.attention)
+        for name, g in backward(err * err).items():
+            summed[name] = summed.get(name, 0.0) + g
+    return np.array(scores), attention, summed
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("pooling", ["attention", "final_state"])
+def test_kernel_matches_tape_on_ragged_batch(pooling, dropout):
+    config = small_config(hidden_dim=5, dropout_rate=dropout,
+                          use_attention=pooling == "attention", seed=2)
+    params = init_params(config)
+    inputs, targets = _ragged_batch(0)
+    # equal seeds give equal masks: the kernel draws in the tape's order
+    ref_scores, ref_attn, ref_grads = _tape_batch(
+        inputs, targets, params, config, pooling, np.random.default_rng(5))
+    res = run_batch(inputs, params, config, pooling, targets=targets,
+                    rng=np.random.default_rng(5))
+
+    np.testing.assert_allclose(res.scores, ref_scores, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.losses, (ref_scores - targets) ** 2,
+                               rtol=0, atol=1e-12)
+    if pooling == "attention":
+        for got, want in zip(res.attention, ref_attn):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert res.attention is None
+    assert sorted(res.grads) == sorted(ref_grads)
+    for name, g in ref_grads.items():
+        assert res.grads[name].shape == params.tensors[name].shape
+        np.testing.assert_allclose(res.grads[name], g, rtol=0, atol=1e-10,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("pooling", ["attention", "final_state"])
+def test_kernel_eval_is_the_tape_forward(pooling):
+    config = small_config(hidden_dim=5, dropout_rate=0.3,
+                          use_attention=pooling == "attention", seed=3)
+    params = init_params(config)
+    inputs, _ = _ragged_batch(1)
+    scores, attention = predict_batch(inputs, params, config, pooling)
+    for i, x in enumerate(inputs):
+        fp = forward(x, params, config, pooling=pooling)
+        assert abs(scores[i] - float(fp.score.value)) <= 1e-12
+        if pooling == "attention":
+            np.testing.assert_allclose(attention[i], fp.attention, rtol=0,
+                                       atol=1e-12)
+    assert (attention is None) == (pooling == "final_state")
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("pooling", ["attention", "final_state"])
+def test_kernel_gradients_match_finite_differences(pooling, dropout):
+    config = small_config(hidden_dim=3, dropout_rate=dropout,
+                          use_attention=pooling == "attention", seed=4)
+    params = init_params(config)
+    inputs, targets = _ragged_batch(2, lengths=(1, 2, 5))
+
+    def run():
+        return run_batch(inputs, params, config, pooling, targets=targets,
+                         rng=np.random.default_rng(9))
+
+    grads = run().grads
+    rng = np.random.default_rng(0)
+    eps = 1e-5
+    worst = 0.0
+    for name, arr in params.tensors.items():
+        flat = arr.reshape(-1)
+        for idx in rng.choice(flat.size, size=min(4, flat.size),
+                              replace=False):
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            up = run().losses.sum()
+            flat[idx] = orig - eps
+            dn = run().losses.sum()
+            flat[idx] = orig
+            numeric = (up - dn) / (2 * eps)
+            analytic = float(grads[name].reshape(-1)[idx])
+            worst = max(worst, abs(numeric - analytic)
+                        / max(abs(numeric), abs(analytic), 1e-6))
+    assert worst <= 1e-5
+
+
+def test_kernel_eval_is_batch_invariant():
+    config = small_config(hidden_dim=6)
+    params = init_params(config)
+    rng = np.random.default_rng(7)
+    # more items than one chunk, so some share a chunk and some do not
+    lengths = rng.integers(1, 25, size=PREDICT_CHUNK + 9)
+    inputs = [rng.standard_normal((int(T), 3)) for T in lengths]
+    scores, attention = predict_batch(inputs, params, config)
+    for i in (0, 5, len(inputs) - 1):
+        alone = run_batch([inputs[i]], params, config)
+        pair = run_batch([inputs[i - 1], inputs[i]], params, config)
+        for score, weights in ((pair.scores[1], pair.attention[1]),
+                               (scores[i], attention[i])):
+            assert abs(score - alone.scores[0]) <= 1e-12
+            np.testing.assert_allclose(weights, alone.attention[0], rtol=0,
+                                       atol=1e-12)
+    reordered, _ = predict_batch(inputs[::-1], params, config)
+    np.testing.assert_allclose(reordered[::-1], scores, rtol=0, atol=1e-12)
+
+
+def test_kernel_rejects_bad_batches():
+    config = small_config(dropout_rate=0.5)
+    params = init_params(config)
+    x = np.zeros((2, 3))
+    with pytest.raises(ContractError):
+        run_batch([], params, config)
+    with pytest.raises(ContractError, match="input_dim"):
+        run_batch([x, np.zeros((2, 4))], params, config)
+    with pytest.raises(ContractError):
+        run_batch([x, np.zeros((0, 3))], params, config)
+    with pytest.raises(ContractError, match="rng"):
+        run_batch([x], params, config, targets=[0.5])
+    with pytest.raises(ContractError, match="target"):
+        run_batch([x], params, config, targets=[0.5, 0.5],
+                  rng=np.random.default_rng(0))
+    no_attn = small_config(use_attention=False)
+    with pytest.raises(ContractError):
+        run_batch([x], init_params(no_attn), no_attn, pooling="attention")
+
+
+def test_kernel_nonfinite_values_raise_numeric_error():
+    config = small_config()
+    params = init_params(config)
+    x = np.random.default_rng(0).standard_normal((3, 3))
+    with pytest.raises(NumericError, match="loss"):
+        run_batch([x, np.full((2, 3), np.nan)], params, config,
+                  targets=[0.5, 0.5])
+    # a saturated head keeps the loss finite while 0 * inf poisons the
+    # gradients below it
+    params.tensors["head.w"][0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match="non-finite gradient for parameter 'attn"):
+        run_batch([x], params, config, targets=[0.5])
 
 
 # ---------------------------------------------------------------------------

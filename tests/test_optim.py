@@ -106,3 +106,42 @@ def test_moment_buffers_created_per_parameter():
     assert set(state.m) == {"a", "b"}
     assert state.m["a"].shape == (2,)
     assert state.v["b"].shape == (3,)
+
+
+def _reference_adam_step(params, grads, state):
+    """The original expression-per-line update, kept verbatim as oracle."""
+    state.t += 1
+    t = state.t
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def test_in_place_update_is_bit_identical_to_reference_formula():
+    rng = np.random.default_rng(5)
+    shapes = {"lstm.0.fw.W": (12, 5), "attn.v": (7,), "head.b": ()}
+    ours = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    ref = {n: p.copy() for n, p in ours.items()}
+    state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+    for step in range(6):
+        scale = 10.0 ** (step - 3)
+        grads = {n: np.asarray(rng.standard_normal(s) * scale)
+                 for n, s in shapes.items()}
+        adam_step(ours, grads, state)
+        _reference_adam_step(ref, grads, ref_state)
+        for n in shapes:
+            assert ours[n].shape == shapes[n]
+            assert ours[n].tobytes() == ref[n].tobytes(), n
+            assert state.m[n].tobytes() == ref_state.m[n].tobytes(), n
+            assert state.v[n].tobytes() == ref_state.v[n].tobytes(), n

@@ -9,9 +9,12 @@ from conftest import make_records, make_table, vocab_of
 
 from sil.corpus import (FeatureVector, UtteranceRecord, kfold,
                         rescale_rating, split)
+from sil.autodiff import backward
 from sil.errors import ContractError
 from sil.metrics import pearson
 from sil.model import ModelConfig, forward, init_params
+from sil.optim import AdamState, adam_step
+from sil.seeding import rng_for
 from sil.trainer import (Example, GridPoint, TrainConfig, cv_predict,
                          evaluate, examples_from_records, train, tune)
 
@@ -163,6 +166,83 @@ def test_nonfinite_input_aborts_with_diagnostic():
     assert curve.aborted is not None
     assert "epoch 1" in curve.aborted
     assert curve.epochs == []
+
+
+def test_pooling_must_match_attention_parameters():
+    with_attn = ModelConfig(input_dim=8, hidden_dim=4, use_attention=True)
+    without = ModelConfig(input_dim=8, hidden_dim=4, use_attention=False)
+    with pytest.raises(ContractError, match="use_attention"):
+        TrainConfig(model=with_attn, pooling="final_state")
+    with pytest.raises(ContractError, match="use_attention"):
+        TrainConfig(model=without, pooling="attention")
+    TrainConfig(model=with_attn, pooling="attention")
+    TrainConfig(model=without, pooling="final_state")
+
+
+def _tape_train(train_examples, valid_examples, config):
+    """The per-item tape training loop `train` replaced, as a reference."""
+    params = init_params(config.model)
+    state = AdamState(lr=config.lr)
+    shuffle_rng = rng_for(config.seed, "epoch-shuffle")
+    dropout_rng = rng_for(config.seed, "dropout")
+    curve, best, best_r = [], None, -np.inf
+    n = len(train_examples)
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        sq_errors = []
+        for start in range(0, n, config.batch_size):
+            batch = [train_examples[i]
+                     for i in order[start:start + config.batch_size]]
+            summed = {}
+            for ex in batch:
+                fp = forward(ex.embedded, params, config.model, train=True,
+                             rng=dropout_rng, pooling=config.pooling)
+                err = fp.score - ex.target
+                loss = err * err
+                sq_errors.append(float(loss.value))
+                for name, g in backward(loss).items():
+                    summed[name] = summed.get(name, 0.0) + g
+            adam_step(params.tensors,
+                      {name: g / len(batch) for name, g in summed.items()},
+                      state)
+        valid_r = float("nan")
+        if valid_examples:
+            scores = np.array([
+                float(forward(ex.embedded, params, config.model,
+                              pooling=config.pooling).score.value)
+                for ex in valid_examples])
+            valid_r = pearson(scores, np.array([ex.target
+                                                for ex in valid_examples]))
+        curve.append((float(np.mean(sq_errors)), valid_r))
+        if valid_r > best_r:
+            best_r, best = valid_r, params.clone()
+    return best or params, curve
+
+
+@pytest.mark.parametrize("pooling", ["attention", "final_state"])
+def test_train_matches_tape_reference_loop(pooling):
+    records = make_records(14, seed=2, with_context=True)
+    table = make_table(sorted(vocab_of(records)))
+    examples = examples_from_records(records, table, with_context=True)
+    config = tiny_train_config(
+        model_kw=dict(hidden_dim=5, dropout_rate=0.2,
+                      use_attention=pooling == "attention"),
+        pooling=pooling, epochs=5, batch_size=4, seed=3)
+    # with validation: the curve and the best epoch's parameters
+    params, curve = train(examples[:10], examples[10:], config)
+    ref_params, ref_curve = _tape_train(examples[:10], examples[10:], config)
+    assert curve.aborted is None
+    assert len(curve.epochs) == len(ref_curve) == 5
+    for stats, (mse, r) in zip(curve.epochs, ref_curve):
+        assert abs(stats.train_mse - mse) <= 1e-9
+        assert abs(stats.valid_r - r) <= 1e-9
+    # without: the parameters after the fifth epoch
+    final, _ = train(examples[:10], [], config)
+    ref_final, _ = _tape_train(examples[:10], [], config)
+    for got, want in ((params, ref_params), (final, ref_final)):
+        for name in want.names():
+            np.testing.assert_allclose(got.tensors[name], want.tensors[name],
+                                       rtol=0, atol=1e-9, err_msg=name)
 
 
 def test_inactive_grad_clip_changes_nothing(tiny_records, tiny_table):
