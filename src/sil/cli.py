@@ -208,28 +208,30 @@ _TRUTHY = {"1", "true", "yes", "y", "t"}
 _FALSY = {"0", "false", "no", "n", "f"}
 
 
-def _import_binary(cell: str, what: str, row: int) -> int:
+def _import_binary(cell: str, path: Path, what: str, row: int) -> int:
     norm = cell.strip().lower()
     if norm in _TRUTHY:
         return 1
     if norm in _FALSY:
         return 0
-    raise ValidationError(f"cannot read binary {what} from {cell!r}", row=row)
+    raise ValidationError(f"cannot read binary {what} from {cell!r}",
+                          row=row, path=path)
 
 
-def _import_float(cell: str, what: str, row: int) -> float:
+def _import_float(cell: str, path: Path, what: str, row: int) -> float:
     try:
         return float(cell)
     except ValueError:
-        raise ParseError(f"cannot read {what} from {cell!r}", line=row) from None
+        raise ParseError(f"cannot read {what} from {cell!r}",
+                         line=row, path=path) from None
 
 
 def _import_indices(cell: str, path: Path, what: str, row: int) -> list[int]:
     try:
         return [int(v) for v in cell.split(",") if v]
     except ValueError:
-        raise ValidationError(
-            f"{path}: cannot read {what} from {cell!r}", row=row) from None
+        raise ValidationError(f"cannot read {what} from {cell!r}",
+                              row=row, path=path) from None
 
 
 def cmd_import(args, argv):
@@ -279,7 +281,7 @@ def cmd_import(args, argv):
         sentence = cell(row, "sentence")
         tokens = sentence.split() if cfg["pretokenized"] else tokenize(sentence)
         if not tokens:
-            raise ValidationError("empty sentence", row=row_num)
+            raise ValidationError("empty sentence", row=row_num, path=raw_path)
         context_text = cell(row, "context")
         context_tokens = (context_text.split() if cfg["pretokenized"]
                           else tokenize(context_text)) if context_text else []
@@ -288,15 +290,17 @@ def cmd_import(args, argv):
         participant = []
         if ratings_cell:
             parts = ratings_cell.replace(";", ",").split(",")
-            participant = [_import_float(p, "participant rating", row_num)
-                           for p in parts if p.strip()]
+            participant = [_import_float(p, raw_path, "participant rating",
+                                         row_num) for p in parts if p.strip()]
         mean_cell = cell(row, "mean_rating")
         if mean_cell:
-            mean_rating = _import_float(mean_cell, "mean rating", row_num)
+            mean_rating = _import_float(mean_cell, raw_path, "mean rating",
+                                        row_num)
         elif participant:
             mean_rating = sum(participant) / len(participant)
         else:
-            raise ValidationError("row has no rating", row=row_num)
+            raise ValidationError("row has no rating", row=row_num,
+                                  path=raw_path)
         if participant:
             observed = sum(participant) / len(participant)
             if abs(observed - mean_rating) > 1e-6:
@@ -304,21 +308,22 @@ def cmd_import(args, argv):
                 mean_rating = observed
 
         nc_cell = cell(row, "no_context_mean_rating")
-        no_context = (_import_float(nc_cell, "no-context rating", row_num)
-                      if nc_cell else None)
+        no_context = (_import_float(nc_cell, raw_path, "no-context rating",
+                                    row_num) if nc_cell else None)
 
         lowered = [t.lower() for t in tokens]
         some_cell = cell(row, "some_index")
         if some_cell:
-            some_index = int(_import_float(some_cell, "some_index", row_num))
+            some_index = int(_import_float(some_cell, raw_path, "some_index",
+                                           row_num))
         elif "some" in lowered:
             some_index = lowered.index("some")
         else:
-            raise ValidationError(
-                f"no 'some' token in {tokens}", row=row_num)
+            raise ValidationError(f"no 'some' token in {tokens}",
+                                  row=row_num, path=raw_path)
 
-        partitive = _import_binary(cell(row, "partitive"), "partitive",
-                                   row_num)
+        partitive = _import_binary(cell(row, "partitive"), raw_path,
+                                   "partitive", row_num)
         of_part_cell = cell(row, "of_partitive_indices")
         of_other_cell = cell(row, "of_other_indices")
         if of_part_cell or of_other_cell:
@@ -339,12 +344,12 @@ def cmd_import(args, argv):
         features = FeatureVector(
             partitive=partitive,
             determiner_strength=_import_float(cell(row, "strength"),
-                                              "strength", row_num),
-            linguistic_mention=_import_binary(cell(row, "mention"), "mention",
-                                              row_num),
-            subjecthood=_import_binary(cell(row, "subjecthood"),
+                                              raw_path, "strength", row_num),
+            linguistic_mention=_import_binary(cell(row, "mention"), raw_path,
+                                              "mention", row_num),
+            subjecthood=_import_binary(cell(row, "subjecthood"), raw_path,
                                        "subjecthood", row_num),
-            modification=_import_binary(cell(row, "modification"),
+            modification=_import_binary(cell(row, "modification"), raw_path,
                                         "modification", row_num),
             utterance_length=len(tokens))
         records.append(UtteranceRecord(
@@ -785,8 +790,8 @@ def cmd_regress(args, argv):
                 preds[row["id"]] = float(row["score"])
             except (TypeError, ValueError):
                 raise ValidationError(
-                    f"{cfg['predictions']}: cannot read score from "
-                    f"{row['score']!r}", row=row_num) from None
+                    f"cannot read score from {row['score']!r}",
+                    row=row_num, path=cfg["predictions"]) from None
 
     interactions = []
     if cfg["interactions"]:

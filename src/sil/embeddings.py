@@ -1,10 +1,20 @@
 """Per-token input vectors: GloVe text tables and precomputed contextual files.
 
 Static tables are loaded from the plain GloVe text format ("token v1 ... vd",
-whitespace-separated, UTF-8). Contextual embeddings (e.g. transformer or
-language-model layers) are computed offline and ingested from a JSON-lines
-file with one object per utterance: {"id": str, "layer": int,
-"vectors": [[float, ...], ...]}.
+UTF-8). Fields are separated by runs of any whitespace `str.split` splits on,
+lines may end in LF or CRLF, and blank lines are skipped. A value is a number
+as Python's `float` reads it, written in ASCII and without `_`: an optional
+sign, digits with an optional decimal point and exponent ("-0.5", "5.",
+".5", "1e-3", "2.5E+10"), or "inf", "infinity" or "nan" in any case. Values
+beyond the float64 range read as +-inf; subnormals are kept exactly. Digit
+grouping ("1_0"), non-ASCII digits, hexadecimal floats and "1d5" exponents
+are rejected as non-numeric.
+
+Contextual embeddings (e.g. transformer or language-model layers) are
+computed offline and ingested from a JSON-lines file with one object per
+utterance: {"id": str, "layer": int, "vectors": [[float, ...], ...]}.
+
+Every ParseError from either loader names the file and the line.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ from .errors import ContractError, IntegrityError, ParseError
 
 UNK_TOKEN = "<unk>"
 UNK_POLICIES = ("zero_vector", "unk_token", "mean_vector")
+# rows per np.loadtxt call when a failed vector file is re-scanned
+_RESCAN_BLOCK = 1024
 
 
 @dataclass
@@ -77,36 +89,90 @@ class PrecomputedEmbeddings:
 
 
 def load_glove(path, unk_policy: str = "zero_vector") -> EmbeddingTable:
-    """Parse a GloVe text file; duplicate tokens keep the first occurrence."""
+    """Parse a GloVe text file; duplicate tokens keep the first occurrence.
+
+    A Python pass splits off each line's token and keeps the value text of
+    each token's first row; one `np.loadtxt` call then parses all of it in
+    C, with the same correctly rounded conversion as `float`. Only when
+    that fails are the kept rows re-scanned, to name the first bad line.
+    """
     path = Path(path)
     vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
+    rests: list[str] = []
+    kept_lines: list[int] = []
     dim = None
+    stop = None  # (line, message) of a bad row the token pass sees itself
     with open(path, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
-            parts = line.split()
+            parts = line.split(None, 1)
             if not parts:
                 continue
-            token, values = parts[0], parts[1:]
             if dim is None:
-                dim = len(values)
+                dim = len(parts[1].split()) if len(parts) == 2 else 0
                 if dim == 0:
-                    raise ParseError("line has no vector values", line=line_num)
-            elif len(values) != dim:
-                raise ParseError(
-                    f"expected {dim} values, got {len(values)}", line=line_num)
-            if token in vocab:
+                    raise ParseError("line has no vector values",
+                                     line=line_num, path=path)
+            token = parts[0]
+            if len(parts) == 1 or token in vocab:
+                got = len(parts[1].split()) if len(parts) == 2 else 0
+                if got != dim:
+                    stop = (line_num, f"expected {dim} values, got {got}")
+                    break
                 continue
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError:
-                raise ParseError("non-numeric vector value", line=line_num) from None
-            vocab[token] = len(rows)
-            rows.append(vec)
+            vocab[token] = len(rests)
+            rests.append(parts[1])
+            kept_lines.append(line_num)
     if dim is None:
-        raise ParseError("empty embedding file", line=1)
-    return EmbeddingTable(dim=dim, vocab=vocab,
-                          matrix=np.vstack(rows), unk_policy=unk_policy)
+        raise ParseError("empty embedding file", line=1, path=path)
+    matrix = _parse_values(rests, dim) if stop is None else None
+    if matrix is None:
+        _raise_first_bad_row(path, rests, kept_lines, dim, stop)
+    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix,
+                          unk_policy=unk_policy)
+
+
+def _parse_values(rests: list[str], dim: int) -> np.ndarray | None:
+    """The (len(rests), dim) matrix of the value texts, or None if invalid."""
+    try:
+        matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2,
+                            quotechar=None)
+    except ValueError:
+        return None
+    return matrix if matrix.shape == (len(rests), dim) else None
+
+
+def _is_number(text: str) -> bool:
+    """True for the value syntax `np.loadtxt` parses (see module docstring)."""
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_row(path, rests, kept_lines, dim, stop):
+    """Raise the ParseError of the first bad line of a file that failed.
+
+    Blocks of kept rows that parse are skipped; the rows of the first
+    block that does not are checked one by one.
+    """
+    for start in range(0, len(rests), _RESCAN_BLOCK):
+        block = rests[start:start + _RESCAN_BLOCK]
+        if _parse_values(block, dim) is not None:
+            continue
+        for rest, line_num in zip(block, kept_lines[start:]):
+            values = rest.split()
+            if len(values) != dim:
+                raise ParseError(f"expected {dim} values, got {len(values)}",
+                                 line=line_num, path=path)
+            if not all(map(_is_number, values)):
+                raise ParseError("non-numeric vector value",
+                                 line=line_num, path=path)
+    if stop is not None:
+        raise ParseError(stop[1], line=stop[0], path=path)
+    raise ParseError("vector values could not be parsed", path=path)
 
 
 def save_glove(table: EmbeddingTable, path) -> None:
@@ -132,33 +198,42 @@ def load_precomputed(path) -> PrecomputedEmbeddings:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
-                raise ParseError("invalid JSON object", line=line_num) from None
+                raise ParseError("invalid JSON object", line=line_num,
+                                 path=path) from None
             try:
                 rid = obj["id"]
                 layer = int(obj["layer"])
                 vectors = obj["vectors"]
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):
                 raise ParseError(
-                    "object must have id, layer, vectors", line=line_num) from None
-            arr = np.array(vectors, dtype=float)
-            if arr.ndim != 2:
+                    "object must have id, layer (an integer), vectors",
+                    line=line_num, path=path) from None
+            if not isinstance(rid, str):
+                raise ParseError("utterance id must be a string",
+                                 line=line_num, path=path)
+            try:
+                arr = np.array(vectors, dtype=float)
+            except (TypeError, ValueError):
+                arr = None  # ragged rows or non-numeric values
+            if arr is None or arr.ndim != 2:
                 raise ParseError(
-                    "vectors must be a non-empty list of equal-length rows",
-                    line=line_num)
+                    "vectors must be a non-empty list of equal-length rows "
+                    "of numbers", line=line_num, path=path)
             if dim is None:
                 dim, layer_id = arr.shape[1], layer
             else:
                 if arr.shape[1] != dim:
-                    raise ParseError(
-                        f"dim {arr.shape[1]} != file dim {dim}", line=line_num)
+                    raise ParseError(f"dim {arr.shape[1]} != file dim {dim}",
+                                     line=line_num, path=path)
                 if layer != layer_id:
-                    raise ParseError(
-                        f"layer {layer} != file layer {layer_id}", line=line_num)
+                    raise ParseError(f"layer {layer} != file layer {layer_id}",
+                                     line=line_num, path=path)
             if rid in table:
-                raise ParseError(f"duplicate utterance id {rid!r}", line=line_num)
+                raise ParseError(f"duplicate utterance id {rid!r}",
+                                 line=line_num, path=path)
             table[rid] = arr
     if dim is None:
-        raise ParseError("empty precomputed-embedding file", line=1)
+        raise ParseError("empty precomputed-embedding file", line=1, path=path)
     return PrecomputedEmbeddings(dim=dim, layer_id=layer_id, table=table)
 
 
@@ -179,7 +254,11 @@ def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
     it and must match the target token count exactly.
     """
     if isinstance(source, PrecomputedEmbeddings):
-        vectors = source.vectors_for(record.id)
+        try:
+            vectors = source.vectors_for(record.id)
+        except KeyError:
+            raise IntegrityError(
+                f"no precomputed vectors for utterance {record.id!r}") from None
         if vectors.shape[0] != len(record.tokens):
             raise IntegrityError(
                 f"utterance {record.id!r}: {vectors.shape[0]} precomputed "

@@ -10,24 +10,31 @@ class ContractError(ValueError):
     """A documented precondition of an operation was violated."""
 
 
-class ParseError(ValueError):
-    """A file could not be parsed; carries the offending line number."""
+def _located(message, unit, number, path):
+    """Prefix `message` with "path: unit number: " for the parts given."""
+    if number is not None:
+        message = f"{unit} {number}: {message}"
+    if path is not None:
+        message = f"{path}: {message}"
+    return message
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+
+class ParseError(ValueError):
+    """A file could not be parsed; carries the file and the offending line."""
+
+    def __init__(self, message, line=None, path=None):
+        super().__init__(_located(message, "line", line, path))
         self.line = line
+        self.path = path
 
 
 class ValidationError(ValueError):
     """Parsed data violates a corpus/schema invariant."""
 
-    def __init__(self, message, row=None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
+    def __init__(self, message, row=None, path=None):
+        super().__init__(_located(message, "row", row, path))
         self.row = row
+        self.path = path
 
 
 class IntegrityError(ValueError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -63,7 +63,33 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
+        """Config from a checkpoint header; keys absent there take defaults.
+
+        Unknown keys, missing keys without a default and values of the
+        wrong type raise IntegrityError naming them.
+        """
+        if not isinstance(obj, dict):
+            raise IntegrityError("config must be a JSON object")
+        spec = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(obj) - set(spec))
+        missing = [n for n, f in spec.items()
+                   if f.default is MISSING and n not in obj]
+        if unknown or missing:
+            raise IntegrityError("config has " + "; ".join(
+                f"{what} keys: {', '.join(keys)}" for what, keys in
+                (("unknown", unknown), ("missing", missing)) if keys))
+        for name, value in obj.items():
+            if not _CONFIG_TYPES[spec[name].type](value):
+                raise IntegrityError(
+                    f"config {name} must be {spec[name].type}, got {value!r}")
         return cls(**obj)
+
+
+_CONFIG_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+}
 
 
 @dataclass
@@ -641,31 +667,49 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
+    """Read a checkpoint; a malformed one raises IntegrityError naming it."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse_checkpoint(blob)
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(blob: bytes) -> tuple[ModelParams, ModelConfig]:
     if blob[:4] != CHECKPOINT_MAGIC:
         raise IntegrityError("not a model checkpoint (bad magic)")
+    if len(blob) < 8:
+        raise IntegrityError("checkpoint truncated in its header")
     (header_len,) = struct.unpack("<I", blob[4:8])
     try:
         header = json.loads(blob[8:8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise IntegrityError("corrupt checkpoint header") from None
+    if not isinstance(header, dict):
+        raise IntegrityError("corrupt checkpoint header")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise IntegrityError(
             f"unsupported checkpoint version {header.get('format_version')}")
+    missing = [k for k in ("config", "params") if k not in header]
+    if missing:
+        raise IntegrityError(
+            f"checkpoint header has missing keys: {', '.join(missing)}")
     config = ModelConfig.from_dict(header["config"])
     tensors: dict[str, np.ndarray] = {}
     offset = 8 + header_len
     for entry in header["params"]:
-        shape = tuple(entry["shape"])
+        try:
+            name, shape = entry["name"], tuple(int(d) for d in entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise IntegrityError(
+                f"bad tensor entry {entry!r} in checkpoint header") from None
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         chunk = blob[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise IntegrityError(
-                f"checkpoint truncated at tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(
-            chunk, dtype="<f8").reshape(shape).copy()
+            raise IntegrityError(f"checkpoint truncated at tensor {name!r}")
+        tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(blob):
         raise IntegrityError("trailing bytes after checkpoint tensors")

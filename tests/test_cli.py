@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import make_records, vocab_of, write_glove
 
 from sil.cli import main
 from sil.corpus import parse_corpus, write_corpus
+from sil.embeddings import PrecomputedEmbeddings, save_precomputed
 from sil.model import load_checkpoint
 
 
@@ -365,6 +367,19 @@ def test_import_non_integer_of_index_exits_one(tmp_path, capsys, column):
     assert not out.exists()
 
 
+def test_import_non_numeric_rating_names_file(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(RAW_HEADER + "\n" + RAW_ROWS[0].replace(",5.5,", ",high,")
+                   + "\n", encoding="utf-8")
+    out = tmp_path / "corpus.tsv"
+    rc = main(["import", "--input", str(raw), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{raw}: line 2: cannot read mean rating from 'high'" in err
+    assert not out.exists()
+
+
 def test_import_column_map_override(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text(
@@ -563,3 +578,74 @@ def test_ceiling_deterministic(workspace, tmp_path):
         assert rc == 0
         values.append(out.read_bytes())
     assert values[0] == values[1]
+
+
+# ---------------------------------------------------------------------------
+# bad vector files, checkpoints and precomputed sources exit 1
+# ---------------------------------------------------------------------------
+
+def test_bad_glove_file_names_file_and_line(trained, tmp_path, capsys):
+    glove = tmp_path / "bad.txt"
+    glove.write_text("cat 0.1 0.2\ndog 0.3\n", encoding="utf-8")
+    rc = main(["minimal-pairs", "--model", str(trained), "--glove", str(glove),
+               "--out", str(tmp_path / "v.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{glove}: line 2: expected 2 values, got 1" in err
+
+
+def rewrite_config(checkpoint, out, edit):
+    """Copy a checkpoint with its header config changed by `edit`."""
+    blob = checkpoint.read_bytes()
+    (length,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + length])
+    edit(header["config"])
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    out.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new
+                    + blob[8 + length:])
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda c: c.update(bogus=1), "unknown keys: bogus"),
+    (lambda c: c.pop("hidden_dim"), "missing keys: hidden_dim"),
+    (lambda c: c.update(hidden_dim="4"), "hidden_dim must be int"),
+])
+def test_bad_checkpoint_config_exits_one(workspace, trained, tmp_path, capsys,
+                                         edit, named):
+    model = tmp_path / "bad.bin"
+    rewrite_config(trained, model, edit)
+    rc = main(["eval", "--model", str(model),
+               "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(model) in err and named in err
+
+
+def test_rewritten_checkpoint_config_still_loads(trained, tmp_path):
+    model = tmp_path / "same.bin"
+    rewrite_config(trained, model, lambda c: None)
+    params, config = load_checkpoint(model)
+    want_params, want_config = load_checkpoint(trained)
+    assert config == want_config
+    assert params.names() == want_params.names()
+
+
+def test_missing_precomputed_id_exits_one(workspace, trained, tmp_path,
+                                          capsys):
+    records = workspace["records"]
+    source = PrecomputedEmbeddings(
+        dim=8, layer_id=0,
+        table={r.id: np.ones((len(r.tokens), 8)) for r in records[:-1]})
+    path = tmp_path / "pc.jsonl"
+    save_precomputed(source, path)
+    rc = main(["eval", "--model", str(trained),
+               "--corpus", str(workspace["corpus"]),
+               "--precomputed", str(path), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert repr(records[-1].id) in err

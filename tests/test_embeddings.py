@@ -1,5 +1,7 @@
 """Embedding tables: GloVe parsing, unknown-token policies, precomputed files."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,172 @@ def test_tokenizer_lowercases_and_detaches_punctuation():
 def test_tokenizer_keeps_internal_punctuation():
     assert tokenize("it's a mid-range value") == \
         ["it's", "a", "mid-range", "value"]
+
+
+# ---------------------------------------------------------------------------
+# load_glove against the per-line loader it replaced
+# ---------------------------------------------------------------------------
+
+def reference_load_glove(path, unk_policy: str = "zero_vector"):
+    """The per-value `float` loader that `load_glove` replaced, verbatim."""
+    path = Path(path)
+    vocab: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        for line_num, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    raise ParseError("line has no vector values", line=line_num)
+            elif len(values) != dim:
+                raise ParseError(
+                    f"expected {dim} values, got {len(values)}", line=line_num)
+            if token in vocab:
+                continue
+            try:
+                vec = np.array([float(v) for v in values])
+            except ValueError:
+                raise ParseError("non-numeric vector value", line=line_num) from None
+            vocab[token] = len(rows)
+            rows.append(vec)
+    if dim is None:
+        raise ParseError("empty embedding file", line=1)
+    return EmbeddingTable(dim=dim, vocab=vocab,
+                          matrix=np.vstack(rows), unk_policy=unk_policy)
+
+
+def assert_same_as_reference(path):
+    """Same table bit for bit, or the same error type, line and message."""
+    try:
+        expected = reference_load_glove(path)
+    except ParseError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_glove(path)
+        assert got.value.line == exc.line
+        assert str(got.value) == f"{path}: {exc}"
+        return
+    table = load_glove(path)
+    assert table.dim == expected.dim
+    assert table.vocab == expected.vocab
+    assert table.matrix.dtype == expected.matrix.dtype
+    assert table.matrix.tobytes() == expected.matrix.tobytes()
+
+
+def test_round_trip_of_extreme_values_matches_reference(tmp_path):
+    rng = np.random.default_rng(11)
+    matrix = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(
+        -300, 300, size=(40, 7))
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1.7976931348623157e308, np.inf, -np.inf, np.nan]
+    matrix.flat[:len(special)] = special
+    table = EmbeddingTable(dim=7, vocab={f"w{i}": i for i in range(40)},
+                           matrix=matrix)
+    path = tmp_path / "v.txt"
+    save_glove(table, path)
+    assert_same_as_reference(path)
+    again = load_glove(path)
+    assert again.matrix.tobytes() == matrix.tobytes()
+
+
+VALID_LAYOUTS = {
+    "tabs_and_runs_of_spaces": "a\t1.5   -2\n  b 3e2\t\t.5  \nc 0 -0.0\n",
+    "crlf_and_blank_lines": "\r\n a 1 2\r\n\r\n   \r\nb 3 4\r\nc 5 6",
+    "duplicates_keep_first": "a 1 2\nb 3 4\na 9 9\nb x y\na 7 8\n",
+    "unicode_whitespace": "a 1　2\nb\xa03 4\nc 5\x0b6\n",
+    "inf_nan_spellings": "a inf -Infinity\nb NaN +nan\nc 1E400 -1e-400\n",
+    "single_row_single_value": "only 42\n",
+}
+
+BAD_LAYOUTS = {
+    "ragged_row": "a 1 2\nb 3\nc 5 6\n",
+    "ragged_duplicate_row": "a 1 2\nb 3 4\na 1 2 3\n",
+    "valueless_duplicate_row": "a 1 2\nb 3 4\na\n",
+    "valueless_first_row": "\n\na\nb 1 2\n",
+    "valueless_later_row": "a 1 2\nb\n",
+    "non_numeric_value": "a 1 2\nb 3 oops\n",
+    "non_numeric_before_ragged_duplicate": "a 1 2\nb 3 x\na 1\n",
+    "ragged_duplicate_before_non_numeric": "a 1 2\na 1\nb 3 x\n",
+    "comment_and_quote_chars": "a 1 2\nb #3 4\n",
+    "hex_float": "a 0x1p3 2\n",
+    "empty_file": "",
+    "blank_lines_only": "\n  \n\t\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_LAYOUTS))
+def test_valid_layouts_match_reference(tmp_path, name):
+    path = tmp_path / "v.txt"
+    path.write_bytes(VALID_LAYOUTS[name].encode("utf-8"))
+    assert_same_as_reference(path)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LAYOUTS))
+def test_bad_layouts_fail_like_reference(tmp_path, name):
+    path = tmp_path / "v.txt"
+    path.write_bytes(BAD_LAYOUTS[name].encode("utf-8"))
+    with pytest.raises(ParseError):
+        reference_load_glove(path)
+    assert_same_as_reference(path)
+
+
+@pytest.mark.parametrize("bad_row, bad", [
+    (0, "x 1 2"), (1023, "x 1 2"), (1024, "x 1"), (1025, "x 1 y 2"),
+    (2500, "x 1 2 3 y"), (2500, "w0 1"), (2999, "x")])
+def test_bad_row_past_first_rescan_block_matches_reference(
+        tmp_path, bad_row, bad):
+    lines = [f"w{i} {i}.5 -{i}e-3 {i % 7}" for i in range(3000)]
+    lines[bad_row] = bad
+    path = tmp_path / "v.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError):
+        reference_load_glove(path)
+    assert_same_as_reference(path)
+
+@pytest.mark.parametrize("value", ["1_0", "١", "１"])
+def test_grouped_and_non_ascii_digits_now_rejected(tmp_path, value):
+    # `float` reads these; the C parser does not, and neither does load_glove
+    path = tmp_path / "v.txt"
+    path.write_text(f"a 1 2\nb 3 {value}\n", encoding="utf-8")
+    assert reference_load_glove(path).vocab == {"a": 0, "b": 1}
+    with pytest.raises(ParseError, match="non-numeric") as exc:
+        load_glove(path)
+    assert exc.value.line == 2
+
+
+def test_glove_error_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("cat 0.1 0.2\ndog 0.3\n")
+    with pytest.raises(ParseError) as exc:
+        load_glove(path)
+    assert exc.value.line == 2 and exc.value.path == path
+    assert str(exc.value) == f"{path}: line 2: expected 2 values, got 1"
+
+
+@pytest.mark.parametrize("body, message", [
+    ('{"id": "a", "layer": "x", "vectors": [[1.0]]}', "layer"),
+    ('{"id": "a", "layer": 1, "vectors": [[1.0, 2.0], [3.0]]}',
+     "equal-length rows"),
+    ('{"id": "a", "layer": 1, "vectors": [["q"]]}', "numbers"),
+    ('{"id": ["a"], "layer": 1, "vectors": [[1.0]]}', "string"),
+])
+def test_precomputed_errors_name_file_and_line(tmp_path, body, message):
+    path = tmp_path / "pc.jsonl"
+    path.write_text('{"id": "z", "layer": 1, "vectors": [[0.5]]}\n'
+                    + body + "\n")
+    with pytest.raises(ParseError, match=message) as exc:
+        load_precomputed(path)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"{path}: line 2: ")
+
+
+def test_precomputed_missing_id_is_integrity_error():
+    record = make_records(1, seed=1)[0]
+    source = PrecomputedEmbeddings(dim=2, layer_id=0,
+                                   table={"other": np.ones((1, 2))})
+    with pytest.raises(IntegrityError, match=repr(record.id)):
+        embed_utterance(record, source)
