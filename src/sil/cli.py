@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,12 +65,31 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Run `write(tmp)` on a new temp file beside `path`, then rename it.
+
+    Each call gets its own temp file, so runs writing the same output never
+    clobber each other's, and the temp file is removed if anything fails.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+                               dir=path.parent)
+    os.close(fd)
+    try:
+        # mkstemp makes the file private; give it the mode a plain write has
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        write(Path(tmp))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -359,12 +379,12 @@ def cmd_import(args, argv):
             of_partitive_indices=of_partitive, of_other_indices=of_other,
             no_context_mean_rating=no_context))
 
+    def write_validated(tmp):
+        write_corpus(records, tmp)
+        parse_corpus(tmp)  # round-trip validation before the rename
+
     out = Path(cfg["output"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    write_corpus(records, tmp)
-    parse_corpus(tmp)  # round-trip validation before the rename
-    os.replace(tmp, out)
+    _atomic_write(out, write_validated)
     print(f"imported {len(records)} records -> {out}")
     return cfg, {"input": raw_path}, [out]
 
@@ -424,10 +444,7 @@ def cmd_train(args, argv):
         raise NumericError(f"training aborted: {curve.aborted}")
 
     out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    save_checkpoint(params, config.model, tmp)
-    os.replace(tmp, out)
+    _atomic_write(out, lambda tmp: save_checkpoint(params, config.model, tmp))
     outputs = [out]
 
     curve_path = Path(cfg.get("curve") or out.with_suffix(".curve.csv"))

@@ -140,27 +140,44 @@ def _check_rating(value: float, what: str, row: int) -> float:
 
 
 def parse_corpus(path) -> list[UtteranceRecord]:
-    """Read and validate the corpus TSV; one record per row, order kept."""
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty corpus file", line=1) from None
-        missing = [c for c in COLUMNS if c not in header]
-        if missing:
-            raise ValidationError(f"missing columns: {', '.join(missing)}")
-        col = {name: header.index(name) for name in COLUMNS}
+    """Read and validate the corpus TSV; one record per row, order kept.
 
-        records = []
-        seen_ids = set()
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}",
-                    line=row_num)
-            records.append(_parse_row(row, col, row_num, seen_ids))
+    Every ParseError and ValidationError it raises names the file.
+    """
+    path = Path(path)
+    # the row parsers know the line, not the file: the file is added here,
+    # once, rather than passed through every per-cell call
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return _parse_rows(csv.reader(fh, delimiter="\t"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), path=path) from None
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, path) from None
+    except ValidationError as exc:
+        raise ValidationError(exc.message, exc.row, path) from None
+
+
+def _parse_rows(reader) -> list[UtteranceRecord]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty corpus file", line=1) from None
+    missing = [c for c in COLUMNS if c not in header]
+    if missing:
+        raise ValidationError(f"missing columns: {', '.join(missing)}")
+    col = {name: header.index(name) for name in COLUMNS}
+
+    records = []
+    seen_ids = set()
+    for row_num, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}",
+                line=row_num)
+        records.append(_parse_row(row, col, row_num, seen_ids))
     return records
 
 

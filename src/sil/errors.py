@@ -24,6 +24,7 @@ class ParseError(ValueError):
 
     def __init__(self, message, line=None, path=None):
         super().__init__(_located(message, "line", line, path))
+        self.message = message
         self.line = line
         self.path = path
 
@@ -33,6 +34,7 @@ class ValidationError(ValueError):
 
     def __init__(self, message, row=None, path=None):
         super().__init__(_located(message, "row", row, path))
+        self.message = message
         self.row = row
         self.path = path
 

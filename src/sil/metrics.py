@@ -56,12 +56,25 @@ def mse(predicted, target) -> float:
     return float(np.mean((predicted - target) ** 2))
 
 
+# bootstrap_ceiling draws the indices of about this many ratings at once; it
+# bounds the memory of one block of replicates and never changes the result
+CEILING_BLOCK_DRAWS = 1 << 18
+
+
 def bootstrap_ceiling(ratings_per_item: list, B: int, seed: int) -> float:
     """Inter-annotator agreement ceiling via rating resampling.
 
     For each of B replicates, every item's participant ratings are resampled
     with replacement, the resampled per-item means are correlated with the
     original means, and the B correlations are averaged.
+
+    The replicates run in blocks of about CEILING_BLOCK_DRAWS draws, so the
+    memory of a block is bounded whatever B is. Each block draws its
+    indices with one generator call, in the order of a loop over
+    replicates, items and ratings, and averages each item's resampled
+    ratings in the order a 1-D mean sums them. The result therefore
+    equals, bit for bit, that of earlier versions, which drew and averaged
+    one item at a time.
     """
     if B < 1:
         raise ContractError("bootstrap replicate count must be >= 1")
@@ -73,13 +86,39 @@ def bootstrap_ceiling(ratings_per_item: list, B: int, seed: int) -> float:
         raise ContractError("need at least 2 items to correlate")
 
     original_means = np.array([r.mean() for r in ratings])
+    counts = np.array([len(r) for r in ratings])
+    starts = np.cumsum(counts) - counts
+    flat = np.concatenate(ratings)
+    n = len(flat)
+    # Items are grouped by their rating count L. `order` lists the ratings
+    # group by group, item by item, so that each group's resampled values
+    # fill a contiguous column range [lo, hi) of a block.
+    groups, order, lo = [], [], 0
+    for L in np.unique(counts):
+        items = np.flatnonzero(counts == L)
+        order.append((starts[items][:, None] + np.arange(L)).ravel())
+        groups.append((int(L), items, lo, lo + len(items) * int(L)))
+        lo += len(items) * int(L)
+    order = np.concatenate(order)
+    base = np.repeat(starts, counts)[order]  # each rating's item offset
+
     rng = rng_for(seed, "bootstrap-ceiling")
+    block = max(1, CEILING_BLOCK_DRAWS // n)
+    highs = np.tile(np.repeat(counts, counts), min(block, B))
     rs = np.empty(B)
-    for b in range(B):
-        resampled = np.array([
-            r[rng.integers(0, len(r), size=len(r))].mean() for r in ratings
-        ])
-        rs[b] = pearson(resampled, original_means)
+    for b0 in range(0, B, block):
+        k = min(block, B - b0)
+        draws = rng.integers(0, highs[:k * n]).reshape(k, n)
+        # np.take returns C-contiguous arrays, so each item's ratings are
+        # adjacent and the mean over the last axis sums them as a 1-D
+        # mean does
+        values = np.take(flat, np.take(draws, order, axis=1) + base)
+        resampled = np.empty((k, len(ratings)))
+        for L, items, lo, hi in groups:
+            resampled[:, items] = (
+                values[:, lo:hi].reshape(k, len(items), L).mean(axis=-1))
+        for b in range(k):
+            rs[b0 + b] = pearson(resampled[b], original_means)
     return float(rs.mean())
 
 

@@ -126,6 +126,30 @@ def _xavier(rng, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every trainable tensor's name and shape, in initialisation order.
+
+    `init_params` builds from this table and `load_checkpoint` checks a
+    file's tensors against it, so the two cannot drift apart.
+    """
+    H = config.hidden_dim
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer in range(config.num_layers):
+        in_dim = config.input_dim if layer == 0 else 2 * H
+        for direction in ("fw", "bw"):
+            prefix = f"lstm.{layer}.{direction}"
+            shapes[f"{prefix}.W"] = (4 * H, in_dim)
+            shapes[f"{prefix}.U"] = (4 * H, H)
+            shapes[f"{prefix}.b"] = (4 * H,)
+    if config.use_attention:
+        # stored as (2H x A) so scoring is a single matrix product
+        shapes["attn.W"] = (2 * H, H)
+        shapes["attn.v"] = (H,)
+    shapes["head.w"] = (2 * H,)
+    shapes["head.b"] = ()
+    return shapes
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Deterministic init: Xavier-uniform weights, zero biases, forget bias 1.
 
@@ -134,30 +158,18 @@ def init_params(config: ModelConfig) -> ModelParams:
     """
     H = config.hidden_dim
     tensors: dict[str, np.ndarray] = {}
-
-    def mat(name: str, rows: int, cols: int) -> None:
-        tensors[name] = _xavier(rng_for(config.seed, f"init:{name}"), rows, cols)
-
-    def vec(name: str, n: int) -> None:
-        rng = rng_for(config.seed, f"init:{name}")
-        limit = np.sqrt(6.0 / (n + 1))
-        tensors[name] = rng.uniform(-limit, limit, size=n)
-
-    for layer in range(config.num_layers):
-        in_dim = config.input_dim if layer == 0 else 2 * H
-        for direction in ("fw", "bw"):
-            prefix = f"lstm.{layer}.{direction}"
-            mat(f"{prefix}.W", 4 * H, in_dim)
-            mat(f"{prefix}.U", 4 * H, H)
-            bias = np.zeros(4 * H)
-            bias[H:2 * H] = 1.0  # forget gate opens at init
-            tensors[f"{prefix}.b"] = bias
-    if config.use_attention:
-        # stored as (2H x A) so scoring is a single matrix product
-        mat("attn.W", 2 * H, H)
-        vec("attn.v", H)
-    vec("head.w", 2 * H)
-    tensors["head.b"] = np.zeros(())
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".b"):
+            tensor = np.zeros(shape)
+            if name.startswith("lstm."):
+                tensor[H:2 * H] = 1.0  # forget gate opens at init
+        elif len(shape) == 2:
+            tensor = _xavier(rng_for(config.seed, f"init:{name}"), *shape)
+        else:
+            limit = np.sqrt(6.0 / (shape[0] + 1))
+            tensor = rng_for(config.seed, f"init:{name}").uniform(
+                -limit, limit, size=shape[0])
+        tensors[name] = tensor
     return ModelParams(tensors)
 
 
@@ -695,7 +707,10 @@ def _parse_checkpoint(blob: bytes) -> tuple[ModelParams, ModelConfig]:
     if missing:
         raise IntegrityError(
             f"checkpoint header has missing keys: {', '.join(missing)}")
+    if not isinstance(header["params"], list):
+        raise IntegrityError("checkpoint header params must be a list")
     config = ModelConfig.from_dict(header["config"])
+    expected = param_shapes(config)
     tensors: dict[str, np.ndarray] = {}
     offset = 8 + header_len
     for entry in header["params"]:
@@ -704,6 +719,14 @@ def _parse_checkpoint(blob: bytes) -> tuple[ModelParams, ModelConfig]:
         except (KeyError, TypeError, ValueError):
             raise IntegrityError(
                 f"bad tensor entry {entry!r} in checkpoint header") from None
+        if not isinstance(name, str) or name not in expected:
+            raise IntegrityError(f"unexpected tensor {name!r} for its config")
+        if name in tensors:
+            raise IntegrityError(f"tensor {name!r} appears twice")
+        if shape != expected[name]:
+            raise IntegrityError(
+                f"tensor {name!r} has shape {shape}, but its config "
+                f"needs {expected[name]}")
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         chunk = blob[offset:offset + nbytes]
@@ -713,4 +736,7 @@ def _parse_checkpoint(blob: bytes) -> tuple[ModelParams, ModelConfig]:
         offset += nbytes
     if offset != len(blob):
         raise IntegrityError("trailing bytes after checkpoint tensors")
+    missing = [n for n in expected if n not in tensors]
+    if missing:
+        raise IntegrityError(f"checkpoint lacks tensors: {', '.join(missing)}")
     return ModelParams(tensors), config

@@ -10,7 +10,7 @@ import pytest
 from conftest import make_records, vocab_of, write_glove
 
 from sil.cli import main
-from sil.corpus import parse_corpus, write_corpus
+from sil.corpus import COLUMNS, parse_corpus, write_corpus
 from sil.embeddings import PrecomputedEmbeddings, save_precomputed
 from sil.model import load_checkpoint
 
@@ -94,6 +94,53 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
+def edit_corpus_line(corpus, out, line, edit):
+    """Copy a corpus TSV with the tab-split fields of one line edited."""
+    lines = corpus.read_text(encoding="utf-8").split("\n")
+    fields = lines[line - 1].split("\t")
+    edit(fields)
+    lines[line - 1] = "\t".join(fields)
+    out.write_text("\n".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("line, edit, named", [
+    (4, lambda f: f.pop(), "line 4: expected 14 fields, got 13"),
+    (3, lambda f: f.__setitem__(3, "high"),
+     "line 3: cannot parse mean_rating from 'high'"),
+    (5, lambda f: f.__setitem__(6, "2"), "row 5: partitive must be 0 or 1"),
+    (6, lambda f: f.__setitem__(4, "9.0"),
+     "row 6: participant rating 9.0 outside [1, 7]"),
+    (1, lambda f: f.remove("strength"), "missing columns: strength"),
+])
+def test_bad_corpus_names_file(workspace, tmp_path, capsys, line, edit,
+                               named):
+    bad = tmp_path / "bad.tsv"
+    edit_corpus_line(workspace["corpus"], bad, line, edit)
+    rc = main(["ceiling", "--corpus", str(bad),
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: {named}" in err
+
+
+@pytest.mark.parametrize("content, named", [
+    (b"", "line 1: empty corpus file"),
+    (b"id\ttokens\n\xff\xfe\n", "not UTF-8 text (invalid start byte)"),
+    ("\t".join(COLUMNS).encode("utf-8") + b"\n" + b"a" * 200_000 + b"\n",
+     "field larger than field limit"),
+])
+def test_unreadable_corpus_names_file(tmp_path, capsys, content, named):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(content)
+    rc = main(["ceiling", "--corpus", str(bad),
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: {named}" in err
+
+
 def test_unwritable_output_exits_two(workspace, tmp_path, capsys):
     blocked = tmp_path / "report.csv"
     blocked.mkdir()  # a directory where the output file should go
@@ -101,6 +148,22 @@ def test_unwritable_output_exits_two(workspace, tmp_path, capsys):
                "--bootstrap", "10", "--out", str(blocked)])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]  # no temp
+
+
+def test_output_write_spares_existing_tmp_file(workspace, tmp_path):
+    out = tmp_path / "ceiling.csv"
+    other = tmp_path / "ceiling.csv.tmp"  # another run's temp file
+    other.write_text("not ours", encoding="utf-8")
+    rc = main(["ceiling", "--corpus", str(workspace["corpus"]),
+               "--bootstrap", "10", "--out", str(out)])
+    assert rc == 0
+    assert other.read_text(encoding="utf-8") == "not ours"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ceiling.csv", "ceiling.csv.manifest.json", "ceiling.csv.tmp"]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("", encoding="utf-8")
+    assert out.stat().st_mode == plain.stat().st_mode
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +643,21 @@ def test_ceiling_deterministic(workspace, tmp_path):
     assert values[0] == values[1]
 
 
+def test_ceiling_bytes_match_per_item_loop(workspace, tmp_path):
+    # written by the per-item resampling loop that the blocked bootstrap
+    # replaced; the draws and sums are unchanged, so the bytes are too
+    out = tmp_path / "ceiling.csv"
+    rc = main(["ceiling", "--corpus", str(workspace["corpus"]),
+               "--bootstrap", "100", "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (
+        b"metric,value\n"
+        b"n_items,24\n"
+        b"ceiling_r,0.9034140524653378\n"
+        b"n_with_no_context_rating,24\n"
+        b"context_vs_no_context_r,0.9035160252249287\n")
+
+
 # ---------------------------------------------------------------------------
 # bad vector files, checkpoints and precomputed sources exit 1
 # ---------------------------------------------------------------------------
@@ -632,6 +710,21 @@ def test_rewritten_checkpoint_config_still_loads(trained, tmp_path):
     want_params, want_config = load_checkpoint(trained)
     assert config == want_config
     assert params.names() == want_params.names()
+
+
+def test_checkpoint_tensors_must_fit_config(workspace, trained, tmp_path,
+                                            capsys):
+    model = tmp_path / "wide.bin"
+    rewrite_config(trained, model, lambda c: c.update(hidden_dim=5))
+    rc = main(["eval", "--model", str(model),
+               "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{model}: tensor 'attn.W' has shape (8, 4)" in err
+    assert "needs (10, 5)" in err
 
 
 def test_missing_precomputed_id_exits_one(workspace, trained, tmp_path,

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from sil import metrics
 from sil.errors import ContractError, UndefinedCorrelationError
 from sil.metrics import (PairedSeries, bootstrap_ceiling, bootstrap_ci, mse,
                          pearson)
+from sil.seeding import rng_for
 
 
 def test_identity_series_correlate_perfectly():
@@ -99,6 +101,111 @@ def test_ceiling_rises_with_more_raters():
     many = [list(np.clip(rng.normal(m, 1.5, size=30), 1, 7)) for m in means]
     assert bootstrap_ceiling(many, B=200, seed=0) > \
         bootstrap_ceiling(few, B=200, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked ceiling against the per-item loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_bootstrap_ceiling(ratings_per_item: list, B: int,
+                                seed: int) -> float:
+    """The per-item loop, kept verbatim as the oracle of bootstrap_ceiling."""
+    if B < 1:
+        raise ContractError("bootstrap replicate count must be >= 1")
+    ratings = [np.asarray(r, dtype=np.float64) for r in ratings_per_item]
+    for i, r in enumerate(ratings):
+        if len(r) < 1:
+            raise ContractError(f"item {i} has no participant ratings")
+    if len(ratings) < 2:
+        raise ContractError("need at least 2 items to correlate")
+
+    original_means = np.array([r.mean() for r in ratings])
+    rng = rng_for(seed, "bootstrap-ceiling")
+    rs = np.empty(B)
+    for b in range(B):
+        resampled = np.array([
+            r[rng.integers(0, len(r), size=len(r))].mean() for r in ratings
+        ])
+        rs[b] = pearson(resampled, original_means)
+    return float(rs.mean())
+
+
+def ragged_items(n_items, max_ratings, seed, integer=True):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, max_ratings + 1, size=n_items)
+    if integer:
+        return [list(rng.integers(1, 8, size=k).astype(float)) for k in sizes]
+    return [list(rng.uniform(1.0, 7.0, size=k)) for k in sizes]
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_ceiling_matches_loop_on_ragged_items(integer):
+    # float ratings also catch a change in summation order, which sums of
+    # small integers hide
+    items = ragged_items(300, 13, seed=1, integer=integer)
+    assert {len(r) for r in items} == set(range(1, 14))
+    assert bootstrap_ceiling(items, 37, seed=5) == \
+        reference_bootstrap_ceiling(items, 37, seed=5)
+
+
+def test_ceiling_matches_loop_with_one_replicate():
+    items = ragged_items(50, 13, seed=2, integer=False)
+    assert bootstrap_ceiling(items, 1, seed=0) == \
+        reference_bootstrap_ceiling(items, 1, seed=0)
+
+
+@pytest.mark.parametrize("block_draws", [1, 40, 97, 1000])
+def test_ceiling_matches_loop_across_blocks(monkeypatch, block_draws):
+    items = ragged_items(30, 13, seed=3, integer=False)
+    monkeypatch.setattr(metrics, "CEILING_BLOCK_DRAWS", block_draws)
+    # 23 replicates never fill a whole number of these blocks
+    assert bootstrap_ceiling(items, 23, seed=9) == \
+        reference_bootstrap_ceiling(items, 23, seed=9)
+
+
+def test_ceiling_matches_loop_on_long_items():
+    # above 8 ratings a mean sums pairwise, and above 128 in halves
+    rng = np.random.default_rng(6)
+    items = [list(rng.uniform(1.0, 7.0, size=k))
+             for k in (8, 9, 16, 17, 127, 128, 129, 300)]
+    assert bootstrap_ceiling(items, 11, seed=4) == \
+        reference_bootstrap_ceiling(items, 11, seed=4)
+
+
+def test_ceiling_matches_loop_on_identical_ratings():
+    items = [[4.0] * 3, [2.0] * 2, [6.0] * 4, [5.0], [3.0] * 13]
+    assert bootstrap_ceiling(items, 50, seed=0) == \
+        reference_bootstrap_ceiling(items, 50, seed=0)
+
+
+def test_ceiling_matches_loop_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except UndefinedCorrelationError as exc:
+            return type(exc)
+
+    rating = st.integers(1, 7).map(float) | st.floats(1.0, 7.0)
+    items = st.lists(st.lists(rating, min_size=1, max_size=15),
+                     min_size=2, max_size=20)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(items=items, B=st.integers(1, 30),
+                      seed=st.integers(0, 2 ** 32 - 1),
+                      block_draws=st.sampled_from([1, 16, 100, 1 << 18]))
+    def check(items, B, seed, block_draws):
+        saved = metrics.CEILING_BLOCK_DRAWS
+        metrics.CEILING_BLOCK_DRAWS = block_draws
+        try:
+            got = outcome(bootstrap_ceiling, items, B, seed)
+        finally:
+            metrics.CEILING_BLOCK_DRAWS = saved
+        assert got == outcome(reference_bootstrap_ceiling, items, B, seed)
+
+    check()
 
 
 def test_ci_of_identical_values_collapses():

@@ -1,6 +1,9 @@
 """Encoder model: init, fused LSTM cell, forward pass, pooling, batched
 kernel, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from sil.autodiff import backward, constant, finite_diff_check, parameter
 from sil.errors import ContractError, IntegrityError, NumericError
 from sil.model import (CHECKPOINT_MAGIC, PREDICT_CHUNK, ModelConfig,
                        attention_pool, final_state_pool, forward, init_params,
-                       load_checkpoint, lstm_cell, predict, predict_batch,
-                       run_batch, save_checkpoint)
+                       load_checkpoint, lstm_cell, param_shapes, predict,
+                       predict_batch, run_batch, save_checkpoint)
 
 
 def small_config(**kw):
@@ -607,6 +610,67 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     save_checkpoint(params, config, path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(IntegrityError, match="trailing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_param_shapes_match_init(use_attention):
+    config = small_config(num_layers=3, use_attention=use_attention)
+    params = init_params(config)
+    assert {n: a.shape for n, a in params.tensors.items()} == \
+        param_shapes(config)
+
+
+def drop_tensor(params, name):
+    del params.tensors[name]
+
+
+def widen_tensor(params, name):
+    params.tensors[name] = np.zeros((8, 5))
+
+
+def add_tensor(params, name):
+    params.tensors[name] = np.zeros(3)
+
+
+@pytest.mark.parametrize("name, edit, named", [
+    ("attn.v", drop_tensor, "lacks tensors: attn.v"),
+    ("attn.W", widen_tensor, "'attn.W' has shape (8, 5), but its config "
+                             "needs (8, 4)"),
+    ("extra.w", add_tensor, "unexpected tensor 'extra.w'"),
+])
+def test_checkpoint_tensors_checked_against_config(tmp_path, name, edit,
+                                                   named):
+    config = small_config()
+    params = init_params(config)
+    edit(params, name)
+    path = tmp_path / "m.bin"
+    save_checkpoint(params, config, path)
+    with pytest.raises(IntegrityError, match="m.bin") as exc:
+        load_checkpoint(path)
+    assert named in str(exc.value)
+
+
+def test_checkpoint_bad_params_list_rejected(tmp_path):
+    config = small_config()
+    path = tmp_path / "m.bin"
+    save_checkpoint(init_params(config), config, path)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + length])
+    first = header["params"][0]
+    header["params"].insert(0, first)
+    tensors = blob[8 + length:]
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new
+                     + tensors[:8 * int(np.prod(first["shape"]))] + tensors)
+    with pytest.raises(IntegrityError, match="'attn.W' appears twice"):
+        load_checkpoint(path)
+
+    header["params"] = 5
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new)
+    with pytest.raises(IntegrityError, match="params must be a list"):
         load_checkpoint(path)
 
 
