@@ -18,6 +18,8 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -111,28 +113,37 @@ def _sha256_file(path) -> str:
 
 def _read_json(path) -> dict:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    return obj
 
 
-def _effective_config(args, keys: list[str], defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
+def _effective_config(args) -> dict:
+    """defaults < config file < explicit flags, checked against the table."""
+    command = COMMANDS[args.command]
+    flags = command.flags_by_key(args.command)
+    merged = dict(command.defaults)
+    if args.config:
         file_config = _read_json(args.config)
         if not isinstance(file_config, dict):
             raise ValidationError(f"{args.config}: config must be an object")
-        unknown = set(file_config) - set(keys)
+        unknown = set(file_config) - set(flags)
         if unknown:
             raise ValidationError(
                 f"{args.config}: unknown config keys: {sorted(unknown)}")
+        for key, value in file_config.items():
+            # null leaves a key without a default unset, as omitting it does
+            if value is not None or key in command.defaults:
+                flags[key].check(key, value, args.config)
         merged.update(file_config)
-    for key in keys:
+    for key in flags:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    for key in command.required:
+        if not merged.get(key):
+            raise ValidationError(
+                f"{args.command} requires {flags[key].name}")
     return merged
 
 
@@ -172,8 +183,6 @@ def _subset_records(records, cfg: dict):
     subset = cfg.get("subset", "all")
     if subset == "all":
         return records
-    if subset not in ("train", "test"):
-        raise ValidationError(f"unknown subset {subset!r}")
     sp = split(records, cfg["train_fraction"], cfg["split_seed"])
     keep = set(sp.train_ids if subset == "train" else sp.test_ids)
     return [r for r in records if r.id in keep]
@@ -254,14 +263,7 @@ def _import_indices(cell: str, path: Path, what: str, row: int) -> list[int]:
                               row=row, path=path) from None
 
 
-def cmd_import(args, argv):
-    keys = ["input", "output", "pretokenized", "column_map"]
-    cfg = _effective_config(args, keys, {"pretokenized": False,
-                                         "column_map": {}})
-    for required in ("input", "output"):
-        if not cfg.get(required):
-            raise ValidationError(f"import requires --{required}")
-
+def cmd_import(cfg):
     raw_path = Path(cfg["input"])
     delimiter = "\t" if raw_path.suffix.lower() == ".tsv" else ","
     with open(raw_path, encoding="utf-8", newline="") as fh:
@@ -386,31 +388,14 @@ def cmd_import(args, argv):
     out = Path(cfg["output"])
     _atomic_write(out, write_validated)
     print(f"imported {len(records)} records -> {out}")
-    return cfg, {"input": raw_path}, [out]
+    return {"input": raw_path}, [out]
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "hidden_dim": 100, "dropout_rate": 0.2, "pooling": "attention",
-    "with_context": False, "epochs": 40, "batch_size": 32, "lr": 0.001,
-    "train_fraction": 0.7, "valid_fraction": 0.1, "seed": 0,
-    "unk_policy": "zero_vector",
-}
-
-
-def cmd_train(args, argv):
-    keys = ["corpus", "glove", "precomputed", "hidden_dim", "dropout_rate",
-            "pooling", "with_context", "epochs", "batch_size", "lr",
-            "grad_clip", "train_fraction", "valid_fraction", "seed",
-            "unk_policy", "out", "curve", "split_manifest", "metrics"]
-    cfg = _effective_config(args, keys, TRAIN_DEFAULTS)
-    for required in ("corpus", "out"):
-        if not cfg.get(required):
-            raise ValidationError(f"train requires --{required}")
-
+def cmd_train(cfg):
     records = parse_corpus(cfg["corpus"])
     source, source_path = _load_source(cfg)
     seed = cfg["seed"]
@@ -475,18 +460,13 @@ def cmd_train(args, argv):
 
     print(f"trained {config.model.hidden_dim}d model "
           f"(best epoch {curve.best_epoch}) -> {out}")
-    return cfg, {"corpus": Path(cfg["corpus"]),
-                 "embeddings": Path(source_path)}, outputs
+    return {"corpus": Path(cfg["corpus"]),
+            "embeddings": Path(source_path)}, outputs
 
 
 # ---------------------------------------------------------------------------
 # tune
 # ---------------------------------------------------------------------------
-
-TUNE_DEFAULTS = {
-    "k": 5, "epochs": 15, "batch_size": 32, "lr": 0.001,
-    "train_fraction": 0.7, "seed": 0, "unk_policy": "zero_vector",
-}
 
 PAPER_GRID = [
     {"hidden_dim": h, "dropout_rate": d}
@@ -511,26 +491,17 @@ def _parse_grid(obj) -> list[GridPoint]:
     return points
 
 
-def cmd_tune(args, argv):
-    keys = ["corpus", "glove", "precomputed", "grid", "k", "epochs",
-            "batch_size", "lr", "train_fraction", "seed", "unk_policy",
-            "out", "workers"]
-    cfg = _effective_config(args, keys, TUNE_DEFAULTS)
-    for required in ("corpus", "out"):
-        if not cfg.get(required):
-            raise ValidationError(f"tune requires --{required}")
-    if cfg.get("workers"):
-        os.environ[WORKERS_ENV] = str(cfg["workers"])
-
+def cmd_tune(cfg):
     records = parse_corpus(cfg["corpus"])
     seed = cfg["seed"]
     sp = split(records, cfg["train_fraction"], seed)
     by_id = _records_by_id(records)
     train_records = [by_id[i] for i in sp.train_ids]
 
-    sources = {}
+    sources, paths = {}, {}
     if cfg.get("glove"):
         sources["glove"] = load_glove(cfg["glove"], cfg["unk_policy"])
+        paths["glove"] = cfg["glove"]
     if cfg.get("precomputed"):
         for spec in (cfg["precomputed"] if isinstance(cfg["precomputed"], list)
                      else [cfg["precomputed"]]):
@@ -538,6 +509,7 @@ def cmd_tune(args, argv):
             if not path:
                 name, path = "precomputed", name
             sources[name] = load_precomputed(path)
+            paths[name] = path
     if not sources:
         raise ValidationError("tune needs --glove and/or --precomputed")
 
@@ -557,7 +529,8 @@ def cmd_tune(args, argv):
     folds = kfold(train_records, cfg["k"], derive_seed(seed, "cv-folds"))
     results = tune(train_records, sources, grid, folds,
                    epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                   lr=cfg["lr"], seed=derive_seed(seed, "tune"))
+                   lr=cfg["lr"], seed=derive_seed(seed, "tune"),
+                   workers=cfg.get("workers"))
 
     out = Path(cfg["out"])
     k = cfg["k"]
@@ -578,29 +551,15 @@ def cmd_tune(args, argv):
           f"dropout={best.point.dropout_rate} pooling={best.point.pooling} "
           f"embedding={best.point.embedding} mean_r={best.mean_r:.4f}")
     inputs = {"corpus": Path(cfg["corpus"])}
-    if cfg.get("glove"):
-        inputs["glove"] = Path(cfg["glove"])
-    return cfg, inputs, [out]
+    inputs.update((name, Path(path)) for name, path in paths.items())
+    return inputs, [out]
 
 
 # ---------------------------------------------------------------------------
 # eval / cv-predict
 # ---------------------------------------------------------------------------
 
-EVAL_DEFAULTS = {"with_context": False, "subset": "all",
-                 "train_fraction": 0.7, "split_seed": 0,
-                 "unk_policy": "zero_vector"}
-
-
-def cmd_eval(args, argv):
-    keys = ["model", "corpus", "glove", "precomputed", "with_context",
-            "subset", "train_fraction", "split_seed", "unk_policy", "out",
-            "predictions", "scatter"]
-    cfg = _effective_config(args, keys, EVAL_DEFAULTS)
-    for required in ("model", "corpus", "out"):
-        if not cfg.get(required):
-            raise ValidationError(f"eval requires --{required}")
-
+def cmd_eval(cfg):
     params, mconfig = load_checkpoint(cfg["model"])
     records = _subset_records(parse_corpus(cfg["corpus"]), cfg)
     source, source_path = _load_source(cfg)
@@ -639,26 +598,11 @@ def cmd_eval(args, argv):
     outputs.append(scatter_path)
 
     print(f"evaluated {len(preds)} items -> {out}")
-    return cfg, {"corpus": Path(cfg["corpus"]), "model": Path(cfg["model"]),
-                 "embeddings": Path(source_path)}, outputs
+    return {"corpus": Path(cfg["corpus"]), "model": Path(cfg["model"]),
+            "embeddings": Path(source_path)}, outputs
 
 
-CV_DEFAULTS = {
-    "hidden_dim": 100, "dropout_rate": 0.2, "pooling": "attention",
-    "with_context": False, "epochs": 40, "batch_size": 32, "lr": 0.001,
-    "k": 6, "seed": 0, "unk_policy": "zero_vector",
-}
-
-
-def cmd_cv_predict(args, argv):
-    keys = ["corpus", "glove", "precomputed", "hidden_dim", "dropout_rate",
-            "pooling", "with_context", "epochs", "batch_size", "lr",
-            "grad_clip", "k", "seed", "unk_policy", "out"]
-    cfg = _effective_config(args, keys, CV_DEFAULTS)
-    for required in ("corpus", "out"):
-        if not cfg.get(required):
-            raise ValidationError(f"cv-predict requires --{required}")
-
+def cmd_cv_predict(cfg):
     records = parse_corpus(cfg["corpus"])
     source, source_path = _load_source(cfg)
     examples = examples_from_records(records, source, cfg["with_context"])
@@ -673,25 +617,15 @@ def cmd_cv_predict(args, argv):
     _write_csv(out, ["id", "score"],
                [(ex.id, scores[ex.id]) for ex in examples])
     print(f"wrote {len(scores)} out-of-fold predictions -> {out}")
-    return cfg, {"corpus": Path(cfg["corpus"]),
-                 "embeddings": Path(source_path)}, [out]
+    return {"corpus": Path(cfg["corpus"]),
+            "embeddings": Path(source_path)}, [out]
 
 
 # ---------------------------------------------------------------------------
 # probes
 # ---------------------------------------------------------------------------
 
-MP_DEFAULTS = {"bootstrap": 1000, "seed": 0, "unk_policy": "zero_vector"}
-
-
-def cmd_minimal_pairs(args, argv):
-    keys = ["frames", "model", "glove", "bootstrap", "seed", "unk_policy",
-            "out", "groups"]
-    cfg = _effective_config(args, keys, MP_DEFAULTS)
-    for required in ("model", "glove", "out"):
-        if not cfg.get(required):
-            raise ValidationError(f"minimal-pairs requires --{required}")
-
+def cmd_minimal_pairs(cfg):
     frames = load_frames(cfg.get("frames"))
     variants = generate_minimal_pairs(frames)
     params, mconfig = load_checkpoint(cfg["model"])
@@ -722,21 +656,10 @@ def cmd_minimal_pairs(args, argv):
     inputs = {"model": Path(cfg["model"]), "glove": Path(cfg["glove"])}
     if cfg.get("frames"):
         inputs["frames"] = Path(cfg["frames"])
-    return cfg, inputs, outputs
+    return inputs, outputs
 
 
-ATTN_DEFAULTS = {"max_len": 30, "bootstrap": 1000, "seed": 0,
-                 "unk_policy": "zero_vector"}
-
-
-def cmd_attention(args, argv):
-    keys = ["corpus", "model", "glove", "precomputed", "max_len", "bootstrap",
-            "seed", "unk_policy", "out", "of_out", "summary"]
-    cfg = _effective_config(args, keys, ATTN_DEFAULTS)
-    for required in ("corpus", "model", "out"):
-        if not cfg.get(required):
-            raise ValidationError(f"attention requires --{required}")
-
+def cmd_attention(cfg):
     records = parse_corpus(cfg["corpus"])
     params, mconfig = load_checkpoint(cfg["model"])
     if not mconfig.use_attention:
@@ -779,21 +702,11 @@ def cmd_attention(args, argv):
 
     print(f"attention analyses ({report.n_length_filtered} length-filtered, "
           f"{of_report.n_multi_of} multi-of) -> {out}")
-    return cfg, {"corpus": Path(cfg["corpus"]), "model": Path(cfg["model"]),
-                 "embeddings": Path(source_path)}, outputs
+    return {"corpus": Path(cfg["corpus"]), "model": Path(cfg["model"]),
+            "embeddings": Path(source_path)}, outputs
 
 
-REGRESS_DEFAULTS = {"bootstrap": 10000, "seed": 0, "interactions": ""}
-
-
-def cmd_regress(args, argv):
-    keys = ["corpus", "predictions", "bootstrap", "seed", "interactions",
-            "out"]
-    cfg = _effective_config(args, keys, REGRESS_DEFAULTS)
-    for required in ("corpus", "predictions", "out"):
-        if not cfg.get(required):
-            raise ValidationError(f"regress requires --{required}")
-
+def cmd_regress(cfg):
     records = parse_corpus(cfg["corpus"])
     preds: dict[str, float] = {}
     with open(cfg["predictions"], encoding="utf-8", newline="") as fh:
@@ -837,20 +750,11 @@ def cmd_regress(args, argv):
                 for r in comparison.rows])
     print(f"compared {comparison.n_items} items over "
           f"{comparison.n_bootstrap} resamples -> {out}")
-    return cfg, {"corpus": Path(cfg["corpus"]),
-                 "predictions": Path(cfg["predictions"])}, [out]
+    return {"corpus": Path(cfg["corpus"]),
+            "predictions": Path(cfg["predictions"])}, [out]
 
 
-CEILING_DEFAULTS = {"bootstrap": 1000, "seed": 0}
-
-
-def cmd_ceiling(args, argv):
-    keys = ["corpus", "bootstrap", "seed", "out"]
-    cfg = _effective_config(args, keys, CEILING_DEFAULTS)
-    for required in ("corpus", "out"):
-        if not cfg.get(required):
-            raise ValidationError(f"ceiling requires --{required}")
-
+def cmd_ceiling(cfg):
     records = parse_corpus(cfg["corpus"])
     items = [r.participant_ratings for r in records
              if len(r.participant_ratings) >= 2]
@@ -872,169 +776,184 @@ def cmd_ceiling(args, argv):
     out = Path(cfg["out"])
     _write_csv(out, ["metric", "value"], rows)
     print(f"agreement ceiling report -> {out}")
-    return cfg, {"corpus": Path(cfg["corpus"])}, [out]
+    return {"corpus": Path(cfg["corpus"])}, [out]
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# the flag table: the parser, the config keys and the required checks
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--manifest", help="run manifest path "
-                                      "(default: <first output>.manifest.json)")
+# JSON types a --config value may have for each flag type, and their name
+_CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                 float: ((int, float), "a number"), str: ((str,), "a string"),
+                 dict: ((dict,), "an object")}
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A config key's flag (None: config file only) and its value type."""
+
+    name: str | None
+    type: type = str  # bool: a switch that sets True
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    lists: bool = False  # a config file may give a list instead
+    repeatable: bool = False
+    per_command: dict = field(default_factory=dict)  # {command: overrides}
+
+    def check(self, key: str, value, path) -> None:
+        """Reject a config-file value that this flag could not have set."""
+        types, what = _CONFIG_TYPES[self.type]
+        if self.lists or self.repeatable:
+            types, what = types + (list,), what + " or a list"
+        if self.choices:
+            what = "one of " + ", ".join(map(repr, self.choices))
+        if not (isinstance(value, types)
+                and (bool in types or not isinstance(value, bool))
+                and (not self.choices or value in self.choices)):
+            raise ValidationError(
+                f"config {key} must be {what}, got {value!r}", path=path)
+
+
+FLAGS = {
+    "input": Flag("--input"), "output": Flag("--output"),
+    "pretokenized": Flag("--pretokenized", bool, help=(
+        "sentence/context cells are already space-tokenized")),
+    "column_map": Flag(None, dict),
+    "model": Flag("--model"), "corpus": Flag("--corpus"),
+    "frames": Flag("--frames", help="frame TSV (default: bundled)"),
+    "glove": Flag("--glove"),
+    "precomputed": Flag("--precomputed", per_command={"tune": {
+        "repeatable": True, "help": "name=path, repeatable"}}),
+    "grid": Flag("--grid", lists=True,
+                 help="grid JSON file (default: built-in grid)"),
+    "hidden_dim": Flag("--hidden-dim", int),
+    "dropout_rate": Flag("--dropout", float),
+    "pooling": Flag("--pooling", choices=("attention", "final_state")),
+    "with_context": Flag("--with-context", bool),
+    "subset": Flag("--subset", choices=("all", "train", "test")),
+    "k": Flag("--k", int), "epochs": Flag("--epochs", int),
+    "batch_size": Flag("--batch-size", int), "lr": Flag("--lr", float),
+    "grad_clip": Flag("--grad-clip", float),
+    "train_fraction": Flag("--train-fraction", float),
+    "valid_fraction": Flag("--valid-fraction", float),
+    "split_seed": Flag("--split-seed", int), "max_len": Flag("--max-len", int),
+    "bootstrap": Flag("--bootstrap", int), "seed": Flag("--seed", int),
+    "interactions": Flag("--interactions", lists=True,
+                         help="comma-joined a:b pairs"),
+    "unk_policy": Flag("--unk-policy", choices=(
+        "zero_vector", "unk_token", "mean_vector")),
+    "workers": Flag("--workers", int,
+                    help=f"cap fold workers (also {WORKERS_ENV})"),
+    "out": Flag("--out", per_command={
+        "train": {"help": "checkpoint path"},
+        "tune": {"help": "ranked report CSV"}, "eval": {"help": "report CSV"},
+        "minimal-pairs": {"help": "per-variant CSV"},
+        "attention": {"help": "position-curve CSV"}}),
+    "curve": Flag("--curve", help="learning-curve CSV path"),
+    "split_manifest": Flag("--split-manifest"), "metrics": Flag("--metrics"),
+    "predictions": Flag("--predictions", per_command={
+        "eval": {"help": "per-item predictions CSV"},
+        "regress": {"help": "id,score CSV from cv-predict"}}),
+    "scatter": Flag("--scatter", help="id,empirical,predicted CSV"),
+    "groups": Flag("--groups", help="grouped-means CSV"),
+    "of_out": Flag("--of-out", help="of-token CSV"),
+    "summary": Flag("--summary", help="summary CSV"),
+}
+
+# the training options that train and cv-predict share, at their defaults
+_FIT_DEFAULTS = {
+    "hidden_dim": 100, "dropout_rate": 0.2, "pooling": "attention",
+    "with_context": False, "epochs": 40, "batch_size": 32, "lr": 0.001,
+    "seed": 0, "unk_policy": "zero_vector"}
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    fn: Callable[[dict], tuple[dict, list[Path]]]
+    flags: str  # config keys with a flag, in --help order
+    defaults: dict
+    required: tuple[str, ...]
+    config_only: tuple[str, ...] = ()
+
+    def flags_by_key(self, name: str) -> dict[str, Flag]:
+        """Every config key of subcommand `name` and its flag there."""
+        return {k: replace(FLAGS[k], **FLAGS[k].per_command.get(name, {}))
+                for k in self.flags.split() + list(self.config_only)}
+
+
+COMMANDS = {
+    "import": Command(
+        "convert a released raw dataset to the corpus TSV", cmd_import,
+        "input output pretokenized", {"pretokenized": False, "column_map": {}},
+        ("input", "output"), config_only=("column_map",)),
+    "train": Command(
+        "train one model on the train split", cmd_train,
+        "corpus glove precomputed hidden_dim dropout_rate pooling "
+        "with_context epochs batch_size lr grad_clip train_fraction "
+        "valid_fraction seed unk_policy out curve split_manifest metrics",
+        {**_FIT_DEFAULTS, "train_fraction": 0.7, "valid_fraction": 0.1},
+        ("corpus", "out")),
+    "tune": Command(
+        "grid search with k-fold CV on the train split", cmd_tune,
+        "corpus glove precomputed grid k epochs batch_size lr "
+        "train_fraction seed unk_policy out workers",
+        {"k": 5, "epochs": 15, "batch_size": 32, "lr": 0.001,
+         "train_fraction": 0.7, "seed": 0, "unk_policy": "zero_vector"},
+        ("corpus", "out")),
+    "eval": Command(
+        "evaluate a checkpoint on a corpus", cmd_eval,
+        "model corpus glove precomputed with_context subset train_fraction "
+        "split_seed unk_policy out predictions scatter",
+        {"with_context": False, "subset": "all", "train_fraction": 0.7,
+         "split_seed": 0, "unk_policy": "zero_vector"},
+        ("model", "corpus", "out")),
+    "cv-predict": Command(
+        "out-of-fold predictions for every record", cmd_cv_predict,
+        "corpus glove precomputed hidden_dim dropout_rate pooling "
+        "with_context epochs batch_size lr grad_clip k seed unk_policy out",
+        {**_FIT_DEFAULTS, "k": 6}, ("corpus", "out")),
+    "minimal-pairs": Command(
+        "score the 800-variant minimal-pair suite", cmd_minimal_pairs,
+        "frames model glove bootstrap seed unk_policy out groups",
+        {"bootstrap": 1000, "seed": 0, "unk_policy": "zero_vector"},
+        ("model", "glove", "out")),
+    "attention": Command(
+        "attention-weight analyses", cmd_attention,
+        "corpus model glove precomputed max_len bootstrap seed unk_policy "
+        "out of_out summary",
+        {"max_len": 30, "bootstrap": 1000, "seed": 0,
+         "unk_policy": "zero_vector"}, ("corpus", "model", "out")),
+    "regress": Command(
+        "original vs extended rating regression", cmd_regress,
+        "corpus predictions bootstrap seed interactions out",
+        {"bootstrap": 10000, "seed": 0, "interactions": ""},
+        ("corpus", "predictions", "out")),
+    "ceiling": Command(
+        "inter-annotator agreement ceiling", cmd_ceiling,
+        "corpus bootstrap seed out", {"bootstrap": 1000, "seed": 0},
+        ("corpus", "out")),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sil", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("import", help="convert a released raw dataset to "
-                                      "the corpus TSV")
-    _add_common(p)
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--pretokenized", action="store_const", const=True,
-                   default=None, help="sentence/context cells are already "
-                                      "space-tokenized")
-    p.set_defaults(fn=cmd_import)
-
-    p = sub.add_parser("train", help="train one model on the train split")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--glove")
-    p.add_argument("--precomputed")
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--dropout", dest="dropout_rate", type=float)
-    p.add_argument("--pooling", choices=["attention", "final_state"])
-    p.add_argument("--with-context", dest="with_context",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--valid-fraction", dest="valid_fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--unk-policy", dest="unk_policy",
-                   choices=["zero_vector", "unk_token", "mean_vector"])
-    p.add_argument("--out", help="checkpoint path")
-    p.add_argument("--curve", help="learning-curve CSV path")
-    p.add_argument("--split-manifest", dest="split_manifest")
-    p.add_argument("--metrics")
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("tune", help="grid search with k-fold CV on the "
-                                    "train split")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--glove")
-    p.add_argument("--precomputed", action="append",
-                   help="name=path, repeatable")
-    p.add_argument("--grid", help="grid JSON file (default: built-in grid)")
-    p.add_argument("--k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--unk-policy", dest="unk_policy",
-                   choices=["zero_vector", "unk_token", "mean_vector"])
-    p.add_argument("--out", help="ranked report CSV")
-    p.add_argument("--workers", type=int, help=f"cap fold workers "
-                                               f"(also {WORKERS_ENV})")
-    p.set_defaults(fn=cmd_tune)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--glove")
-    p.add_argument("--precomputed")
-    p.add_argument("--with-context", dest="with_context",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--subset", choices=["all", "train", "test"])
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--unk-policy", dest="unk_policy",
-                   choices=["zero_vector", "unk_token", "mean_vector"])
-    p.add_argument("--out", help="report CSV")
-    p.add_argument("--predictions", help="per-item predictions CSV")
-    p.add_argument("--scatter", help="id,empirical,predicted CSV")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("cv-predict", help="out-of-fold predictions for "
-                                          "every record")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--glove")
-    p.add_argument("--precomputed")
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--dropout", dest="dropout_rate", type=float)
-    p.add_argument("--pooling", choices=["attention", "final_state"])
-    p.add_argument("--with-context", dest="with_context",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--unk-policy", dest="unk_policy",
-                   choices=["zero_vector", "unk_token", "mean_vector"])
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_cv_predict)
-
-    p = sub.add_parser("minimal-pairs", help="score the 800-variant "
-                                             "minimal-pair suite")
-    _add_common(p)
-    p.add_argument("--frames", help="frame TSV (default: bundled)")
-    p.add_argument("--model")
-    p.add_argument("--glove")
-    p.add_argument("--bootstrap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--unk-policy", dest="unk_policy",
-                   choices=["zero_vector", "unk_token", "mean_vector"])
-    p.add_argument("--out", help="per-variant CSV")
-    p.add_argument("--groups", help="grouped-means CSV")
-    p.set_defaults(fn=cmd_minimal_pairs)
-
-    p = sub.add_parser("attention", help="attention-weight analyses")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--model")
-    p.add_argument("--glove")
-    p.add_argument("--precomputed")
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.add_argument("--bootstrap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--unk-policy", dest="unk_policy",
-                   choices=["zero_vector", "unk_token", "mean_vector"])
-    p.add_argument("--out", help="position-curve CSV")
-    p.add_argument("--of-out", dest="of_out", help="of-token CSV")
-    p.add_argument("--summary", help="summary CSV")
-    p.set_defaults(fn=cmd_attention)
-
-    p = sub.add_parser("regress", help="original vs extended rating "
-                                       "regression")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--predictions", help="id,score CSV from cv-predict")
-    p.add_argument("--bootstrap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--interactions", help="comma-joined a:b pairs")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_regress)
-
-    p = sub.add_parser("ceiling", help="inter-annotator agreement ceiling")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--bootstrap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_ceiling)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--manifest", help=(
+            "run manifest path (default: <first output>.manifest.json)"))
+        for dest, flag in command.flags_by_key(name).items():
+            if flag.type is bool:
+                p.add_argument(flag.name, dest=dest, action="store_const",
+                               const=True, default=None, help=flag.help)
+            elif flag.name:
+                p.add_argument(flag.name, dest=dest, type=flag.type,
+                               choices=flag.choices, help=flag.help,
+                               action="append" if flag.repeatable else "store")
     return parser
 
 
@@ -1048,7 +967,8 @@ def main(argv: list[str] | None = None) -> int:
 
     started = datetime.now(timezone.utc).isoformat()
     try:
-        cfg, inputs, outputs = args.fn(args, argv)
+        cfg = _effective_config(args)
+        inputs, outputs = COMMANDS[args.command].fn(cfg)
     except USER_ERRORS as exc:
         print(f"sil {args.command}: error: {exc}", file=sys.stderr)
         return 1
@@ -1058,9 +978,8 @@ def main(argv: list[str] | None = None) -> int:
 
     manifest_path = Path(args.manifest) if args.manifest else \
         Path(str(outputs[0]) + ".manifest.json")
-    seed = cfg.get("seed", 0) if isinstance(cfg.get("seed", 0), int) else 0
-    _write_manifest(args.command, argv, cfg, inputs, outputs, seed,
-                    started, manifest_path)
+    _write_manifest(args.command, argv, cfg, inputs, outputs,
+                    cfg.get("seed", 0), started, manifest_path)
     return 0
 
 

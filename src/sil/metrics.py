@@ -3,29 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, UndefinedCorrelationError
 from .seeding import rng_for
-
-
-@dataclass
-class PairedSeries:
-    """Two aligned float series keyed by item id."""
-
-    ids: list[str]
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        if not (len(self.ids) == len(self.x) == len(self.y)):
-            raise ContractError("ids, x, y must have equal lengths")
-        if len(self.x) < 2:
-            raise ContractError("paired series needs at least 2 items")
 
 
 def pearson(x, y) -> float:

@@ -65,8 +65,8 @@ class ModelConfig:
     def from_dict(cls, obj: dict) -> "ModelConfig":
         """Config from a checkpoint header; keys absent there take defaults.
 
-        Unknown keys, missing keys without a default and values of the
-        wrong type raise IntegrityError naming them.
+        Unknown keys, missing keys without a default, values of the wrong
+        type and values the config rejects raise IntegrityError.
         """
         if not isinstance(obj, dict):
             raise IntegrityError("config must be a JSON object")
@@ -82,7 +82,10 @@ class ModelConfig:
             if not _CONFIG_TYPES[spec[name].type](value):
                 raise IntegrityError(
                     f"config {name} must be {spec[name].type}, got {value!r}")
-        return cls(**obj)
+        try:
+            return cls(**obj)
+        except ContractError as exc:
+            raise IntegrityError(f"invalid config: {exc}") from None
 
 
 _CONFIG_TYPES = {
@@ -103,13 +106,6 @@ class ModelParams:
 
     def names(self) -> list[str]:
         return sorted(self.tensors)
-
-
-@dataclass
-class PredictionReport:
-    id: str
-    score: float
-    attention: list[float]
 
 
 @dataclass
@@ -331,17 +327,6 @@ def final_state_pool(hidden: np.ndarray) -> np.ndarray:
         raise ContractError("hidden states must be a nonempty T x 2H matrix")
     H = hidden.shape[1] // 2
     return np.concatenate([hidden[-1, :H], hidden[0, H:]])
-
-
-def predict(record_id: str, embedded: np.ndarray, params: ModelParams,
-            config: ModelConfig, pooling: str | None = None
-            ) -> PredictionReport:
-    """Deterministic eval-mode prediction for one utterance."""
-    res = run_batch([embedded], params, config, pooling)
-    attention = ([] if res.attention is None
-                 else [float(w) for w in res.attention[0]])
-    return PredictionReport(id=record_id, score=float(res.scores[0]),
-                            attention=attention)
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,9 @@ def _train_fold(args) -> tuple[int, int, float, str | None]:
         return point_idx, fold_idx, float("nan"), str(exc)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
+def _worker_count(workers: int | None) -> int:
+    """`workers` if given and nonzero, else SIL_WORKERS, else 1; at least 1."""
+    raw = workers or os.environ.get(WORKERS_ENV, "1")
     try:
         return max(1, int(raw))
     except ValueError:
@@ -243,7 +244,7 @@ def _worker_count() -> int:
 
 def tune(records, sources: dict, grid: list[GridPoint], folds,
          *, epochs: int = 40, batch_size: int = 32, lr: float = 0.001,
-         seed: int = 0) -> list[TuneResult]:
+         seed: int = 0, workers: int | None = None) -> list[TuneResult]:
     """Grid search scored by mean held-out Pearson r over the given folds.
 
     `records` must already be restricted to the training split (no test
@@ -251,7 +252,8 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
     is the kfold output shared by every grid point. Failures are captured
     per configuration without stopping the sweep. Results are sorted by
     mean r descending, ties broken by smaller hidden_dim, lower dropout,
-    then grid order. Set SIL_WORKERS to parallelize across fold tasks.
+    then grid order. `workers` (default: SIL_WORKERS) processes run the
+    fold tasks in parallel.
     """
     if not grid:
         raise ContractError("grid must be nonempty")
@@ -293,7 +295,7 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
             heldout_ex = [pool[i] for i in heldout_ids if i in pool]
             tasks.append((p_idx, f_idx, train_ex, heldout_ex, config))
 
-    workers = _worker_count()
+    workers = _worker_count(workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
             outcomes = list(pool_exec.map(_train_fold, tasks))

@@ -3,13 +3,14 @@
 import csv
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 from conftest import make_records, vocab_of, write_glove
 
-from sil.cli import main
+from sil.cli import build_parser, main
 from sil.corpus import COLUMNS, parse_corpus, write_corpus
 from sil.embeddings import PrecomputedEmbeddings, save_precomputed
 from sil.model import load_checkpoint
@@ -289,6 +290,93 @@ def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
     assert "epoch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value, named", [
+    ("train", "epochs", "2", "config epochs must be an integer, got '2'"),
+    ("eval", "with_context", "no",
+     "config with_context must be true or false, got 'no'"),
+    ("train", "unk_policy", "nearest",
+     "config unk_policy must be one of 'zero_vector', 'unk_token', "
+     "'mean_vector', got 'nearest'"),
+])
+def test_config_value_of_wrong_type_exits_one(workspace, trained, tmp_path,
+                                              capsys, command, key, value,
+                                              named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "out.bin"
+    argv = [command, "--config", str(cfg),
+            "--corpus", str(workspace["corpus"]),
+            "--glove", str(workspace["glove"]), "--out", str(out)]
+    if command == "eval":
+        argv += ["--model", str(trained)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"sil {command}: error: {cfg}: {named}" in err
+    assert not out.exists()
+
+
+def test_config_accepts_int_for_float_and_null_for_unset(workspace, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lr": 1, "grad_clip": None, "epochs": 1,
+                               "hidden_dim": 2, "batch_size": 8}),
+                   encoding="utf-8")
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--config", str(cfg),
+               "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]), "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "m.bin.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["config"]["lr"] == 1
+
+
+def _subcommands():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+def _valid_value(action):
+    """A config value of the type the flag parses to."""
+    if action.const is True:
+        return True
+    if action.choices:
+        return action.choices[0]
+    return {int: 1, float: 0.5}.get(action.type, "x")
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_flag_table_is_consistent(tmp_path, capsys, command):
+    assert main([command, "--help"]) == 0
+    capsys.readouterr()
+    actions = [a for a in _subcommands()[command]._actions
+               if a.dest not in ("help", "config", "manifest")]
+    assert actions
+    for action in actions:
+        cfg = tmp_path / f"{action.dest}.json"
+        cfg.write_text(json.dumps({action.dest: _valid_value(action)}),
+                       encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config keys" not in err and "requires --" in err, \
+            (action.dest, err)
+    # every required key, left out alone, is named
+    required = {"import": ["input", "output"], "train": ["corpus", "out"],
+                "tune": ["corpus", "out"],
+                "eval": ["model", "corpus", "out"],
+                "cv-predict": ["corpus", "out"],
+                "minimal-pairs": ["model", "glove", "out"],
+                "attention": ["corpus", "model", "out"],
+                "regress": ["corpus", "predictions", "out"],
+                "ceiling": ["corpus", "out"]}[command]
+    for missing in required:
+        argv = [command]
+        for key in required:
+            if key != missing:
+                argv += [f"--{key}", str(tmp_path / "absent")]
+        assert main(argv) == 1
+        assert f"{command} requires --{missing}" in capsys.readouterr().err
+
+
 def test_manifest_path_flag(workspace, tmp_path):
     out = tmp_path / "c.csv"
     manifest = tmp_path / "run.json"
@@ -483,6 +571,47 @@ def test_tune_ranks_grid(workspace, tmp_path, monkeypatch):
             "embedding", "fold_0_r", "fold_1_r", "mean_r",
             "error"} <= set(rows[0])
     assert float(rows[0]["mean_r"]) >= float(rows[1]["mean_r"])
+
+
+def _tune_precomputed(workspace, tmp_path):
+    rng = np.random.default_rng(3)
+    source = PrecomputedEmbeddings(
+        dim=8, layer_id=0,
+        table={r.id: rng.standard_normal((len(r.tokens), 8))
+               for r in workspace["records"]})
+    path = tmp_path / "pc.jsonl"
+    save_precomputed(source, path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"hidden_dim": 2, "dropout_rate": 0.0,
+                                 "embedding": "pc"}]), encoding="utf-8")
+    return ["tune", "--corpus", str(workspace["corpus"]),
+            "--precomputed", f"pc={path}", "--grid", str(grid),
+            "--k", "2", "--epochs", "1", "--batch-size", "8"], path
+
+
+def test_tune_manifest_hashes_precomputed_sources(workspace, tmp_path):
+    argv, path = _tune_precomputed(workspace, tmp_path)
+    out = tmp_path / "tune.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "tune.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["inputs"]["pc"] == {
+        "path": str(path),
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert "corpus" in manifest["inputs"]
+
+
+def test_tune_workers_flag_leaves_environment(workspace, tmp_path,
+                                              monkeypatch):
+    monkeypatch.delenv("SIL_WORKERS", raising=False)
+    argv, _ = _tune_precomputed(workspace, tmp_path)
+    outs = []
+    for workers in ("2", "1"):
+        out = tmp_path / f"tune-{workers}.csv"
+        assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+        assert "SIL_WORKERS" not in os.environ
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +817,8 @@ def rewrite_config(checkpoint, out, edit):
     (lambda c: c.update(bogus=1), "unknown keys: bogus"),
     (lambda c: c.pop("hidden_dim"), "missing keys: hidden_dim"),
     (lambda c: c.update(hidden_dim="4"), "hidden_dim must be int"),
+    (lambda c: c.update(hidden_dim=0),
+     "invalid config: model dimensions must be positive"),
 ])
 def test_bad_checkpoint_config_exits_one(workspace, trained, tmp_path, capsys,
                                          edit, named):

@@ -5,8 +5,7 @@ import pytest
 
 from sil import metrics
 from sil.errors import ContractError, UndefinedCorrelationError
-from sil.metrics import (PairedSeries, bootstrap_ceiling, bootstrap_ci, mse,
-                         pearson)
+from sil.metrics import bootstrap_ceiling, bootstrap_ci, mse, pearson
 from sil.seeding import rng_for
 
 
@@ -60,13 +59,6 @@ def test_mse_basic_cases():
     assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert mse([0.0, 0.0], [1.0, 1.0]) == 1.0
     assert mse([0.0, 2.0], [1.0, 0.0]) == pytest.approx(2.5)
-
-
-def test_paired_series_validates_lengths():
-    with pytest.raises(ContractError):
-        PairedSeries(ids=["a"], x=[1.0, 2.0], y=[1.0])
-    with pytest.raises(ContractError):
-        PairedSeries(ids=["a"], x=[1.0], y=[1.0])
 
 
 def test_ceiling_on_identical_ratings_is_one():

@@ -11,7 +11,7 @@ from sil.autodiff import backward, constant, finite_diff_check, parameter
 from sil.errors import ContractError, IntegrityError, NumericError
 from sil.model import (CHECKPOINT_MAGIC, PREDICT_CHUNK, ModelConfig,
                        attention_pool, final_state_pool, forward, init_params,
-                       load_checkpoint, lstm_cell, param_shapes, predict,
+                       load_checkpoint, lstm_cell, param_shapes,
                        predict_batch, run_batch, save_checkpoint)
 
 
@@ -392,12 +392,12 @@ def test_predict_report_shapes():
     config = small_config()
     params = init_params(config)
     x = np.random.default_rng(11).standard_normal((4, 3))
-    report = predict("u1", x, params, config)
-    assert report.id == "u1"
-    assert 0.0 < report.score < 1.0
-    assert len(report.attention) == 4
-    no_attn = predict("u1", x, params, config, pooling="final_state")
-    assert no_attn.attention == []
+    scores, attention = predict_batch([x], params, config)
+    assert scores.shape == (1,)
+    assert 0.0 < scores[0] < 1.0
+    assert len(attention[0]) == 4
+    _, no_attn = predict_batch([x], params, config, pooling="final_state")
+    assert no_attn is None
 
 
 # ---------------------------------------------------------------------------
