@@ -479,15 +479,28 @@ def _parse_grid(obj) -> list[GridPoint]:
         raise ValidationError("grid must be a nonempty JSON array")
     points = []
     for entry in obj:
-        try:
-            points.append(GridPoint(
-                hidden_dim=int(entry["hidden_dim"]),
-                dropout_rate=float(entry["dropout_rate"]),
-                pooling=entry.get("pooling", "attention"),
-                with_context=bool(entry.get("with_context", False)),
-                embedding=entry.get("embedding", "glove")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad grid entry {entry!r}: {exc}") from None
+        if not isinstance(entry, dict):
+            raise ValidationError(f"bad grid entry {entry!r}: not an object")
+        unknown = sorted(set(entry) - set(_GRID_FLAGS))
+        if unknown:
+            raise ValidationError(
+                f"bad grid entry {entry!r}: unknown keys {unknown}")
+        for key, flag in _GRID_FLAGS.items():
+            if key in entry:
+                problem = flag.problem(entry[key])
+            elif key in ("hidden_dim", "dropout_rate"):
+                problem = "is missing"
+            else:
+                continue
+            if problem:
+                raise ValidationError(
+                    f"bad grid entry {entry!r}: {key} {problem}")
+        points.append(GridPoint(
+            hidden_dim=entry["hidden_dim"],
+            dropout_rate=float(entry["dropout_rate"]),
+            pooling=entry.get("pooling", "attention"),
+            with_context=entry.get("with_context", False),
+            embedding=entry.get("embedding", "glove")))
     return points
 
 
@@ -788,6 +801,15 @@ _CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                  float: ((int, float), "a number"), str: ((str,), "a string"),
                  dict: ((dict,), "an object")}
 
+# what a config list's elements (an object's values) may be, by their name
+_CONFIG_ITEMS = {
+    "strings": lambda v: isinstance(v, str),
+    "objects": lambda v: isinstance(v, dict),
+    "'a:b' strings or [a, b] pairs": lambda v: isinstance(v, str) or (
+        isinstance(v, list) and len(v) == 2
+        and all(isinstance(s, str) for s in v)),
+}
+
 
 @dataclass(frozen=True)
 class Flag:
@@ -797,35 +819,48 @@ class Flag:
     type: type = str  # bool: a switch that sets True
     choices: tuple[str, ...] | None = None
     help: str | None = None
-    lists: bool = False  # a config file may give a list instead
+    # a key of _CONFIG_ITEMS: a config file may give a list of these
+    # instead (a dict flag's object holds them as its values)
+    items: str | None = None
     repeatable: bool = False
     per_command: dict = field(default_factory=dict)  # {command: overrides}
 
-    def check(self, key: str, value, path) -> None:
-        """Reject a config-file value that this flag could not have set."""
+    def problem(self, value) -> str | None:
+        """Why this flag could not have set `value`, or None if it could."""
         types, what = _CONFIG_TYPES[self.type]
-        if self.lists or self.repeatable:
+        if self.items and self.type is not dict:
             types, what = types + (list,), what + " or a list"
         if self.choices:
             what = "one of " + ", ".join(map(repr, self.choices))
         if not (isinstance(value, types)
                 and (bool in types or not isinstance(value, bool))
                 and (not self.choices or value in self.choices)):
-            raise ValidationError(
-                f"config {key} must be {what}, got {value!r}", path=path)
+            return f"must be {what}, got {value!r}"
+        if self.items and isinstance(value, (list, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                if not _CONFIG_ITEMS[self.items](item):
+                    return f"must hold {self.items}, got {item!r}"
+        return None
+
+    def check(self, key: str, value, path) -> None:
+        """Reject a config-file value that this flag could not have set."""
+        problem = self.problem(value)
+        if problem:
+            raise ValidationError(f"config {key} {problem}", path=path)
 
 
 FLAGS = {
     "input": Flag("--input"), "output": Flag("--output"),
     "pretokenized": Flag("--pretokenized", bool, help=(
         "sentence/context cells are already space-tokenized")),
-    "column_map": Flag(None, dict),
+    "column_map": Flag(None, dict, items="strings"),
     "model": Flag("--model"), "corpus": Flag("--corpus"),
     "frames": Flag("--frames", help="frame TSV (default: bundled)"),
     "glove": Flag("--glove"),
     "precomputed": Flag("--precomputed", per_command={"tune": {
-        "repeatable": True, "help": "name=path, repeatable"}}),
-    "grid": Flag("--grid", lists=True,
+        "repeatable": True, "items": "strings",
+        "help": "name=path, repeatable"}}),
+    "grid": Flag("--grid", items="objects",
                  help="grid JSON file (default: built-in grid)"),
     "hidden_dim": Flag("--hidden-dim", int),
     "dropout_rate": Flag("--dropout", float),
@@ -839,7 +874,8 @@ FLAGS = {
     "valid_fraction": Flag("--valid-fraction", float),
     "split_seed": Flag("--split-seed", int), "max_len": Flag("--max-len", int),
     "bootstrap": Flag("--bootstrap", int), "seed": Flag("--seed", int),
-    "interactions": Flag("--interactions", lists=True,
+    "interactions": Flag("--interactions",
+                         items="'a:b' strings or [a, b] pairs",
                          help="comma-joined a:b pairs"),
     "unk_policy": Flag("--unk-policy", choices=(
         "zero_vector", "unk_token", "mean_vector")),
@@ -860,6 +896,11 @@ FLAGS = {
     "of_out": Flag("--of-out", help="of-token CSV"),
     "summary": Flag("--summary", help="summary CSV"),
 }
+
+# the rules for a tune grid entry's keys, taken from the flags they mirror
+_GRID_FLAGS = {key: FLAGS[key] for key in (
+    "hidden_dim", "dropout_rate", "pooling", "with_context")}
+_GRID_FLAGS["embedding"] = Flag(None)
 
 # the training options that train and cv-predict share, at their defaults
 _FIT_DEFAULTS = {

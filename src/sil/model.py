@@ -8,9 +8,10 @@ the pooled vector to a score in (0, 1).
 
 `run_batch` is the production path: one call packs a batch of ragged
 sequences and runs forward and, in train mode, hand-written backward
-code over whole sequences. `forward` builds the same model per item on
-the autodiff tape and is kept as the reference that tests compare the
-kernel against.
+code over whole sequences, with the same products in both modes.
+`forward` builds the same model per item on the autodiff tape and is
+kept as the reference that tests compare the kernel against (to 1e-12:
+a product over a batch rounds differently from one over a single item).
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class ModelConfig:
     num_layers: int = 2
     dropout_rate: float = 0.2
     use_attention: bool = True
-    # dropout on the attention scorer / head inputs; both off by default
-    attention_dropout: bool = False
-    head_dropout: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -56,9 +54,7 @@ class ModelConfig:
         return {
             "input_dim": self.input_dim, "hidden_dim": self.hidden_dim,
             "num_layers": self.num_layers, "dropout_rate": self.dropout_rate,
-            "use_attention": self.use_attention,
-            "attention_dropout": self.attention_dropout,
-            "head_dropout": self.head_dropout, "seed": self.seed,
+            "use_attention": self.use_attention, "seed": self.seed,
         }
 
     @classmethod
@@ -66,10 +62,13 @@ class ModelConfig:
         """Config from a checkpoint header; keys absent there take defaults.
 
         Unknown keys, missing keys without a default, values of the wrong
-        type and values the config rejects raise IntegrityError.
+        type and values the config rejects raise IntegrityError. The legacy
+        keys `attention_dropout` and `head_dropout`, which nothing ever
+        read, are accepted and dropped.
         """
         if not isinstance(obj, dict):
             raise IntegrityError("config must be a JSON object")
+        obj = {k: v for k, v in obj.items() if k not in _LEGACY_CONFIG_KEYS}
         spec = {f.name: f for f in fields(cls)}
         unknown = sorted(set(obj) - set(spec))
         missing = [n for n, f in spec.items()
@@ -87,6 +86,8 @@ class ModelConfig:
         except ContractError as exc:
             raise IntegrityError(f"invalid config: {exc}") from None
 
+
+_LEGACY_CONFIG_KEYS = ("attention_dropout", "head_dropout")
 
 _CONFIG_TYPES = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -244,8 +245,9 @@ def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
     """Run the encoder on one utterance's embedding matrix (T x input_dim).
 
     Reference implementation on the autodiff tape; `run_batch` computes
-    the same model for production callers. Train mode applies inverted dropout to the outputs of every non-final
-    biLSTM layer and requires an rng; eval mode is deterministic.
+    the same model for production callers. Train mode applies inverted
+    dropout to the outputs of every non-final biLSTM layer and requires an
+    rng; eval mode is deterministic.
     """
     embedded = _checked_input(embedded, config)
     pooling = _checked_pooling(pooling, params, config)
@@ -396,17 +398,7 @@ class _Packing:
         return out
 
 
-def _rowwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """`A @ B` as one matrix-vector product per row of A.
-
-    numpy runs the same BLAS gemv the per-item tape runs, so every row is
-    bit-identical to the tape's product whatever else is in the batch; a
-    GEMM over the whole batch rounds differently for different batches.
-    """
-    return np.matmul(A[:, None, :], B)[:, 0]
-
-
-def _lstm_forward(X, W, U, b, steps, h_out, C, TC, matmul) -> np.ndarray:
+def _lstm_forward(X, W, U, b, steps, h_out, C, TC) -> np.ndarray:
     """Run one direction's recurrence over packed rows.
 
     Returns the activated gates (i, f, g, o) of every row; `h_out`, `C`
@@ -414,12 +406,11 @@ def _lstm_forward(X, W, U, b, steps, h_out, C, TC, matmul) -> np.ndarray:
     `lstm_cell`: z = (W x + U h) + b.
     """
     H = U.shape[1]
-    UT = U.T
-    G = matmul(X, W.T)
+    G = X @ W.T
     for r, rp, m in steps:
         z = G[r]
         if m:
-            z[:m] += matmul(h_out[rp], UT)
+            z[:m] += h_out[rp] @ U.T
         z += b
         g = np.tanh(z[:, 2 * H:3 * H])
         z[...] = np_sigmoid(z)
@@ -480,8 +471,10 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     `rng.random((T_i, 2H))` per layer, the per-item tape's stream order),
     squared-error losses, and the gradients of their sum w.r.t. every
     parameter the pooling reaches. Raises NumericError for a non-finite
-    loss or gradient. Eval mode is deterministic and computes no
-    gradients.
+    loss or gradient. Eval mode computes no gradients. Both modes run
+    the same whole-batch products: with dropout off they give the same
+    scores bit for bit, and a score moves with the rest of the batch only
+    in rounding (within 1e-12 of the per-item tape).
     """
     inputs = [_checked_input(x, config) for x in inputs]
     if not inputs:
@@ -502,9 +495,6 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     L = config.num_layers
     packing = _Packing(np.array([x.shape[0] for x in inputs]))
     order, item_rows = packing.order, packing.item_rows
-    # training sums gradients over the batch anyway, so it takes the
-    # faster whole-batch GEMMs; eval stays bit-identical to the tape
-    matmul = np.matmul if train else _rowwise
     masks = []
     if use_dropout:
         drawn = [[(rng.random((x.shape[0], 2 * H)) >= p) / (1.0 - p)
@@ -525,7 +515,7 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
             TC = np.empty((packing.total, H))
             G = _lstm_forward(X, P[f"{prefix}.W"], P[f"{prefix}.U"],
                               P[f"{prefix}.b"], packing.steps[d],
-                              out[:, cols], C, TC, matmul)
+                              out[:, cols], C, TC)
             if train:
                 states[d] = (G, C, TC)
         if train:
@@ -535,20 +525,18 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
 
     N = len(inputs)
     if pooling == "attention":
-        # per item, as the tape does: the products keep the tape's shapes
-        A = np.empty((packing.total, H))
-        weights = []
-        pooled = np.empty((N, 2 * H))
-        for k, rows in enumerate(item_rows):
-            h = top[rows]
-            A[rows] = a = np.tanh(h @ P["attn.W"])
-            weights.append(softmax(a @ P["attn.v"]))
-            pooled[k] = weights[k] @ h
+        # scores over all packed rows at once; an item's rows are strided,
+        # so only its softmax and weighted sum run per item
+        A = np.tanh(top @ P["attn.W"])
+        e = A @ P["attn.v"]
+        weights = [softmax(e[rows]) for rows in item_rows]
+        pooled = np.array([w @ top[rows]
+                           for w, rows in zip(weights, item_rows)])
     else:
         last = np.array([rows[-1] for rows in item_rows])
         first = np.array([rows[0] for rows in item_rows])
         pooled = np.hstack([top[last, :H], top[first, H:]])
-    sorted_scores = np_sigmoid(_rowwise(pooled, P["head.w"]) + P["head.b"])
+    sorted_scores = np_sigmoid(pooled @ P["head.w"] + P["head.b"])
 
     scores = np.empty(N)
     scores[order] = sorted_scores

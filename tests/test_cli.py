@@ -331,6 +331,61 @@ def test_config_accepts_int_for_float_and_null_for_unset(workspace, tmp_path):
     assert manifest["config"]["lr"] == 1
 
 
+def _write_predictions(workspace, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("id,score\n")
+        for i, r in enumerate(workspace["records"]):
+            fh.write(f"{r.id},{0.3 + 0.01 * i}\n")
+
+
+@pytest.mark.parametrize("command, key, value, named", [
+    ("tune", "precomputed", [5], "config precomputed must hold strings, "
+                                 "got 5"),
+    ("regress", "interactions", [5], "config interactions must hold 'a:b' "
+                                     "strings or [a, b] pairs, got 5"),
+    ("regress", "interactions", [["a", "b", "c"]], "got ['a', 'b', 'c']"),
+    ("import", "column_map", {"id": 5}, "config column_map must hold "
+                                        "strings, got 5"),
+])
+def test_nested_config_value_of_wrong_type_exits_one(
+        workspace, tmp_path, capsys, command, key, value, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    preds = tmp_path / "p.csv"
+    _write_predictions(workspace, preds)
+    out = tmp_path / "out.csv"
+    corpus = str(workspace["corpus"])
+    argv = {
+        "tune": ["--corpus", corpus, "--glove", str(workspace["glove"]),
+                 "--out", str(out)],
+        "regress": ["--corpus", corpus, "--predictions", str(preds),
+                    "--bootstrap", "0", "--out", str(out)],
+        "import": ["--input", corpus, "--output", str(out)],
+    }[command]
+    assert main([command, "--config", str(cfg)] + argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"sil {command}: error: {cfg}: " in err and named in err
+    assert not out.exists()
+
+
+def test_regress_interactions_from_config(workspace, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"interactions": [
+        "partitive:strength", ["mention", "subjecthood"]]}), encoding="utf-8")
+    preds = tmp_path / "p.csv"
+    _write_predictions(workspace, preds)
+    out = tmp_path / "coef.csv"
+    rc = main(["regress", "--config", str(cfg),
+               "--corpus", str(workspace["corpus"]),
+               "--predictions", str(preds), "--bootstrap", "0",
+               "--out", str(out)])
+    assert rc == 0
+    names = [r["predictor"] for r in read_dicts(out)]
+    assert "partitive:strength" in names
+    assert "mention:subjecthood" in names
+
+
 def _subcommands():
     return build_parser()._subparsers._group_actions[0].choices
 
@@ -571,6 +626,29 @@ def test_tune_ranks_grid(workspace, tmp_path, monkeypatch):
             "embedding", "fold_0_r", "fold_1_r", "mean_r",
             "error"} <= set(rows[0])
     assert float(rows[0]["mean_r"]) >= float(rows[1]["mean_r"])
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"with_context": "no"}, "with_context must be true or false, got 'no'"),
+    ({"embedding": ["glove"]}, "embedding must be a string, got ['glove']"),
+    ({"hidden_dim": 100.7}, "hidden_dim must be an integer, got 100.7"),
+    ({"pooling": "max"}, "pooling must be one of 'attention', "
+                         "'final_state', got 'max'"),
+    ({"with_contxt": True}, "unknown keys ['with_contxt']"),
+])
+def test_bad_grid_entry_exits_one(workspace, tmp_path, capsys, bad, named):
+    entry = {"hidden_dim": 2, "dropout_rate": 0.0, **bad}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([entry]), encoding="utf-8")
+    out = tmp_path / "tune.csv"
+    rc = main(["tune", "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]), "--grid", str(grid),
+               "--k", "2", "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"sil tune: error: bad grid entry {entry!r}: {named}" in err
+    assert not out.exists()
 
 
 def _tune_precomputed(workspace, tmp_path):

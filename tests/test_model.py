@@ -503,6 +503,20 @@ def test_kernel_gradients_match_finite_differences(pooling, dropout):
     assert worst <= 1e-5
 
 
+@pytest.mark.parametrize("pooling", ["attention", "final_state"])
+def test_kernel_train_and_eval_share_arithmetic(pooling):
+    config = small_config(hidden_dim=5, dropout_rate=0.0,
+                          use_attention=pooling == "attention", seed=6)
+    params = init_params(config)
+    inputs, targets = _ragged_batch(3)
+    trained = run_batch(inputs, params, config, pooling, targets=targets)
+    scored = run_batch(inputs, params, config, pooling)
+    assert trained.scores.tobytes() == scored.scores.tobytes()
+    if pooling == "attention":
+        for got, want in zip(trained.attention, scored.attention):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_kernel_eval_is_batch_invariant():
     config = small_config(hidden_dim=6)
     params = init_params(config)
@@ -672,6 +686,33 @@ def test_checkpoint_bad_params_list_rejected(tmp_path):
     path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new)
     with pytest.raises(IntegrityError, match="params must be a list"):
         load_checkpoint(path)
+
+
+def _read_header(path):
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[4:8])
+    return json.loads(blob[8:8 + length]), blob[8 + length:]
+
+
+def test_checkpoint_dead_config_keys_dropped(tmp_path):
+    config = small_config(seed=7)
+    params = init_params(config)
+    path = tmp_path / "m.bin"
+    save_checkpoint(params, config, path)
+    header, tensors = _read_header(path)
+    assert "attention_dropout" not in header["config"]
+    assert "head_dropout" not in header["config"]
+
+    # every checkpoint written before these keys were dropped carries them
+    header["config"].update(attention_dropout=True, head_dropout=False)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new
+                     + tensors)
+    loaded_params, loaded_config = load_checkpoint(path)
+    assert loaded_config == config
+    for name in params.names():
+        assert loaded_params.tensors[name].tobytes() == \
+            params.tensors[name].tobytes()
 
 
 def test_checkpoint_loaded_params_run(tmp_path):

@@ -12,7 +12,7 @@ from sil.corpus import (FeatureVector, UtteranceRecord, kfold,
 from sil.autodiff import backward
 from sil.errors import ContractError
 from sil.metrics import pearson
-from sil.model import ModelConfig, forward, init_params
+from sil.model import ModelConfig, forward, init_params, predict_batch
 from sil.optim import AdamState, adam_step
 from sil.seeding import rng_for
 from sil.trainer import (Example, GridPoint, TrainConfig, cv_predict,
@@ -93,9 +93,12 @@ def test_evaluate_preserves_input_order(tiny_records, tiny_table):
     params = init_params(config.model)
     scores = evaluate(examples, params, config)
     assert scores.shape == (5,)
+    batch, _ = predict_batch([ex.embedded for ex in examples], params,
+                             config.model, config.pooling)
+    assert scores.tobytes() == batch.tobytes()
     for ex, score in zip(examples, scores):
         direct = forward(ex.embedded, params, config.model).score.value
-        assert float(direct) == float(score)
+        assert abs(float(direct) - float(score)) <= 1e-12
 
 
 def test_memorizes_a_handful_of_items(tiny_records, tiny_table):
