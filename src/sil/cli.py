@@ -147,6 +147,21 @@ def _effective_config(args) -> dict:
     return merged
 
 
+def _manifest_inputs(inputs: dict) -> dict:
+    """{name: {path, sha256}} for each input file that exists.
+
+    An input is a path, or a (path, sha256) pair when the command's
+    loader already hashed the bytes it read, so the file is not read again.
+    """
+    entries = {}
+    for name, value in inputs.items():
+        path, digest = value if isinstance(value, tuple) else (value, None)
+        if path and Path(path).exists():
+            entries[name] = {"path": str(path),
+                             "sha256": digest or _sha256_file(path)}
+    return entries
+
+
 def _write_manifest(command: str, argv: list[str], config: dict,
                     inputs: dict, outputs: list[Path], seed: int,
                     started: str, manifest_path: Path) -> None:
@@ -156,8 +171,7 @@ def _write_manifest(command: str, argv: list[str], config: dict,
         "config": config,
         "config_sha256": _sha256_bytes(
             json.dumps(config, sort_keys=True).encode("utf-8")),
-        "inputs": {name: {"path": str(p), "sha256": _sha256_file(p)}
-                   for name, p in inputs.items() if p and Path(p).exists()},
+        "inputs": _manifest_inputs(inputs),
         "outputs": [str(p) for p in outputs],
         "seed": seed,
         "started_at": started,
@@ -168,15 +182,32 @@ def _write_manifest(command: str, argv: list[str], config: dict,
                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_source(cfg: dict):
+def _record_tokens(records, with_context: bool) -> set[str]:
+    """The tokens that embedding `records` looks up: every target token,
+    and every context token if the command reads contexts."""
+    tokens = set()
+    for record in records:
+        tokens.update(record.tokens)
+        if with_context:
+            tokens.update(record.context_tokens)
+    return tokens
+
+
+def _load_source(cfg: dict, records, with_context: bool):
+    """The command's vector source and its manifest input entry.
+
+    A GloVe table parses only the rows of the records' tokens.
+    """
     glove = cfg.get("glove")
     precomputed = cfg.get("precomputed")
     if bool(glove) == bool(precomputed):
         raise ValidationError(
             "exactly one of --glove / --precomputed is required")
     if glove:
-        return load_glove(glove, cfg.get("unk_policy", "zero_vector")), glove
-    return load_precomputed(precomputed), precomputed
+        table = load_glove(glove, cfg.get("unk_policy", "zero_vector"),
+                           keep=_record_tokens(records, with_context))
+        return table, (Path(glove), table.sha256)
+    return load_precomputed(precomputed), Path(precomputed)
 
 
 def _subset_records(records, cfg: dict):
@@ -397,7 +428,7 @@ def cmd_import(cfg):
 
 def cmd_train(cfg):
     records = parse_corpus(cfg["corpus"])
-    source, source_path = _load_source(cfg)
+    source, source_input = _load_source(cfg, records, cfg["with_context"])
     seed = cfg["seed"]
 
     sp = split(records, cfg["train_fraction"], seed)
@@ -461,7 +492,7 @@ def cmd_train(cfg):
     print(f"trained {config.model.hidden_dim}d model "
           f"(best epoch {curve.best_epoch}) -> {out}")
     return {"corpus": Path(cfg["corpus"]),
-            "embeddings": Path(source_path)}, outputs
+            "embeddings": source_input}, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -474,27 +505,41 @@ PAPER_GRID = [
 ]
 
 
-def _parse_grid(obj) -> list[GridPoint]:
+def _grid_entry_problem(entry) -> str | None:
+    """Why a tune grid entry is unusable, or None if it is fine."""
+    if not isinstance(entry, dict):
+        return "not an object"
+    unknown = sorted(set(entry) - set(_GRID_FLAGS))
+    if unknown:
+        return f"unknown keys {unknown}"
+    for key, flag in _GRID_FLAGS.items():
+        if key in entry:
+            problem = flag.problem(entry[key])
+        elif key in ("hidden_dim", "dropout_rate"):
+            problem = "is missing"
+        else:
+            continue
+        if problem:
+            return f"{key} {problem}"
+    try:  # the rules ModelConfig applies to the entry's own values
+        ModelConfig(input_dim=1, hidden_dim=entry["hidden_dim"],
+                    dropout_rate=entry["dropout_rate"])
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+def _parse_grid(obj, path=None) -> list[GridPoint]:
+    """Grid points of a JSON grid; `path` names the file it came from."""
     if not isinstance(obj, list) or not obj:
-        raise ValidationError("grid must be a nonempty JSON array")
+        raise ValidationError("grid must be a nonempty JSON array", path=path)
     points = []
     for entry in obj:
-        if not isinstance(entry, dict):
-            raise ValidationError(f"bad grid entry {entry!r}: not an object")
-        unknown = sorted(set(entry) - set(_GRID_FLAGS))
-        if unknown:
+        problem = _grid_entry_problem(entry)
+        if problem:
+            where = f" (grid file {path})" if path else ""
             raise ValidationError(
-                f"bad grid entry {entry!r}: unknown keys {unknown}")
-        for key, flag in _GRID_FLAGS.items():
-            if key in entry:
-                problem = flag.problem(entry[key])
-            elif key in ("hidden_dim", "dropout_rate"):
-                problem = "is missing"
-            else:
-                continue
-            if problem:
-                raise ValidationError(
-                    f"bad grid entry {entry!r}: {key} {problem}")
+                f"bad grid entry {entry!r}: {problem}{where}")
         points.append(GridPoint(
             hidden_dim=entry["hidden_dim"],
             dropout_rate=float(entry["dropout_rate"]),
@@ -511,10 +556,19 @@ def cmd_tune(cfg):
     by_id = _records_by_id(records)
     train_records = [by_id[i] for i in sp.train_ids]
 
-    sources, paths = {}, {}
+    grid_obj = cfg.get("grid") or PAPER_GRID
+    if isinstance(grid_obj, str):
+        grid = _parse_grid(_read_json(grid_obj), path=grid_obj)
+    else:
+        grid = _parse_grid(grid_obj)
+
+    sources, inputs = {}, {"corpus": Path(cfg["corpus"])}
     if cfg.get("glove"):
-        sources["glove"] = load_glove(cfg["glove"], cfg["unk_policy"])
-        paths["glove"] = cfg["glove"]
+        with_context = any(point.with_context for point in grid)
+        table = load_glove(cfg["glove"], cfg["unk_policy"],
+                           keep=_record_tokens(train_records, with_context))
+        sources["glove"] = table
+        inputs["glove"] = (Path(cfg["glove"]), table.sha256)
     if cfg.get("precomputed"):
         for spec in (cfg["precomputed"] if isinstance(cfg["precomputed"], list)
                      else [cfg["precomputed"]]):
@@ -522,17 +576,10 @@ def cmd_tune(cfg):
             if not path:
                 name, path = "precomputed", name
             sources[name] = load_precomputed(path)
-            paths[name] = path
+            inputs[name] = Path(path)
     if not sources:
         raise ValidationError("tune needs --glove and/or --precomputed")
 
-    if cfg.get("grid"):
-        grid_obj = cfg["grid"]
-        if isinstance(grid_obj, str):
-            grid_obj = _read_json(grid_obj)
-        grid = _parse_grid(grid_obj)
-    else:
-        grid = _parse_grid(PAPER_GRID)
     for point in grid:
         if point.embedding not in sources:
             raise ValidationError(
@@ -563,8 +610,6 @@ def cmd_tune(cfg):
     print(f"best config: hidden={best.point.hidden_dim} "
           f"dropout={best.point.dropout_rate} pooling={best.point.pooling} "
           f"embedding={best.point.embedding} mean_r={best.mean_r:.4f}")
-    inputs = {"corpus": Path(cfg["corpus"])}
-    inputs.update((name, Path(path)) for name, path in paths.items())
     return inputs, [out]
 
 
@@ -575,7 +620,7 @@ def cmd_tune(cfg):
 def cmd_eval(cfg):
     params, mconfig = load_checkpoint(cfg["model"])
     records = _subset_records(parse_corpus(cfg["corpus"]), cfg)
-    source, source_path = _load_source(cfg)
+    source, source_input = _load_source(cfg, records, cfg["with_context"])
     pooling = "attention" if mconfig.use_attention else "final_state"
 
     mode = "with_context" if cfg["with_context"] else "target_only"
@@ -612,12 +657,12 @@ def cmd_eval(cfg):
 
     print(f"evaluated {len(preds)} items -> {out}")
     return {"corpus": Path(cfg["corpus"]), "model": Path(cfg["model"]),
-            "embeddings": Path(source_path)}, outputs
+            "embeddings": source_input}, outputs
 
 
 def cmd_cv_predict(cfg):
     records = parse_corpus(cfg["corpus"])
-    source, source_path = _load_source(cfg)
+    source, source_input = _load_source(cfg, records, cfg["with_context"])
     examples = examples_from_records(records, source, cfg["with_context"])
     config = _model_train_config(
         cfg, examples[0].embedded.shape[1],
@@ -631,7 +676,7 @@ def cmd_cv_predict(cfg):
                [(ex.id, scores[ex.id]) for ex in examples])
     print(f"wrote {len(scores)} out-of-fold predictions -> {out}")
     return {"corpus": Path(cfg["corpus"]),
-            "embeddings": Path(source_path)}, [out]
+            "embeddings": source_input}, [out]
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +687,8 @@ def cmd_minimal_pairs(cfg):
     frames = load_frames(cfg.get("frames"))
     variants = generate_minimal_pairs(frames)
     params, mconfig = load_checkpoint(cfg["model"])
-    table = load_glove(cfg["glove"], cfg["unk_policy"])
+    table = load_glove(cfg["glove"], cfg["unk_policy"],
+                       keep={t for v in variants for t in v.tokens()})
     scores = score_variants(variants, params, mconfig, table)
     report = minimal_pair_report(variants, scores, B=cfg["bootstrap"],
                                  seed=derive_seed(cfg["seed"], "minimal-pairs"))
@@ -666,7 +712,8 @@ def cmd_minimal_pairs(cfg):
     outputs.append(groups_path)
 
     print(f"scored {len(variants)} variants -> {out}")
-    inputs = {"model": Path(cfg["model"]), "glove": Path(cfg["glove"])}
+    inputs = {"model": Path(cfg["model"]),
+              "glove": (Path(cfg["glove"]), table.sha256)}
     if cfg.get("frames"):
         inputs["frames"] = Path(cfg["frames"])
     return inputs, outputs
@@ -677,7 +724,7 @@ def cmd_attention(cfg):
     params, mconfig = load_checkpoint(cfg["model"])
     if not mconfig.use_attention:
         raise ValidationError("checkpoint was trained without attention")
-    source, source_path = _load_source(cfg)
+    source, source_input = _load_source(cfg, records, with_context=False)
     weights = attention_for_records(records, params, mconfig, source)
     seed = cfg["seed"]
     report = attention_by_position(records, weights, cfg["max_len"],
@@ -716,7 +763,7 @@ def cmd_attention(cfg):
     print(f"attention analyses ({report.n_length_filtered} length-filtered, "
           f"{of_report.n_multi_of} multi-of) -> {out}")
     return {"corpus": Path(cfg["corpus"]), "model": Path(cfg["model"]),
-            "embeddings": Path(source_path)}, outputs
+            "embeddings": source_input}, outputs
 
 
 def cmd_regress(cfg):

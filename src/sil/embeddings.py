@@ -2,13 +2,19 @@
 
 Static tables are loaded from the plain GloVe text format ("token v1 ... vd",
 UTF-8). Fields are separated by runs of any whitespace `str.split` splits on,
-lines may end in LF or CRLF, and blank lines are skipped. A value is a number
-as Python's `float` reads it, written in ASCII and without `_`: an optional
-sign, digits with an optional decimal point and exponent ("-0.5", "5.",
-".5", "1e-3", "2.5E+10"), or "inf", "infinity" or "nan" in any case. Values
-beyond the float64 range read as +-inf; subnormals are kept exactly. Digit
-grouping ("1_0"), non-ASCII digits, hexadecimal floats and "1d5" exponents
-are rejected as non-numeric.
+lines may end in LF, CRLF or CR, and blank lines are skipped. A value is a
+number as Python's `float` reads it, written in ASCII and without `_`: an
+optional sign, digits with an optional decimal point and exponent ("-0.5",
+"5.", ".5", "1e-3", "2.5E+10"), or "inf", "infinity" or "nan" in any case.
+Values beyond the float64 range read as +-inf; subnormals are kept exactly.
+Digit grouping ("1_0"), non-ASCII digits, hexadecimal floats and "1d5"
+exponents are rejected as non-numeric.
+
+A load reads the file once and hashes its bytes as it reads them (the
+table's `sha256`). Every row must have as many values as the first, but
+only the rows of the tokens a caller asks for (`keep`) are converted, so a
+non-numeric value on a row outside `keep` is not an error. A byte that is
+not UTF-8 is a ParseError naming its line, in either loader.
 
 Contextual embeddings (e.g. transformer or language-model layers) are
 computed offline and ingested from a JSON-lines file with one object per
@@ -19,6 +25,8 @@ Every ParseError from either loader names the file and the line.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import string
 from dataclasses import dataclass, field
@@ -32,6 +40,8 @@ UNK_TOKEN = "<unk>"
 UNK_POLICIES = ("zero_vector", "unk_token", "mean_vector")
 # rows per np.loadtxt call when a failed vector file is re-scanned
 _RESCAN_BLOCK = 1024
+# bytes per read of the streaming pass over a vector file
+_READ_CHUNK = 1 << 18
 
 
 @dataclass
@@ -42,6 +52,7 @@ class EmbeddingTable:
     vocab: dict[str, int]
     matrix: np.ndarray
     unk_policy: str = "zero_vector"
+    sha256: str | None = None  # of the file the table was loaded from
     _mean: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -88,51 +99,248 @@ class PrecomputedEmbeddings:
         return self.table[utterance_id]
 
 
-def load_glove(path, unk_policy: str = "zero_vector") -> EmbeddingTable:
+def load_glove(path, unk_policy: str = "zero_vector",
+               keep=None) -> EmbeddingTable:
     """Parse a GloVe text file; duplicate tokens keep the first occurrence.
 
-    A Python pass splits off each line's token and keeps the value text of
-    each token's first row; one `np.loadtxt` call then parses all of it in
-    C, with the same correctly rounded conversion as `float`. Only when
-    that fails are the kept rows re-scanned, to name the first bad line.
+    One streaming pass over the file's bytes takes their sha256 (the
+    table's `sha256`) and keeps the value text of the first row of each
+    token in `keep` (every token if None). One `np.loadtxt` call then
+    parses all of it in C, with the same correctly rounded conversion as
+    `float`; only when that fails are the kept rows re-scanned, to name
+    the first bad line. Every row's value count is checked, in the pass
+    or by `np.loadtxt`.
+
+    `keep` may be any superset of the tokens the caller looks up. The
+    `unk_token` policy also keeps UNK_TOKEN; `mean_vector`, whose mean
+    is over every row, ignores `keep`.
     """
     path = Path(path)
-    vocab: dict[str, int] = {}
-    rests: list[str] = []
-    kept_lines: list[int] = []
-    dim = None
-    stop = None  # (line, message) of a bad row the token pass sees itself
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            parts = line.split(None, 1)
-            if not parts:
-                continue
-            if dim is None:
-                dim = len(parts[1].split()) if len(parts) == 2 else 0
-                if dim == 0:
-                    raise ParseError("line has no vector values",
-                                     line=line_num, path=path)
-            token = parts[0]
-            if len(parts) == 1 or token in vocab:
-                got = len(parts[1].split()) if len(parts) == 2 else 0
-                if got != dim:
-                    stop = (line_num, f"expected {dim} values, got {got}")
-                    break
-                continue
-            vocab[token] = len(rests)
-            rests.append(parts[1])
-            kept_lines.append(line_num)
-    if dim is None:
+    if unk_policy == "mean_vector":
+        keep = None
+    elif keep is not None:
+        keep = {token.encode("utf-8") for token in keep}
+        if unk_policy == "unk_token":
+            keep.add(UNK_TOKEN.encode("utf-8"))
+    with open(path, "rb", buffering=0) as fh:
+        reader = _Sha256Reader(fh)
+        scan = (_token_pass(_text_lines(path, reader), path) if keep is None
+                else _count_pass(_blocks(reader), path, keep))
+    if scan.dim is None:
         raise ParseError("empty embedding file", line=1, path=path)
-    matrix = _parse_values(rests, dim) if stop is None else None
+    matrix = _parse_values(scan.rests, scan.dim) if scan.stop is None else None
     if matrix is None:
-        _raise_first_bad_row(path, rests, kept_lines, dim, stop)
-    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix,
-                          unk_policy=unk_policy)
+        _raise_first_bad_row(path, scan.rests, scan.kept_lines, scan.dim,
+                             scan.stop)
+    return EmbeddingTable(dim=scan.dim, vocab=scan.vocab, matrix=matrix,
+                          unk_policy=unk_policy,
+                          sha256=reader.digest.hexdigest())
+
+
+@dataclass
+class _Scan:
+    """What a pass over a vector file found, up to its first bad count."""
+
+    dim: int | None = None
+    vocab: dict[str, int] = field(default_factory=dict)
+    rests: list[str] = field(default_factory=list)  # kept rows' value text
+    kept_lines: list[int] = field(default_factory=list)
+    stop: tuple[int, str] | None = None  # (line, message) of a bad count
+
+    def counted(self, line_num: int, got: int, path) -> bool:
+        """Check a row's value count against the file's; False if wrong."""
+        if self.dim is None:
+            if got == 0:
+                raise ParseError("line has no vector values",
+                                 line=line_num, path=path)
+            self.dim = got
+        if got != self.dim:
+            self.stop = (line_num, f"expected {self.dim} values, got {got}")
+            return False
+        return True
+
+
+def _token_pass(lines, path) -> _Scan:
+    """Keep the first row of every token; `np.loadtxt` counts its values.
+
+    The other rows (repeated tokens, rows without values) are counted
+    here, with `str.split`.
+    """
+    scan = _Scan()
+    vocab, rests, kept_lines = scan.vocab, scan.rests, scan.kept_lines
+    for line_num, line in enumerate(lines, start=1):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        token = parts[0]
+        if len(parts) == 1 or token in vocab or scan.dim is None:
+            got = len(parts[1].split()) if len(parts) == 2 else 0
+            if not scan.counted(line_num, got, path):
+                break
+            if len(parts) == 1 or token in vocab:
+                continue
+        vocab[token] = len(rests)
+        rests.append(parts[1])
+        kept_lines.append(line_num)
+    return scan
+
+
+def _count_pass(blocks, path, keep: set[bytes]) -> _Scan:
+    """Count every row's values; keep the first row of each token in `keep`.
+
+    Most lines are counted from byte offsets (`_line_offsets`); the rest
+    are split by `str.split`, which splits on every whitespace character.
+    """
+    scan = _Scan()
+    base = 0  # lines in the blocks before this one
+    for block in blocks:
+        block = _checked_text(block, base, path)
+        offsets = _line_offsets(block)
+        for line_num, start, token_end, end, got, odd in zip(
+                range(base + 1, base + len(offsets[0]) + 1),
+                *(column.tolist() for column in offsets)):
+            if start == end:
+                continue
+            if odd:
+                parts = block[start:end].decode("utf-8").split(None, 1)
+                if not parts:
+                    continue
+                rest = parts[1] if len(parts) == 2 else ""
+                token, got = parts[0].encode("utf-8"), len(rest.split())
+            else:
+                token = block[start:token_end]
+            if not scan.counted(line_num, got, path):
+                return scan
+            if token in keep:
+                text = token.decode("utf-8")
+                if text not in scan.vocab:
+                    if not odd:
+                        rest = block[token_end + 1:end].decode("ascii")
+                    scan.vocab[text] = len(scan.rests)
+                    scan.rests.append(rest)
+                    scan.kept_lines.append(line_num)
+        base += len(offsets[0])
+    return scan
+
+
+def _line_offsets(block: bytes) -> tuple[np.ndarray, ...]:
+    """Per line of `block`: start, token end, end, spaces, needs a split.
+
+    numpy finds them for the whole block at once. A line needs
+    `str.split` if it holds a control or non-ASCII byte (a tab, say), a
+    run of spaces, or a space at either end. On every other line the
+    fields are single-space separated, so its spaces count its values
+    and its token ends at its first space.
+    """
+    # as int8, bytes past ASCII are negative: `< 32` finds them, the
+    # control bytes and the newlines in one pass
+    a = np.frombuffer(block, dtype=np.int8)
+    special = np.flatnonzero(a < 32)
+    newline = a[special] == 10
+    ends = special[newline]
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, len(block))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    space = a == 32
+    spaces = np.flatnonzero(space)
+    upto = np.searchsorted(spaces, ends)  # spaces before each line's end
+    counts = np.diff(upto, prepend=0)
+    has = counts > 0
+    token_ends = ends.copy()
+    token_ends[has] = spaces[(upto - counts)[has]]
+    split = np.zeros(len(ends), dtype=bool)
+    split[np.searchsorted(ends, special[~newline])] = True
+    runs = np.flatnonzero(space[1:] & space[:-1])
+    split[np.searchsorted(ends, runs)] = True
+    split[has] |= ((token_ends[has] == starts[has])
+                   | (spaces[upto[has] - 1] == ends[has] - 1))
+    return starts, token_ends, ends, counts, split
+
+
+class _Sha256Reader(io.RawIOBase):
+    """Binary file `fh`, whose every byte read also goes to `digest`."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.digest = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def _blocks(fh):
+    """The bytes of binary file `fh` in blocks that end at a newline.
+
+    Each block holds whole lines (the last may lack its newline), so no
+    UTF-8 character is cut.
+    """
+    pending: list[bytes] = []
+    while chunk := fh.read(_READ_CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, memoryview(chunk)[:cut]])
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
+def _checked_text(block: bytes, base: int, path) -> bytes:
+    """`block` with CRLF and lone CR made LF, as text-mode reading does.
+
+    Raises ParseError naming the line if it is not UTF-8; `base` is the
+    number of lines before the block.
+    """
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, block, exc, base) from None
+    return block
+
+
+def _not_utf8(path, data: bytes, exc: UnicodeDecodeError,
+              base: int = 0) -> ParseError:
+    """The ParseError for `data`, which `exc` failed to decode, naming the
+    line of the bad byte; `base` lines come before `data` in the file."""
+    head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return ParseError(f"not UTF-8 text ({exc.reason})",
+                      line=base + head.count(b"\n") + 1, path=path)
+
+
+def _text_lines(path: Path, raw=None):
+    """The lines of UTF-8 text file `path`, read in text mode.
+
+    Reads the binary file `raw` if given, else opens `path`. A byte that
+    is not UTF-8 raises ParseError naming its line.
+    """
+    with (open(path, encoding="utf-8") if raw is None else io.TextIOWrapper(
+            io.BufferedReader(raw, _READ_CHUNK), encoding="utf-8")) as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError:
+            pass  # the decoder works in chunks; find the line below
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, data, exc) from None
 
 
 def _parse_values(rests: list[str], dim: int) -> np.ndarray | None:
     """The (len(rests), dim) matrix of the value texts, or None if invalid."""
+    if not rests:
+        return np.empty((0, dim))
     try:
         matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2,
                             quotechar=None)
@@ -190,48 +398,47 @@ def load_precomputed(path) -> PrecomputedEmbeddings:
     table: dict[str, np.ndarray] = {}
     dim = None
     layer_id = None
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError("invalid JSON object", line=line_num,
-                                 path=path) from None
-            try:
-                rid = obj["id"]
-                layer = int(obj["layer"])
-                vectors = obj["vectors"]
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(
-                    "object must have id, layer (an integer), vectors",
-                    line=line_num, path=path) from None
-            if not isinstance(rid, str):
-                raise ParseError("utterance id must be a string",
+    for line_num, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            raise ParseError("invalid JSON object", line=line_num,
+                             path=path) from None
+        try:
+            rid = obj["id"]
+            layer = int(obj["layer"])
+            vectors = obj["vectors"]
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(
+                "object must have id, layer (an integer), vectors",
+                line=line_num, path=path) from None
+        if not isinstance(rid, str):
+            raise ParseError("utterance id must be a string",
+                             line=line_num, path=path)
+        try:
+            arr = np.array(vectors, dtype=float)
+        except (TypeError, ValueError):
+            arr = None  # ragged rows or non-numeric values
+        if arr is None or arr.ndim != 2:
+            raise ParseError(
+                "vectors must be a non-empty list of equal-length rows "
+                "of numbers", line=line_num, path=path)
+        if dim is None:
+            dim, layer_id = arr.shape[1], layer
+        else:
+            if arr.shape[1] != dim:
+                raise ParseError(f"dim {arr.shape[1]} != file dim {dim}",
                                  line=line_num, path=path)
-            try:
-                arr = np.array(vectors, dtype=float)
-            except (TypeError, ValueError):
-                arr = None  # ragged rows or non-numeric values
-            if arr is None or arr.ndim != 2:
-                raise ParseError(
-                    "vectors must be a non-empty list of equal-length rows "
-                    "of numbers", line=line_num, path=path)
-            if dim is None:
-                dim, layer_id = arr.shape[1], layer
-            else:
-                if arr.shape[1] != dim:
-                    raise ParseError(f"dim {arr.shape[1]} != file dim {dim}",
-                                     line=line_num, path=path)
-                if layer != layer_id:
-                    raise ParseError(f"layer {layer} != file layer {layer_id}",
-                                     line=line_num, path=path)
-            if rid in table:
-                raise ParseError(f"duplicate utterance id {rid!r}",
+            if layer != layer_id:
+                raise ParseError(f"layer {layer} != file layer {layer_id}",
                                  line=line_num, path=path)
-            table[rid] = arr
+        if rid in table:
+            raise ParseError(f"duplicate utterance id {rid!r}",
+                             line=line_num, path=path)
+        table[rid] = arr
     if dim is None:
         raise ParseError("empty precomputed-embedding file", line=1, path=path)
     return PrecomputedEmbeddings(dim=dim, layer_id=layer_id, table=table)
@@ -249,21 +456,27 @@ def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
     """Input matrix for one (already truncated) record.
 
     Static tables look up context + target tokens (context prepended when
-    with_context is set). Precomputed sources return target vectors only:
-    their context was consumed offline, so the stored rows already reflect
-    it and must match the target token count exactly.
+    with_context is set). Precomputed sources hold one row per token of
+    the whole target, computed offline with whatever context the encoder
+    saw, so with_context is rejected for them. The rows must number the
+    untruncated target's tokens (`features.utterance_length`); a target
+    that `truncate` cut takes the rows of the tokens it kept.
     """
     if isinstance(source, PrecomputedEmbeddings):
+        if with_context:
+            raise ContractError(
+                "precomputed vectors already reflect their context; "
+                "with_context applies to GloVe tables only")
         try:
             vectors = source.vectors_for(record.id)
         except KeyError:
             raise IntegrityError(
                 f"no precomputed vectors for utterance {record.id!r}") from None
-        if vectors.shape[0] != len(record.tokens):
+        if vectors.shape[0] != record.features.utterance_length:
             raise IntegrityError(
                 f"utterance {record.id!r}: {vectors.shape[0]} precomputed "
-                f"vectors for {len(record.tokens)} tokens")
-        return vectors
+                f"vectors for {record.features.utterance_length} tokens")
+        return vectors[:len(record.tokens)]
     tokens = list(record.tokens)
     if with_context:
         tokens = list(record.context_tokens) + tokens

@@ -1,11 +1,23 @@
 """Shared synthetic fixtures: records, embedding tables, tiny GloVe files."""
 
+import os
+
 import numpy as np
 import pytest
 
 from sil.corpus import FeatureVector, UtteranceRecord
 from sil.embeddings import EmbeddingTable
 from sil.seeding import derive_seed
+
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without it
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a
+    # failure in CI reproduces locally with the same setting
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # one line per acceptance criterion, echoed after the run so they stay
 # visible even though pytest captures per-test stdout

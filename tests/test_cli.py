@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, manifests, reproducibility."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -951,3 +952,167 @@ def test_missing_precomputed_id_exits_one(workspace, trained, tmp_path,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert repr(records[-1].id) in err
+
+
+# ---------------------------------------------------------------------------
+# vector files are read once: the loader's sha256 goes into the manifest
+# ---------------------------------------------------------------------------
+
+def _vector_commands(workspace, trained, tmp_path):
+    corpus, glove = str(workspace["corpus"]), str(workspace["glove"])
+    return {
+        "train": (["train", "--corpus", corpus, "--glove", glove,
+                   "--hidden-dim", "2", "--epochs", "1",
+                   "--out", str(tmp_path / "m.bin")], "m.bin", "embeddings"),
+        "eval": (["eval", "--model", str(trained), "--corpus", corpus,
+                  "--glove", glove, "--out", str(tmp_path / "e.csv")],
+                 "e.csv", "embeddings"),
+        "minimal-pairs": (["minimal-pairs", "--model", str(trained),
+                           "--glove", glove, "--bootstrap", "10",
+                           "--out", str(tmp_path / "v.csv")],
+                          "v.csv", "glove"),
+        "attention": (["attention", "--model", str(trained),
+                       "--corpus", corpus, "--glove", glove,
+                       "--bootstrap", "10", "--out", str(tmp_path / "a.csv")],
+                      "a.csv", "embeddings"),
+    }
+
+
+@pytest.mark.parametrize("command",
+                         ["train", "eval", "minimal-pairs", "attention"])
+def test_manifest_hashes_vectors_from_the_load(workspace, trained, tmp_path,
+                                               monkeypatch, command):
+    import sil.cli
+    hashed = []
+    real = sil.cli._sha256_file
+    monkeypatch.setattr(sil.cli, "_sha256_file",
+                        lambda path: hashed.append(str(path)) or real(path))
+    argv, out, key = _vector_commands(workspace, trained, tmp_path)[command]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / (out + ".manifest.json"))
+                          .read_text(encoding="utf-8"))
+    glove = workspace["glove"]
+    assert manifest["inputs"][key] == {
+        "path": str(glove),
+        "sha256": hashlib.sha256(glove.read_bytes()).hexdigest()}
+    assert str(glove) not in hashed
+    assert str(workspace["corpus"]) in hashed or command == "minimal-pairs"
+
+
+def test_non_utf8_vector_file_exits_one(trained, tmp_path, capsys):
+    glove = tmp_path / "bad.txt"
+    glove.write_bytes(b"cat 0.1 0.2\ndog 0.3 \xff\n")
+    rc = main(["minimal-pairs", "--model", str(trained), "--glove", str(glove),
+               "--out", str(tmp_path / "v.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{glove}: line 2: not UTF-8 text" in err
+
+
+def test_non_utf8_precomputed_file_exits_one(workspace, trained, tmp_path,
+                                             capsys):
+    path = tmp_path / "pc.jsonl"
+    path.write_bytes(b'{"id": "u000", "layer": 0, "vectors": [[1.0]]}\n'
+                     b'{"id": "\xff", "layer": 0, "vectors": [[1.0]]}\n')
+    rc = main(["eval", "--model", str(trained),
+               "--corpus", str(workspace["corpus"]),
+               "--precomputed", str(path), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}: line 2: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"hidden_dim": 0}, "model dimensions must be positive"),
+    ({"dropout_rate": 1.5}, "dropout_rate must be in [0, 1)"),
+])
+def test_grid_entry_model_config_rejects_exits_one(workspace, tmp_path, capsys,
+                                                   bad, named):
+    entry = {"hidden_dim": 2, "dropout_rate": 0.0, **bad}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"hidden_dim": 2, "dropout_rate": 0.1},
+                                entry]), encoding="utf-8")
+    out = tmp_path / "tune.csv"
+    rc = main(["tune", "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]), "--grid", str(grid),
+               "--k", "2", "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"sil tune: error: bad grid entry {entry!r}: {named} "
+            f"(grid file {grid})") in err
+    assert not out.exists()
+
+
+def _long_target_corpus(workspace, tmp_path, n_tokens):
+    """The workspace corpus with its first record's target n_tokens long,
+    and a precomputed file with one row per token of every full target."""
+    records = [dataclasses.replace(r) for r in workspace["records"]]
+    records[0].tokens = (records[0].tokens * n_tokens)[:n_tokens]
+    corpus = tmp_path / "long.tsv"
+    write_corpus(records, corpus)
+    rng = np.random.default_rng(4)
+    source = PrecomputedEmbeddings(
+        dim=8, layer_id=0,
+        table={r.id: rng.standard_normal((len(r.tokens), 8))
+               for r in records})
+    path = tmp_path / "pc.jsonl"
+    save_precomputed(source, path)
+    return corpus, path, source
+
+
+def test_precomputed_rows_sliced_to_truncated_target(workspace, trained,
+                                                     tmp_path):
+    corpus, path, source = _long_target_corpus(workspace, tmp_path, 45)
+    out = tmp_path / "r.csv"
+    assert main(["eval", "--model", str(trained), "--corpus", str(corpus),
+                 "--precomputed", str(path), "--out", str(out)]) == 0
+    # the 45-token target scores as its first 30 rows alone
+    first = workspace["records"][0].id
+    sliced = tmp_path / "sliced.jsonl"
+    save_precomputed(PrecomputedEmbeddings(
+        dim=8, layer_id=0,
+        table={**source.table, first: source.table[first][:30]}), sliced)
+    records = parse_corpus(corpus)
+    records[0].tokens = records[0].tokens[:30]
+    cut = tmp_path / "cut.tsv"
+    write_corpus(records, cut)
+    again = tmp_path / "again.csv"
+    assert main(["eval", "--model", str(trained), "--corpus", str(cut),
+                 "--precomputed", str(sliced), "--out", str(again)]) == 0
+    assert (out.with_suffix(".predictions.csv").read_bytes()
+            == again.with_suffix(".predictions.csv").read_bytes())
+
+
+@pytest.mark.parametrize("n_tokens", [29, 31])
+def test_precomputed_row_count_still_checked(workspace, trained, tmp_path,
+                                             capsys, n_tokens):
+    corpus, path, source = _long_target_corpus(workspace, tmp_path, n_tokens)
+    first = workspace["records"][0].id
+    short = tmp_path / "short.jsonl"
+    save_precomputed(PrecomputedEmbeddings(
+        dim=8, layer_id=0,
+        table={**source.table, first: source.table[first][:-1]}), short)
+    rc = main(["eval", "--model", str(trained), "--corpus", str(corpus),
+               "--precomputed", str(short), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{n_tokens - 1} precomputed vectors for {n_tokens} tokens" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "cv-predict"])
+def test_precomputed_with_context_exits_one(workspace, trained, tmp_path,
+                                            capsys, command):
+    _, path, _ = _long_target_corpus(workspace, tmp_path, 5)
+    argv = [command, "--corpus", str(workspace["corpus"]),
+            "--precomputed", str(path), "--with-context",
+            "--out", str(tmp_path / "o.csv")]
+    if command == "eval":
+        argv += ["--model", str(trained)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "precomputed vectors already reflect their context" in err

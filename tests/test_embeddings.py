@@ -1,10 +1,14 @@
 """Embedding tables: GloVe parsing, unknown-token policies, precomputed files."""
 
+import hashlib
+import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from sil import embeddings
 from sil.embeddings import (EmbeddingTable, PrecomputedEmbeddings,
                             UNK_TOKEN, embed_utterance, load_glove,
                             load_precomputed, save_glove, save_precomputed,
@@ -362,3 +366,216 @@ def test_precomputed_missing_id_is_integrity_error():
                                    table={"other": np.ones((1, 2))})
     with pytest.raises(IntegrityError, match=repr(record.id)):
         embed_utterance(record, source)
+
+
+# ---------------------------------------------------------------------------
+# load_glove(keep=...): only the kept tokens' rows are converted
+# ---------------------------------------------------------------------------
+
+def reference_load_kept(path, keep):
+    """`reference_load_glove`, converting only the rows of tokens in `keep`.
+
+    Every row's value count is still checked; a non-numeric value on a
+    row that is not converted is not an error.
+    """
+    path = Path(path)
+    vocab: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        for line_num, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    raise ParseError("line has no vector values", line=line_num)
+            elif len(values) != dim:
+                raise ParseError(
+                    f"expected {dim} values, got {len(values)}", line=line_num)
+            if token in vocab or token not in keep:
+                continue
+            try:
+                vec = np.array([float(v) for v in values])
+            except ValueError:
+                raise ParseError("non-numeric vector value", line=line_num) from None
+            vocab[token] = len(rows)
+            rows.append(vec)
+    if dim is None:
+        raise ParseError("empty embedding file", line=1)
+    matrix = np.vstack(rows) if rows else np.empty((0, dim))
+    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
+
+
+def assert_same_as_kept_reference(path, keep):
+    """Same kept rows bit for bit, or the same error line and message."""
+    try:
+        expected = reference_load_kept(path, keep)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_glove(path, keep=keep)
+        assert (got.value.line, got.value.message) == (exc.line, exc.message)
+        return
+    table = load_glove(path, keep=keep)
+    assert table.dim == expected.dim
+    assert set(table.vocab) == set(expected.vocab)
+    for token in expected.vocab:
+        assert table.lookup(token).tobytes() == \
+            expected.lookup(token).tobytes()
+    assert table.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def file_tokens(text: str) -> list[str]:
+    """The first field of each non-blank line, as text-mode reading sees it."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return sorted({line.split()[0] for line in lines if line.split()})
+
+
+@pytest.mark.parametrize("name", sorted(VALID_LAYOUTS) + sorted(BAD_LAYOUTS))
+def test_layouts_under_every_keep_subset(tmp_path, name):
+    text = {**VALID_LAYOUTS, **BAD_LAYOUTS}[name]
+    path = tmp_path / "v.txt"
+    path.write_bytes(text.encode("utf-8"))
+    tokens = file_tokens(text)
+    for keep in itertools.chain.from_iterable(
+            itertools.combinations(tokens, k) for k in range(len(tokens) + 1)):
+        assert_same_as_kept_reference(path, set(keep) | {"absent"})
+        if name in VALID_LAYOUTS:
+            full, kept = load_glove(path), load_glove(path, keep=keep)
+            assert set(kept.vocab) == set(keep)
+            for token in keep:
+                assert kept.lookup(token).tobytes() == \
+                    full.lookup(token).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LAYOUTS))
+def test_count_errors_do_not_depend_on_keep(tmp_path, name):
+    path = tmp_path / "v.txt"
+    path.write_bytes(BAD_LAYOUTS[name].encode("utf-8"))
+    with pytest.raises(ParseError) as full:
+        load_glove(path)
+    if full.value.message.startswith("non-numeric"):
+        return
+    for keep in (set(), set(file_tokens(BAD_LAYOUTS[name]))):
+        with pytest.raises(ParseError) as kept:
+            load_glove(path, keep=keep)
+        assert str(kept.value) == str(full.value)
+
+
+def test_non_numeric_value_on_unread_row_loads(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("a 1 2\nb 3 oops\nc 0x1p3 #4\n", encoding="utf-8")
+    table = load_glove(path, keep={"a"})
+    assert table.vocab == {"a": 0}
+    np.testing.assert_array_equal(table.lookup("a"), [1.0, 2.0])
+    np.testing.assert_array_equal(table.lookup("b"), [0.0, 0.0])
+    with pytest.raises(ParseError, match="non-numeric") as exc:
+        load_glove(path, keep={"a", "b"})
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("row, got", [
+    ("b  1 2", 2), ("b 1 2 ", 2), (" b 1 2", 2), ("b 1 2 3\t4", 4),
+    ("b 1 2 3\xa04", 4), ("b 1 2 3\x0b4", 4), ("b 1 2 3\x1c4", 4),
+    ("b 1 2 3\u30004", 4)])
+def test_row_with_dim_spaces_but_wrong_count_rejected(tmp_path, row, got):
+    # each row holds as many spaces as the file has values, but not as
+    # many values; a count of spaces alone would pass it
+    path = tmp_path / "v.txt"
+    path.write_text(f"a 1 2 3\n{row}\nc 4 5 6\n", encoding="utf-8")
+    for keep in (None, {"a"}, {"c"}):
+        with pytest.raises(ParseError) as exc:
+            load_glove(path, keep=keep)
+        assert exc.value.line == 2
+        assert exc.value.message == f"expected 3 values, got {got}"
+
+
+@pytest.mark.parametrize("policy, same", [
+    ("unk_token", ("a", "zzz", UNK_TOKEN)),
+    ("mean_vector", ("a", "b", "c", "zzz", UNK_TOKEN))])
+def test_unk_policies_look_up_as_without_keep(tmp_path, policy, same):
+    # unk_token keeps the <unk> row; mean_vector's mean needs every row
+    path = tmp_path / "v.txt"
+    path.write_text(f"a 0 2\nb 2 0\n{UNK_TOKEN} 5 6\nc 4 4\n",
+                    encoding="utf-8")
+    full = load_glove(path, unk_policy=policy)
+    kept = load_glove(path, unk_policy=policy, keep={"a", "zzz"})
+    for token in same:
+        assert kept.lookup(token).tobytes() == full.lookup(token).tobytes()
+
+
+def test_table_carries_sha256_of_file_bytes(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_bytes(b"a 1 2\r\nb 3 4\r\n\r\n")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_glove(path).sha256 == digest
+    assert load_glove(path, keep={"b"}).sha256 == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64])
+def test_blocks_cut_only_at_newlines(tmp_path, monkeypatch, chunk):
+    # tiny reads put block edges everywhere: inside tokens, values, CRLF
+    # pairs and multi-byte characters
+    monkeypatch.setattr(embeddings, "_READ_CHUNK", chunk)
+    text = ("\n é 1 2\r\nb\t3 4\rcafé 5 6\n\n  \nd 7 8\n"
+            "e 9　0\nb 1 x\nf 1 2")
+    path = tmp_path / "v.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert_same_as_reference(path)
+    for keep in ({"é"}, {"café", "f"}, {"e", "b"}):
+        assert_same_as_kept_reference(path, keep)
+    path.write_bytes(text.encode("utf-8") + b"\ng 1 2 3\n")
+    for keep in (None, {"f"}):
+        with pytest.raises(ParseError) as exc:
+            load_glove(path, keep=keep)
+        assert exc.value.line == 11
+
+
+@pytest.mark.parametrize("keep", [None, {"a"}, {"b"}])
+def test_not_utf8_names_file_and_line(tmp_path, keep):
+    path = tmp_path / "v.txt"
+    path.write_bytes("a 1 2\r\né 3 4\n\n".encode("utf-8") + b"b 5 \xff6\n")
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_glove(path, keep=keep)
+    assert exc.value.line == 4 and exc.value.path == path
+
+
+def test_precomputed_not_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "pc.jsonl"
+    path.write_bytes(b'{"id": "a", "layer": 1, "vectors": [[1.0]]}\n\n'
+                     b'{"id": "b\xff", "layer": 1, "vectors": [[1.0]]}\n')
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_precomputed(path)
+    assert exc.value.line == 3 and exc.value.path == path
+
+
+def test_kept_files_match_reference_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    tokens = st.sampled_from(["a", "b", "é", "<unk>", "x#"])
+    values = st.sampled_from(["1", "-2.5", ".5", "3e2", "inf", "NaN",
+                              "1e400", "x", "#1", "0x1p3"])
+    gaps = st.sampled_from([" ", " ", " ", "  ", "\t", "\xa0", "\x0b",
+                            "\x1c", "\x85", "\u2028"])
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r", " \n", "\n\n"])
+    row = st.builds(
+        lambda lead, token, vals, seps, end: lead + token + "".join(
+            s + v for s, v in zip(seps, vals)) + end,
+        st.sampled_from(["", "", " "]), tokens,
+        st.lists(values, min_size=0, max_size=3),
+        st.lists(gaps, min_size=3, max_size=3), ends)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(rows=st.lists(row, max_size=6),
+                      keep=st.sets(tokens, max_size=5),
+                      chunk=st.sampled_from([1, 4, 16, 1 << 20]))
+    def check(rows, keep, chunk):
+        path = tmp_path / "v.txt"
+        path.write_bytes("".join(rows).encode("utf-8"))
+        with mock.patch.object(embeddings, "_READ_CHUNK", chunk):
+            assert_same_as_kept_reference(path, keep)
+            assert_same_as_reference(path)
+
+    check()
