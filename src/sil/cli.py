@@ -207,7 +207,8 @@ def _load_source(cfg: dict, records, with_context: bool):
         table = load_glove(glove, cfg.get("unk_policy", "zero_vector"),
                            keep=_record_tokens(records, with_context))
         return table, (Path(glove), table.sha256)
-    return load_precomputed(precomputed), Path(precomputed)
+    source = load_precomputed(precomputed)
+    return source, (Path(precomputed), source.sha256)
 
 
 def _subset_records(records, cfg: dict):
@@ -576,7 +577,7 @@ def cmd_tune(cfg):
             if not path:
                 name, path = "precomputed", name
             sources[name] = load_precomputed(path)
-            inputs[name] = Path(path)
+            inputs[name] = (Path(path), sources[name].sha256)
     if not sources:
         raise ValidationError("tune needs --glove and/or --precomputed")
 
@@ -656,7 +657,8 @@ def cmd_eval(cfg):
     outputs.append(scatter_path)
 
     print(f"evaluated {len(preds)} items -> {out}")
-    return {"corpus": Path(cfg["corpus"]), "model": Path(cfg["model"]),
+    return {"corpus": Path(cfg["corpus"]),
+            "model": (Path(cfg["model"]), params.sha256),
             "embeddings": source_input}, outputs
 
 
@@ -712,7 +714,7 @@ def cmd_minimal_pairs(cfg):
     outputs.append(groups_path)
 
     print(f"scored {len(variants)} variants -> {out}")
-    inputs = {"model": Path(cfg["model"]),
+    inputs = {"model": (Path(cfg["model"]), params.sha256),
               "glove": (Path(cfg["glove"]), table.sha256)}
     if cfg.get("frames"):
         inputs["frames"] = Path(cfg["frames"])
@@ -762,7 +764,8 @@ def cmd_attention(cfg):
 
     print(f"attention analyses ({report.n_length_filtered} length-filtered, "
           f"{of_report.n_multi_of} multi-of) -> {out}")
-    return {"corpus": Path(cfg["corpus"]), "model": Path(cfg["model"]),
+    return {"corpus": Path(cfg["corpus"]),
+            "model": (Path(cfg["model"]), params.sha256),
             "embeddings": source_input}, outputs
 
 

@@ -40,8 +40,11 @@ UNK_TOKEN = "<unk>"
 UNK_POLICIES = ("zero_vector", "unk_token", "mean_vector")
 # rows per np.loadtxt call when a failed vector file is re-scanned
 _RESCAN_BLOCK = 1024
-# bytes per read of the streaming pass over a vector file
-_READ_CHUNK = 1 << 18
+# bytes per read of the streaming pass over a vector file: a block and
+# its full-size numpy temporaries stay under glibc's default 128 KiB mmap
+# threshold, so they are reused from the heap instead of being mapped and
+# faulted in afresh for every block
+_READ_CHUNK = 96 << 10
 
 
 @dataclass
@@ -91,6 +94,7 @@ class PrecomputedEmbeddings:
     dim: int
     layer_id: int
     table: dict[str, np.ndarray]
+    sha256: str | None = None  # of the file the vectors were loaded from
 
     def vectors_for(self, utterance_id: str) -> np.ndarray:
         if utterance_id not in self.table:
@@ -393,12 +397,24 @@ def save_glove(table: EmbeddingTable, path) -> None:
 
 
 def load_precomputed(path) -> PrecomputedEmbeddings:
-    """Read a JSON-lines precomputed-embedding file, validating uniformity."""
+    """Read a JSON-lines precomputed-embedding file, validating uniformity.
+
+    The file is read once; its bytes are hashed as they are read (the
+    result's `sha256`).
+    """
     path = Path(path)
+    with open(path, "rb", buffering=0) as fh:
+        reader = _Sha256Reader(fh)
+        source = _parse_precomputed(path, _text_lines(path, reader))
+    source.sha256 = reader.digest.hexdigest()
+    return source
+
+
+def _parse_precomputed(path: Path, lines) -> PrecomputedEmbeddings:
     table: dict[str, np.ndarray] = {}
     dim = None
     layer_id = None
-    for line_num, line in enumerate(_text_lines(path), start=1):
+    for line_num, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue

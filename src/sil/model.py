@@ -16,8 +16,10 @@ a product over a batch rounds differently from one over a single item).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -101,6 +103,7 @@ class ModelParams:
     """All trainable tensors, keyed by dotted names (e.g. "lstm.0.fw.W")."""
 
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    sha256: str | None = None  # of the checkpoint the tensors were read from
 
     def clone(self) -> "ModelParams":
         return ModelParams({n: a.copy() for n, a in self.tensors.items()})
@@ -631,7 +634,11 @@ def predict_batch(inputs, params: ModelParams, config: ModelConfig,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(params: ModelParams, config: ModelConfig, path) -> None:
-    """Write a versioned binary checkpoint; byte-identical for equal inputs."""
+    """Write a versioned binary checkpoint; byte-identical for equal inputs.
+
+    Each tensor goes to the file from its own buffer, not through a bytes
+    copy.
+    """
     names = params.names()
     header = {
         "config": config.to_dict(),
@@ -647,28 +654,42 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path) -> None:
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
         for n in names:
-            fh.write(np.ascontiguousarray(
-                params.tensors[n], dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(
+                params.tensors[n], dtype="<f8")))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
-    """Read a checkpoint; a malformed one raises IntegrityError naming it."""
+    """Read a checkpoint; a malformed one raises IntegrityError naming it.
+
+    The file is read once. The prefix and the JSON header come first, and
+    every tensor entry is checked against the config and the file's size
+    before any tensor byte is read. The tensor bytes are then read straight
+    into one aligned float64 buffer, and every tensor is a reshaped view of
+    that shared buffer: C-contiguous, aligned and writable. Every byte read
+    also goes to sha256, whose digest is the params' `sha256`.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return _parse_checkpoint(blob)
-    except IntegrityError as exc:
-        raise IntegrityError(f"{path}: {exc}") from None
+        try:
+            return _read_checkpoint(fh)
+        except IntegrityError as exc:
+            raise IntegrityError(f"{path}: {exc}") from None
 
 
-def _parse_checkpoint(blob: bytes) -> tuple[ModelParams, ModelConfig]:
-    if blob[:4] != CHECKPOINT_MAGIC:
+def _read_checkpoint(fh) -> tuple[ModelParams, ModelConfig]:
+    size = os.fstat(fh.fileno()).st_size
+    digest = hashlib.sha256()
+    prefix = fh.read(8)
+    digest.update(prefix)
+    if prefix[:4] != CHECKPOINT_MAGIC:
         raise IntegrityError("not a model checkpoint (bad magic)")
-    if len(blob) < 8:
+    if len(prefix) < 8:
         raise IntegrityError("checkpoint truncated in its header")
-    (header_len,) = struct.unpack("<I", blob[4:8])
+    (header_len,) = struct.unpack("<I", prefix[4:])
+    # a header length past the end of the file reads only what is there
+    header_bytes = fh.read(max(0, min(header_len, size - 8)))
+    digest.update(header_bytes)
     try:
-        header = json.loads(blob[8:8 + header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise IntegrityError("corrupt checkpoint header") from None
     if not isinstance(header, dict):
@@ -684,32 +705,36 @@ def _parse_checkpoint(blob: bytes) -> tuple[ModelParams, ModelConfig]:
         raise IntegrityError("checkpoint header params must be a list")
     config = ModelConfig.from_dict(header["config"])
     expected = param_shapes(config)
-    tensors: dict[str, np.ndarray] = {}
-    offset = 8 + header_len
+    layout: dict[str, slice] = {}  # each tensor's values in the buffer
+    stored = size - 8 - header_len  # bytes after the header
+    total = 0  # values in the tensors so far
     for entry in header["params"]:
         try:
             name, shape = entry["name"], tuple(int(d) for d in entry["shape"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise IntegrityError(
                 f"bad tensor entry {entry!r} in checkpoint header") from None
         if not isinstance(name, str) or name not in expected:
             raise IntegrityError(f"unexpected tensor {name!r} for its config")
-        if name in tensors:
+        if name in layout:
             raise IntegrityError(f"tensor {name!r} appears twice")
         if shape != expected[name]:
             raise IntegrityError(
                 f"tensor {name!r} has shape {shape}, but its config "
                 f"needs {expected[name]}")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        chunk = blob[offset:offset + nbytes]
-        if len(chunk) != nbytes:
+        layout[name] = slice(total, total + math.prod(shape))
+        total = layout[name].stop
+        if 8 * total > stored:
             raise IntegrityError(f"checkpoint truncated at tensor {name!r}")
-        tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob):
+    if 8 * total != stored:
         raise IntegrityError("trailing bytes after checkpoint tensors")
-    missing = [n for n in expected if n not in tensors]
+    missing = [n for n in expected if n not in layout]
     if missing:
         raise IntegrityError(f"checkpoint lacks tensors: {', '.join(missing)}")
-    return ModelParams(tensors), config
+    values = np.empty(total, dtype="<f8")
+    if fh.readinto(values) != values.nbytes:
+        raise IntegrityError("checkpoint changed while it was read")
+    digest.update(values)
+    tensors = {name: values[span].reshape(expected[name])
+               for name, span in layout.items()}
+    return ModelParams(tensors, sha256=digest.hexdigest()), config

@@ -130,7 +130,8 @@ def train(train_examples: list[Example], valid_examples: list[Example],
     epoch with the best validation r. With no usable validation signal
     (empty set or undefined r throughout) the final epoch's parameters
     are returned. A non-finite loss aborts training with a diagnostic on
-    the curve, returning the last checkpointed parameters.
+    the curve, returning the last checkpointed parameters. Parameters from
+    the last epoch trained are returned as they are, without a copy.
     """
     if not train_examples:
         raise ContractError("train set must be nonempty")
@@ -187,11 +188,12 @@ def train(train_examples: list[Example], valid_examples: list[Example],
         curve.epochs.append(EpochStats(train_mse=train_mse, valid_r=valid_r))
         if math.isfinite(valid_r) and valid_r > best_r:
             best_r = valid_r
-            best_params = params.clone()
+            # the last epoch's parameters are not updated again
+            best_params = params if epoch == config.epochs else params.clone()
             curve.best_epoch = epoch
 
     if best_params is None:
-        best_params = params.clone()
+        best_params = params
         curve.best_epoch = len(curve.epochs) if curve.epochs else None
     return best_params, curve
 

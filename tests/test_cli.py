@@ -1116,3 +1116,122 @@ def test_precomputed_with_context_exits_one(workspace, trained, tmp_path,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "precomputed vectors already reflect their context" in err
+
+
+# ---------------------------------------------------------------------------
+# checkpoints and precomputed files are read once too
+# ---------------------------------------------------------------------------
+
+def _record_hashed_files(monkeypatch):
+    """The paths `cli._sha256_file` hashes from now on, in a list."""
+    import sil.cli
+    hashed = []
+    real = sil.cli._sha256_file
+    monkeypatch.setattr(sil.cli, "_sha256_file",
+                        lambda path: hashed.append(str(path)) or real(path))
+    return hashed
+
+
+@pytest.mark.parametrize("command", ["eval", "minimal-pairs", "attention"])
+def test_manifest_hashes_checkpoint_from_the_load(workspace, trained, tmp_path,
+                                                  monkeypatch, command):
+    hashed = _record_hashed_files(monkeypatch)
+    argv, out, _ = _vector_commands(workspace, trained, tmp_path)[command]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / (out + ".manifest.json"))
+                          .read_text(encoding="utf-8"))
+    assert manifest["inputs"]["model"] == {
+        "path": str(trained),
+        "sha256": hashlib.sha256(trained.read_bytes()).hexdigest()}
+    assert str(trained) not in hashed
+
+
+def _precomputed_file(workspace, tmp_path):
+    rng = np.random.default_rng(6)
+    path = tmp_path / "pc.jsonl"
+    save_precomputed(PrecomputedEmbeddings(
+        dim=8, layer_id=0,
+        table={r.id: rng.standard_normal((len(r.tokens), 8))
+               for r in workspace["records"]}), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_hashes_precomputed_from_the_load(workspace, trained,
+                                                   tmp_path, monkeypatch,
+                                                   command):
+    hashed = _record_hashed_files(monkeypatch)
+    pc = _precomputed_file(workspace, tmp_path)
+    out = tmp_path / "o.bin"
+    argv = [command, "--corpus", str(workspace["corpus"]),
+            "--precomputed", str(pc), "--out", str(out)]
+    argv += (["--model", str(trained)] if command == "eval"
+             else ["--hidden-dim", "2", "--epochs", "1"])
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "o.bin.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["inputs"]["embeddings"] == {
+        "path": str(pc), "sha256": hashlib.sha256(pc.read_bytes()).hexdigest()}
+    assert str(pc) not in hashed
+
+
+def _read_once_cases(workspace, trained, tmp_path):
+    """argv and the input files it must open once, per command and source."""
+    corpus, glove, model = (str(workspace["corpus"]), str(workspace["glove"]),
+                            str(trained))
+    pc = str(_precomputed_file(workspace, tmp_path))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([
+        {"hidden_dim": 2, "dropout_rate": 0.0},
+        {"hidden_dim": 2, "dropout_rate": 0.0, "embedding": "pc"}]),
+        encoding="utf-8")
+    fit = ["--hidden-dim", "2", "--epochs", "1", "--batch-size", "8"]
+    out = ["--out", str(tmp_path / "o.csv")]
+    cases = {"tune": (["tune", "--corpus", corpus, "--glove", glove,
+                       "--precomputed", f"pc={pc}", "--grid", str(grid),
+                       "--k", "2", "--epochs", "1", *out], [glove, pc])}
+    for name, source in (("glove", ["--glove", glove]),
+                         ("precomputed", ["--precomputed", pc])):
+        vectors = source[1]
+        cases[f"train-{name}"] = (
+            ["train", "--corpus", corpus, *source, *fit,
+             "--out", str(tmp_path / "m.bin")], [vectors])
+        cases[f"cv-predict-{name}"] = (
+            ["cv-predict", "--corpus", corpus, *source, *fit, "--k", "2",
+             *out], [vectors])
+        cases[f"eval-{name}"] = (
+            ["eval", "--model", model, "--corpus", corpus, *source, *out],
+            [model, vectors])
+        cases[f"attention-{name}"] = (
+            ["attention", "--model", model, "--corpus", corpus, *source,
+             "--bootstrap", "10", *out], [model, vectors])
+    cases["minimal-pairs-glove"] = (
+        ["minimal-pairs", "--model", model, "--glove", glove,
+         "--bootstrap", "10", *out], [model, glove])
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    "train-glove", "train-precomputed", "eval-glove", "eval-precomputed",
+    "cv-predict-glove", "cv-predict-precomputed", "tune",
+    "minimal-pairs-glove", "attention-glove", "attention-precomputed"])
+def test_each_model_and_vector_file_is_opened_once(workspace, trained,
+                                                   tmp_path, monkeypatch,
+                                                   case):
+    import builtins
+    import io
+    argv, inputs = _read_once_cases(workspace, trained, tmp_path)[case]
+    opened = []
+    real = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.abspath(file))
+        return real(file, *args, **kwargs)
+
+    # pathlib opens through io.open
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    assert main(argv) == 0
+    for path in inputs:
+        assert opened.count(os.path.abspath(path)) == 1, path

@@ -156,6 +156,19 @@ def test_precomputed_file_round_trip(tmp_path):
         np.testing.assert_array_equal(again.table[rid], source.table[rid])
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
+def test_precomputed_load_hashes_the_bytes_it_reads(tmp_path, chunk):
+    path = tmp_path / "pc.jsonl"
+    path.write_bytes('{"id": "é", "layer": 2, "vectors": [[1.5, 2]]}\r\n\n'
+                     '{"id": "b", "layer": 2, "vectors": [[3, 4]]}'
+                     .encode("utf-8"))
+    with mock.patch.object(embeddings, "_READ_CHUNK", chunk):
+        source = load_precomputed(path)
+    assert source.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sorted(source.table) == ["b", "é"]
+    np.testing.assert_array_equal(source.table["é"], [[1.5, 2.0]])
+
+
 def test_precomputed_file_validates_uniformity(tmp_path):
     path = tmp_path / "pc.jsonl"
     path.write_text(

@@ -1,16 +1,21 @@
 """Encoder model: init, fused LSTM cell, forward pass, pooling, batched
 kernel, checkpoints."""
 
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from conftest import make_records, vocab_of, write_glove
 
 from sil.autodiff import backward, constant, finite_diff_check, parameter
+from sil.cli import main
+from sil.corpus import write_corpus
 from sil.errors import ContractError, IntegrityError, NumericError
-from sil.model import (CHECKPOINT_MAGIC, PREDICT_CHUNK, ModelConfig,
-                       attention_pool, final_state_pool, forward, init_params,
+from sil.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PREDICT_CHUNK,
+                       ModelConfig, ModelParams, attention_pool,
+                       final_state_pool, forward, init_params,
                        load_checkpoint, lstm_cell, param_shapes,
                        predict_batch, run_batch, save_checkpoint)
 
@@ -725,3 +730,187 @@ def test_checkpoint_loaded_params_run(tmp_path):
     original = float(forward(x, params, config).score.value)
     reloaded = float(forward(x, loaded_params, loaded_config).score.value)
     assert original == reloaded
+
+
+# ---------------------------------------------------------------------------
+# the one-read loader against the previous whole-blob parser
+# ---------------------------------------------------------------------------
+
+def reference_parse_checkpoint(blob: bytes) -> tuple[ModelParams, ModelConfig]:
+    """The loader's parser before it read into one buffer, kept verbatim:
+    it slices the file's bytes and copies each tensor out of them."""
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise IntegrityError("not a model checkpoint (bad magic)")
+    if len(blob) < 8:
+        raise IntegrityError("checkpoint truncated in its header")
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    try:
+        header = json.loads(blob[8:8 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise IntegrityError("corrupt checkpoint header") from None
+    if not isinstance(header, dict):
+        raise IntegrityError("corrupt checkpoint header")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise IntegrityError(
+            f"unsupported checkpoint version {header.get('format_version')}")
+    missing = [k for k in ("config", "params") if k not in header]
+    if missing:
+        raise IntegrityError(
+            f"checkpoint header has missing keys: {', '.join(missing)}")
+    if not isinstance(header["params"], list):
+        raise IntegrityError("checkpoint header params must be a list")
+    config = ModelConfig.from_dict(header["config"])
+    expected = param_shapes(config)
+    tensors: dict[str, np.ndarray] = {}
+    offset = 8 + header_len
+    for entry in header["params"]:
+        try:
+            name, shape = entry["name"], tuple(int(d) for d in entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise IntegrityError(
+                f"bad tensor entry {entry!r} in checkpoint header") from None
+        if not isinstance(name, str) or name not in expected:
+            raise IntegrityError(f"unexpected tensor {name!r} for its config")
+        if name in tensors:
+            raise IntegrityError(f"tensor {name!r} appears twice")
+        if shape != expected[name]:
+            raise IntegrityError(
+                f"tensor {name!r} has shape {shape}, but its config "
+                f"needs {expected[name]}")
+        count = int(np.prod(shape)) if shape else 1
+        nbytes = count * 8
+        chunk = blob[offset:offset + nbytes]
+        if len(chunk) != nbytes:
+            raise IntegrityError(f"checkpoint truncated at tensor {name!r}")
+        tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        offset += nbytes
+    if offset != len(blob):
+        raise IntegrityError("trailing bytes after checkpoint tensors")
+    missing = [n for n in expected if n not in tensors]
+    if missing:
+        raise IntegrityError(f"checkpoint lacks tensors: {', '.join(missing)}")
+    return ModelParams(tensors), config
+
+
+def load_outcome(load, *args):
+    """(config, [(name, shape, bytes)]) of a load, or its error message."""
+    try:
+        params, config = load(*args)
+    except IntegrityError as exc:
+        return str(exc)
+    return config, [(n, a.shape, a.tobytes())
+                    for n, a in params.tensors.items()]
+
+
+def assert_loads_as_reference(path):
+    """load_checkpoint(path) gives the reference parser's tensors, or an
+    IntegrityError naming the file with the reference's message."""
+    ours = load_outcome(load_checkpoint, path)
+    ref = load_outcome(reference_parse_checkpoint, path.read_bytes())
+    if isinstance(ref, str):
+        assert ours == f"{path}: {ref}"
+    else:
+        assert ours == ref
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(use_attention=False),
+                                dict(num_layers=3, hidden_dim=5)])
+def test_checkpoint_load_matches_reference_parser(tmp_path, kw):
+    config = small_config(seed=9, **kw)
+    params = init_params(config)
+    path = tmp_path / "m.bin"
+    save_checkpoint(params, config, path)
+    assert_loads_as_reference(path)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    buffer = loaded.tensors["head.b"].base
+    assert buffer.size == sum(p.size for p in params.tensors.values())
+    for name, tensor in loaded.tensors.items():
+        assert tensor.base is buffer
+        assert tensor.dtype == np.float64
+        assert tensor.flags.c_contiguous and tensor.flags.aligned
+        assert tensor.flags.writeable
+    # the tensors share one buffer but no bytes: writing one moves no other
+    for name, tensor in loaded.tensors.items():
+        tensor[...] = -1.0
+        for other, value in loaded.tensors.items():
+            if other != name:
+                assert value.tobytes() == params.tensors[other].tobytes()
+        tensor[...] = params.tensors[name]
+
+
+def test_checkpoint_infinite_shape_is_a_bad_entry(tmp_path):
+    config = small_config()
+    path = tmp_path / "m.bin"
+    save_checkpoint(init_params(config), config, path)
+    header, tensors = _read_header(path)
+    header["params"][0]["shape"] = [float("inf"), 3]  # JSON Infinity
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new
+                     + tensors)
+    with pytest.raises(IntegrityError, match="m.bin: bad tensor entry"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_truncated_inside_each_tensor_names_it(tmp_path):
+    config = small_config()
+    params = init_params(config)
+    path = tmp_path / "m.bin"
+    save_checkpoint(params, config, path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    start = 8 + header_len
+    for name in params.names():
+        nbytes = params.tensors[name].nbytes
+        for cut in (start, start + nbytes // 2, start + nbytes - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(IntegrityError) as exc:
+                load_checkpoint(path)
+            assert str(exc.value) == \
+                f"{path}: checkpoint truncated at tensor {name!r}"
+        start += nbytes
+    assert start == len(blob)
+
+
+def test_damaged_checkpoint_property(tmp_path, capsys):
+    """A checkpoint cut at any byte or with any one bit flipped loads as the
+    reference parser decodes it or fails with an IntegrityError naming the
+    file, and `sil eval` on it exits 0 or 1 without a traceback."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    records = make_records(6, seed=2)
+    corpus, glove = tmp_path / "corpus.tsv", tmp_path / "vectors.txt"
+    write_corpus(records, corpus)
+    write_glove(glove, vocab_of(records), dim=8)
+    config = small_config(input_dim=8, hidden_dim=2)
+    good = tmp_path / "good.bin"
+    save_checkpoint(init_params(config), config, good)
+    blob = good.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    path = tmp_path / "m.bin"
+    # half the draws land in the prefix and header, where the checks are
+    bits = st.one_of(st.integers(0, 8 * len(blob) - 1),
+                     st.integers(0, 8 * (8 + header_len) - 1))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(cut=st.booleans(), bit=bits)
+    def check(cut, bit):
+        data = bytearray(blob)
+        if cut:
+            del data[bit // 8:]
+        else:
+            data[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(data)
+        assert_loads_as_reference(path)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            rc = main(["eval", "--model", str(path), "--corpus", str(corpus),
+                       "--glove", str(glove),
+                       "--out", str(tmp_path / "e.csv")])
+        err = capsys.readouterr().err
+        assert rc in (0, 1), err
+        assert "Traceback" not in err
+        if rc == 1 and isinstance(load_outcome(load_checkpoint, path), str):
+            assert str(path) in err
+
+    check()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sil.errors import ContractError
-from sil.optim import AdamState, adam_step
+from sil.optim import ADAM_BLOCK, AdamState, adam_step
 
 # 5 steps from 0.0 with constant gradient 1.0 at default hyperparameters,
 # frozen from an independent scalar evaluation of the update equations
@@ -145,3 +145,37 @@ def test_in_place_update_is_bit_identical_to_reference_formula():
             assert ours[n].tobytes() == ref[n].tobytes(), n
             assert state.m[n].tobytes() == ref_state.m[n].tobytes(), n
             assert state.v[n].tobytes() == ref_state.v[n].tobytes(), n
+
+
+def test_blocked_update_is_bit_identical_at_block_boundaries():
+    rng = np.random.default_rng(8)
+    shapes = {"below": (ADAM_BLOCK - 1,), "one": (ADAM_BLOCK,),
+              "above": (ADAM_BLOCK + 1,), "several": (7, ADAM_BLOCK // 2 + 3),
+              "scalar": ()}
+    ours = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    ours["below"][:50] = -0.0
+    ref = {n: p.copy() for n, p in ours.items()}
+    state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+    for step in range(6):
+        grads = {n: np.asarray(rng.standard_normal(s) * 10.0 ** (step - 3))
+                 for n, s in shapes.items()}
+        for g in grads.values():
+            g[rng.random(g.shape) < 0.1] = -0.0
+        # a gradient need not be C-contiguous; only parameters are updated
+        grads["several"] = np.asfortranarray(grads["several"])
+        adam_step(ours, grads, state)
+        _reference_adam_step(ref, grads, ref_state)
+        for n in shapes:
+            assert ours[n].tobytes() == ref[n].tobytes(), (step, n)
+            assert state.m[n].tobytes() == ref_state.m[n].tobytes(), (step, n)
+            assert state.v[n].tobytes() == ref_state.v[n].tobytes(), (step, n)
+    assert all(buf.size == ADAM_BLOCK for buf in state.scratch)
+
+
+@pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T])
+def test_non_contiguous_parameter_rejected_not_lost(view):
+    base = np.zeros((4, 6))
+    p = view(base)
+    with pytest.raises(ContractError, match="'w' is not C-contiguous"):
+        adam_step({"w": p}, {"w": np.ones(p.shape)}, AdamState())
+    assert not base.any()

@@ -151,6 +151,50 @@ def test_no_validation_signal_keeps_final_epoch(tiny_records, tiny_table):
     assert all(math.isnan(e.valid_r) for e in curve.epochs)
 
 
+@pytest.mark.parametrize("epochs", [3, 2])
+def test_best_epoch_parameters_are_that_epochs_snapshot(tiny_records,
+                                                        tiny_table,
+                                                        monkeypatch, epochs):
+    # validation r peaks at epoch 2 of 3 under this seed and rate
+    import sil.trainer
+    snapshots = []
+    real = sil.trainer.evaluate
+
+    def snapshot_then_evaluate(examples, params, config):
+        snapshots.append(params.clone())
+        return real(examples, params, config)
+
+    monkeypatch.setattr(sil.trainer, "evaluate", snapshot_then_evaluate)
+    examples = examples_from_records(tiny_records, tiny_table)
+    config = tiny_train_config(epochs=epochs, lr=0.05, seed=1)
+    params, curve = train(examples[:16], examples[16:], config)
+    assert curve.best_epoch == 2
+    best, last = snapshots[1], snapshots[-1]
+    for name in best.names():
+        assert params.tensors[name].tobytes() == best.tensors[name].tobytes()
+    if epochs == 3:
+        assert any(params.tensors[n].tobytes() != last.tensors[n].tobytes()
+                   for n in last.names())
+
+
+def test_no_validation_returns_the_final_parameters(tiny_records, tiny_table,
+                                                    monkeypatch):
+    import sil.trainer
+    after_step = []
+    real = sil.trainer.adam_step
+
+    def step_then_snapshot(params, grads, state):
+        real(params, grads, state)
+        after_step.append({n: a.tobytes() for n, a in params.items()})
+
+    monkeypatch.setattr(sil.trainer, "adam_step", step_then_snapshot)
+    examples = examples_from_records(tiny_records, tiny_table)
+    params, curve = train(examples[:16], [], tiny_train_config(epochs=2))
+    assert curve.best_epoch == 2
+    assert {n: a.tobytes() for n, a in params.tensors.items()} == \
+        after_step[-1]
+
+
 def test_empty_train_set_rejected(tiny_table):
     with pytest.raises(ContractError):
         train([], [], tiny_train_config())
