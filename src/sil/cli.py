@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (kfold, parse_corpus, rescale_rating, split, truncate,
-                     unscale_rating, write_corpus, FeatureVector,
-                     UtteranceRecord)
+from .corpus import (kfold, parse_corpus, read_rows, read_text,
+                     rescale_rating, split, unscale_rating, write_corpus,
+                     FeatureVector, UtteranceRecord)
 from .embeddings import embed_utterance, load_glove, load_precomputed, tokenize
 from .errors import (ContractError, IntegrityError, NumericError, ParseError,
                      UndefinedCorrelationError, ValidationError)
@@ -113,9 +113,11 @@ def _sha256_file(path) -> str:
 
 def _read_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply") from None
 
 
 def _effective_config(args) -> dict:
@@ -230,7 +232,6 @@ def _model_train_config(cfg: dict, input_dim: int, model_seed: int,
             use_attention=cfg["pooling"] == "attention",
             seed=model_seed),
         epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        with_context=cfg["with_context"], pooling=cfg["pooling"],
         grad_clip=cfg.get("grad_clip"), seed=train_seed)
 
 
@@ -297,9 +298,8 @@ def _import_indices(cell: str, path: Path, what: str, row: int) -> list[int]:
 
 def cmd_import(cfg):
     raw_path = Path(cfg["input"])
-    delimiter = "\t" if raw_path.suffix.lower() == ".tsv" else ","
-    with open(raw_path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+    rows = read_rows(raw_path,
+                     "\t" if raw_path.suffix.lower() == ".tsv" else ",")
     if not rows:
         raise ValidationError(f"{raw_path}: empty input")
     header = [h.strip().lower() for h in rows[0]]
@@ -557,13 +557,15 @@ def cmd_tune(cfg):
     by_id = _records_by_id(records)
     train_records = [by_id[i] for i in sp.train_ids]
 
+    inputs = {"corpus": Path(cfg["corpus"])}
     grid_obj = cfg.get("grid") or PAPER_GRID
     if isinstance(grid_obj, str):
         grid = _parse_grid(_read_json(grid_obj), path=grid_obj)
+        inputs["grid"] = Path(grid_obj)
     else:
         grid = _parse_grid(grid_obj)
 
-    sources, inputs = {}, {"corpus": Path(cfg["corpus"])}
+    sources = {}
     if cfg.get("glove"):
         with_context = any(point.with_context for point in grid)
         table = load_glove(cfg["glove"], cfg["unk_policy"],
@@ -622,12 +624,9 @@ def cmd_eval(cfg):
     params, mconfig = load_checkpoint(cfg["model"])
     records = _subset_records(parse_corpus(cfg["corpus"]), cfg)
     source, source_input = _load_source(cfg, records, cfg["with_context"])
-    pooling = "attention" if mconfig.use_attention else "final_state"
-
-    mode = "with_context" if cfg["with_context"] else "target_only"
-    embedded = [embed_utterance(truncate(record, mode), source,
-                                cfg["with_context"]) for record in records]
-    scores, attention = predict_batch(embedded, params, mconfig, pooling)
+    embedded = [embed_utterance(record, source, cfg["with_context"])
+                for record in records]
+    scores, attention = predict_batch(embedded, params, mconfig)
     if attention is None:
         attention = [[] for _ in records]
     preds = [(record.id, float(score), list(weights), record.mean_rating)
@@ -724,8 +723,6 @@ def cmd_minimal_pairs(cfg):
 def cmd_attention(cfg):
     records = parse_corpus(cfg["corpus"])
     params, mconfig = load_checkpoint(cfg["model"])
-    if not mconfig.use_attention:
-        raise ValidationError("checkpoint was trained without attention")
     source, source_input = _load_source(cfg, records, with_context=False)
     weights = attention_for_records(records, params, mconfig, source)
     seed = cfg["seed"]
@@ -771,20 +768,25 @@ def cmd_attention(cfg):
 
 def cmd_regress(cfg):
     records = parse_corpus(cfg["corpus"])
+    path = cfg["predictions"]
+    rows = read_rows(path)
+    if not rows or "id" not in rows[0] or "score" not in rows[0]:
+        raise ValidationError("need id,score columns", path=path)
     preds: dict[str, float] = {}
-    with open(cfg["predictions"], encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or "id" not in reader.fieldnames \
-                or "score" not in reader.fieldnames:
+    for row_num, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue  # a blank line holds no prediction
+        cells = dict(zip(rows[0], row))
+        rid = cells.get("id")
+        if rid in preds:
+            raise ValidationError(f"duplicate id {rid!r}", row=row_num,
+                                  path=path)
+        try:
+            preds[rid] = float(cells.get("score"))
+        except (TypeError, ValueError):
             raise ValidationError(
-                f"{cfg['predictions']}: need id,score columns")
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                preds[row["id"]] = float(row["score"])
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"cannot read score from {row['score']!r}",
-                    row=row_num, path=cfg["predictions"]) from None
+                f"cannot read score from {cells.get('score')!r}",
+                row=row_num, path=path) from None
 
     interactions = []
     if cfg["interactions"]:

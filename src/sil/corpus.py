@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -137,6 +138,35 @@ def _check_rating(value: float, what: str, row: int) -> float:
     if not 1.0 <= value <= 7.0:
         raise ValidationError(f"{what} {value} outside [1, 7]", row=row)
     return value
+
+
+def _not_utf8(path, data: bytes, exc: UnicodeDecodeError,
+              base: int = 0) -> ParseError:
+    """The ParseError for `data`, which `exc` failed to decode, naming the
+    line of the bad byte; `base` lines come before `data` in the file."""
+    head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return ParseError(f"not UTF-8 text ({exc.reason})",
+                      line=base + head.count(b"\n") + 1, path=path)
+
+
+def read_text(path) -> str:
+    """UTF-8 file `path` as text; a bad byte is a ParseError naming it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, data, exc) from None
+
+
+def read_rows(path, delimiter: str = ",") -> list[list[str]]:
+    """The `csv` rows of text file `path`; a bad byte or a row `csv`
+    rejects (a field over 131 072 characters) is a ParseError naming it."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""),
+                        delimiter=delimiter)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num, path=path) from None
 
 
 def parse_corpus(path) -> list[UtteranceRecord]:

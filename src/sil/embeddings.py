@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import _not_utf8, read_text, truncate
 from .errors import ContractError, IntegrityError, ParseError
 
 UNK_TOKEN = "<unk>"
@@ -312,15 +313,6 @@ def _checked_text(block: bytes, base: int, path) -> bytes:
     return block
 
 
-def _not_utf8(path, data: bytes, exc: UnicodeDecodeError,
-              base: int = 0) -> ParseError:
-    """The ParseError for `data`, which `exc` failed to decode, naming the
-    line of the bad byte; `base` lines come before `data` in the file."""
-    head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return ParseError(f"not UTF-8 text ({exc.reason})",
-                      line=base + head.count(b"\n") + 1, path=path)
-
-
 def _text_lines(path: Path, raw=None):
     """The lines of UTF-8 text file `path`, read in text mode.
 
@@ -334,11 +326,7 @@ def _text_lines(path: Path, raw=None):
             return
         except UnicodeDecodeError:
             pass  # the decoder works in chunks; find the line below
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, data, exc) from None
+    read_text(path)  # raises the ParseError naming the bad byte's line
 
 
 def _parse_values(rests: list[str], dim: int) -> np.ndarray | None:
@@ -469,15 +457,17 @@ def save_precomputed(embeddings: PrecomputedEmbeddings, path) -> None:
 
 
 def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
-    """Input matrix for one (already truncated) record.
+    """Input matrix for one record, which `corpus.truncate` cuts first.
 
     Static tables look up context + target tokens (context prepended when
     with_context is set). Precomputed sources hold one row per token of
     the whole target, computed offline with whatever context the encoder
     saw, so with_context is rejected for them. The rows must number the
-    untruncated target's tokens (`features.utterance_length`); a target
-    that `truncate` cut takes the rows of the tokens it kept.
+    untruncated target's tokens (`features.utterance_length`); a cut
+    target takes the rows of the tokens it kept.
     """
+    record = truncate(record, "with_context" if with_context
+                      else "target_only")
     if isinstance(source, PrecomputedEmbeddings):
         if with_context:
             raise ContractError(

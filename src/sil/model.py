@@ -4,7 +4,8 @@ Embedded tokens feed a 2-layer bidirectional LSTM; the top layer's states
 are pooled either by single-head additive self-attention (a weighted
 average with weights softmax(v . tanh(W h_t))) or by concatenating the
 two directions' final states; an affine head with a logistic sigmoid maps
-the pooled vector to a score in (0, 1).
+the pooled vector to a score in (0, 1). `ModelConfig.use_attention`
+alone decides the pooling, so a loaded model pools as it was trained.
 
 `run_batch` is the production path: one call packs a batch of ragged
 sequences and runs forward and, in train mode, hand-written backward
@@ -33,9 +34,6 @@ from .seeding import rng_for
 
 CHECKPOINT_MAGIC = b"SIL1"
 CHECKPOINT_VERSION = 1
-
-POOLING_MODES = ("attention", "final_state")
-
 
 @dataclass
 class ModelConfig:
@@ -231,29 +229,17 @@ def _checked_input(embedded, config: ModelConfig) -> np.ndarray:
     return embedded
 
 
-def _checked_pooling(pooling: str | None, params: ModelParams,
-                     config: ModelConfig) -> str:
-    if pooling is None:
-        pooling = "attention" if config.use_attention else "final_state"
-    if pooling not in POOLING_MODES:
-        raise ContractError(f"unknown pooling {pooling!r}")
-    if pooling == "attention" and "attn.W" not in params.tensors:
-        raise ContractError("attention pooling requires attention parameters")
-    return pooling
-
-
 def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
-            train: bool = False, rng=None, pooling: str | None = None
-            ) -> ForwardPass:
+            train: bool = False, rng=None) -> ForwardPass:
     """Run the encoder on one utterance's embedding matrix (T x input_dim).
 
     Reference implementation on the autodiff tape; `run_batch` computes
     the same model for production callers. Train mode applies inverted
     dropout to the outputs of every non-final biLSTM layer and requires an
-    rng; eval mode is deterministic.
+    rng; eval mode is deterministic. The model pools by attention if
+    `config.use_attention`, else by the final states.
     """
     embedded = _checked_input(embedded, config)
-    pooling = _checked_pooling(pooling, params, config)
     if train and config.dropout_rate > 0.0 and rng is None:
         raise ContractError("train-mode forward needs an rng for dropout")
 
@@ -300,7 +286,7 @@ def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
         inputs = outputs
 
     h_mat = stack(inputs)
-    if pooling == "attention":
+    if config.use_attention:
         weights, pooled = _attention_nodes(h_mat, nodes["attn.W"],
                                            nodes["attn.v"])
         attention = weights.value.copy()
@@ -465,24 +451,22 @@ def _lstm_backward(dH, G, C, TC, U, packing, direction) -> np.ndarray:
 
 
 def run_batch(inputs, params: ModelParams, config: ModelConfig,
-              pooling: str | None = None, targets=None, rng=None
-              ) -> BatchPass:
+              targets=None, rng=None) -> BatchPass:
     """Score a batch of ragged (T_i x input_dim) inputs in one pass.
 
     With `targets` the call runs in train mode: inverted dropout on every
     non-final biLSTM layer (masks drawn item by item in batch order, one
     `rng.random((T_i, 2H))` per layer, the per-item tape's stream order),
     squared-error losses, and the gradients of their sum w.r.t. every
-    parameter the pooling reaches. Raises NumericError for a non-finite
-    loss or gradient. Eval mode computes no gradients. Both modes run
-    the same whole-batch products: with dropout off they give the same
-    scores bit for bit, and a score moves with the rest of the batch only
-    in rounding (within 1e-12 of the per-item tape).
+    parameter. `config.use_attention` selects the pooling. Raises
+    NumericError for a non-finite loss or gradient. Eval mode computes no
+    gradients. Both modes run the same whole-batch products: with dropout
+    off they give the same scores bit for bit, and a score moves with the
+    rest of the batch only in rounding (within 1e-12 of the per-item tape).
     """
     inputs = [_checked_input(x, config) for x in inputs]
     if not inputs:
         raise ContractError("run_batch needs at least one input")
-    pooling = _checked_pooling(pooling, params, config)
     train = targets is not None
     if train:
         targets = np.asarray(targets, dtype=np.float64)
@@ -527,7 +511,8 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     top = X
 
     N = len(inputs)
-    if pooling == "attention":
+    attend = config.use_attention
+    if attend:
         # scores over all packed rows at once; an item's rows are strided,
         # so only its softmax and weighted sum run per item
         A = np.tanh(top @ P["attn.W"])
@@ -544,7 +529,7 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     scores = np.empty(N)
     scores[order] = sorted_scores
     attention = None
-    if pooling == "attention":
+    if attend:
         attention = [None] * N
         for k, w in zip(order, weights):
             attention[k] = w
@@ -565,7 +550,7 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     grads["head.b"] = np.asarray(d_logit.sum())
     d_pooled = d_logit[:, None] * P["head.w"]
     d_top = np.zeros_like(top)
-    if pooling == "attention":
+    if attend:
         d_e = np.empty(packing.total)
         for k, (w, rows) in enumerate(zip(weights, item_rows)):
             dw = top[rows] @ d_pooled[k]
@@ -605,23 +590,21 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
                      grads=grads)
 
 
-def predict_batch(inputs, params: ModelParams, config: ModelConfig,
-                  pooling: str | None = None
+def predict_batch(inputs, params: ModelParams, config: ModelConfig
                   ) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Eval-mode scores and attention weights for any number of inputs.
 
     Inputs are sorted by length and run `PREDICT_CHUNK` at a time, so
     each chunk packs items of similar length; results come back in input
-    order. Attention is None under final-state pooling.
+    order. Attention is None for a model built without attention.
     """
     inputs = list(inputs)
-    pooling = _checked_pooling(pooling, params, config)
     order = sorted(range(len(inputs)), key=lambda i: -len(inputs[i]))
     scores = np.empty(len(inputs))
-    attention = [None] * len(inputs) if pooling == "attention" else None
+    attention = [None] * len(inputs) if config.use_attention else None
     for start in range(0, len(order), PREDICT_CHUNK):
         idx = order[start:start + PREDICT_CHUNK]
-        res = run_batch([inputs[i] for i in idx], params, config, pooling)
+        res = run_batch([inputs[i] for i in idx], params, config)
         scores[idx] = res.scores
         if attention is not None:
             for i, w in zip(idx, res.attention):

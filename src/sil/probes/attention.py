@@ -1,8 +1,8 @@
 """Attention-weight analyses over corpus records.
 
 All analyses consume per-record attention vectors from eval-mode forwards
-on target-only truncated records, so positions are 0-based indices into
-the truncated token list.
+on target-only records, which `embed_utterance` truncates, so positions
+are 0-based indices into the truncated token list.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import truncate
 from ..embeddings import embed_utterance
 from ..errors import ContractError
 from ..metrics import bootstrap_ci
@@ -19,11 +18,16 @@ from ..model import predict_batch
 
 
 def attention_for_records(records, params, config, source) -> dict[str, np.ndarray]:
-    """Eval-mode attention weights per record id (target-only inputs)."""
+    """Eval-mode attention weights per record id (target-only inputs).
+
+    Raises ContractError for a model built without attention.
+    """
+    if not config.use_attention:
+        raise ContractError("the model was built without attention, so it "
+                            "has no attention weights")
     records = list(records)
-    embedded = [embed_utterance(truncate(record, "target_only"), source,
-                                with_context=False) for record in records]
-    _, attention = predict_batch(embedded, params, config, "attention")
+    embedded = [embed_utterance(record, source) for record in records]
+    _, attention = predict_batch(embedded, params, config)
     return {record.id: w for record, w in zip(records, attention)}
 
 

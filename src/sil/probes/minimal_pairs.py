@@ -11,15 +11,13 @@ belongs to the some-NP alone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
-from ..corpus import unscale_rating
-from ..embeddings import embed_utterance, tokenize
+from ..corpus import read_rows, unscale_rating
+from ..embeddings import tokenize
 from ..errors import ValidationError
 from ..metrics import bootstrap_ci
 from ..model import predict_batch
@@ -72,11 +70,8 @@ class MinimalPairVariant:
 def load_frames(path=None) -> list[SentenceFrame]:
     """Read the frame table; defaults to the bundled 25-frame file."""
     if path is None:
-        ref = resources.files("sil").joinpath("data/frames.tsv")
-        text = ref.read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    rows = list(csv.reader(text.splitlines(), delimiter="\t"))
+        path = resources.files("sil").joinpath("data/frames.tsv")
+    rows = read_rows(path, "\t")
     if not rows:
         raise ValidationError("empty frames file")
     header = rows[0]
@@ -162,12 +157,11 @@ def generate_minimal_pairs(frames: list[SentenceFrame]
     return variants
 
 
-def score_variants(variants, params, config, table,
-                   pooling: str | None = None) -> np.ndarray:
+def score_variants(variants, params, config, table) -> np.ndarray:
     """Eval-mode model scores in [0, 1] for each variant's tokenization."""
     embedded = [np.vstack([table.lookup(t) for t in variant.tokens()])
                 for variant in variants]
-    scores, _ = predict_batch(embedded, params, config, pooling)
+    scores, _ = predict_batch(embedded, params, config)
     return scores
 
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import rescale_rating, truncate
+from .corpus import rescale_rating
 from .embeddings import embed_utterance
 from .errors import ContractError, NumericError, UndefinedCorrelationError
 from .metrics import pearson
 from .model import (ModelConfig, ModelParams, init_params, predict_batch,
-                    run_batch, POOLING_MODES)
+                    run_batch)
 from .optim import AdamState, adam_step
 from .seeding import derive_seed, rng_for
 
@@ -43,8 +43,6 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 32
     lr: float = 0.001
-    with_context: bool = False
-    pooling: str = "attention"
     grad_clip: float | None = None  # off by default
     seed: int = 0
 
@@ -53,17 +51,6 @@ class TrainConfig:
             raise ContractError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
-        if self.pooling not in POOLING_MODES:
-            raise ContractError(f"unknown pooling {self.pooling!r}")
-        # the pooling decides which parameters get gradients, so it must
-        # match the parameters the model is built with
-        if self.pooling == "attention" and not self.model.use_attention:
-            raise ContractError(
-                "attention pooling needs a model built with use_attention")
-        if self.pooling == "final_state" and self.model.use_attention:
-            raise ContractError(
-                "final_state pooling would leave the attention parameters "
-                "untrained; build the model with use_attention=False")
 
 
 @dataclass
@@ -85,22 +72,19 @@ class LearningCurve:
 
 def examples_from_records(records, source, with_context: bool = False,
                           rating_attr: str = "mean_rating") -> list[Example]:
-    """Truncate, embed and rescale records into trainer-ready examples.
+    """Embed and rescale records into trainer-ready examples.
 
-    No-context runs truncate targets to their first 30 tokens; context
-    runs truncate the context to its last 150 tokens and keep the target
-    whole, with context tokens prepended at embedding time.
+    Records without a `rating_attr` rating are skipped; `embed_utterance`
+    truncates the others.
     """
-    mode = "with_context" if with_context else "target_only"
     out = []
     for record in records:
         rating = getattr(record, rating_attr)
         if rating is None:
             continue
-        truncated = truncate(record, mode)
         out.append(Example(
             id=record.id,
-            embedded=embed_utterance(truncated, source, with_context),
+            embedded=embed_utterance(record, source, with_context),
             target=rescale_rating(rating)))
     return out
 
@@ -109,7 +93,7 @@ def evaluate(examples: list[Example], params: ModelParams,
              config: TrainConfig) -> np.ndarray:
     """Eval-mode scores for examples, in input order."""
     scores, _ = predict_batch([ex.embedded for ex in examples], params,
-                              config.model, config.pooling)
+                              config.model)
     return scores
 
 
@@ -160,8 +144,7 @@ def train(train_examples: list[Example], valid_examples: list[Example],
                          for i in order[start:start + config.batch_size]]
                 result = run_batch(
                     [ex.embedded for ex in batch], params, config.model,
-                    config.pooling, targets=[ex.target for ex in batch],
-                    rng=dropout_rng)
+                    targets=[ex.target for ex in batch], rng=dropout_rng)
                 sq_errors.extend(result.losses.tolist())
                 grads = result.grads
                 for g in grads.values():
@@ -290,9 +273,7 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
                     dropout_rate=point.dropout_rate,
                     use_attention=point.pooling == "attention",
                     seed=fold_seed),
-                epochs=epochs, batch_size=batch_size, lr=lr,
-                with_context=point.with_context, pooling=point.pooling,
-                seed=fold_seed)
+                epochs=epochs, batch_size=batch_size, lr=lr, seed=fold_seed)
             train_ex = [pool[i] for i in train_ids if i in pool]
             heldout_ex = [pool[i] for i in heldout_ids if i in pool]
             tasks.append((p_idx, f_idx, train_ex, heldout_ex, config))

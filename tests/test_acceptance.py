@@ -164,17 +164,16 @@ def test_criterion_1_gradients_match_finite_differences():
             dropout_rate=0.0,
             use_attention=trial % 2 == 0,
             seed=trial)
-        pooling = "attention" if config.use_attention else "final_state"
         params = init_params(config)
         x = rng.standard_normal((int(rng.integers(1, 6)),
                                  config.input_dim)) * 0.5
         target = float(rng.uniform(0.2, 0.8))
 
         def loss_value():
-            s = forward(x, params, config, pooling=pooling).score.value
+            s = forward(x, params, config).score.value
             return (float(s) - target) ** 2
 
-        fp = forward(x, params, config, pooling=pooling)
+        fp = forward(x, params, config)
         diff = fp.score - constant(np.array(target))
         grads = backward(diff * diff)
         eps = 1e-5

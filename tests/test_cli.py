@@ -1235,3 +1235,146 @@ def test_each_model_and_vector_file_is_opened_once(workspace, trained,
     assert main(argv) == 0
     for path in inputs:
         assert opened.count(os.path.abspath(path)) == 1, path
+
+
+# ---------------------------------------------------------------------------
+# malformed text inputs exit 1 naming the file, never with a traceback
+# ---------------------------------------------------------------------------
+
+NOT_UTF8 = b"id,score\nu000,0.5\n\xff\xfe,0.1\n"
+HUGE_FIELD = b"id,score\nu000,0.5\n" + b"a" * 131_073 + b",0.1\n"
+
+
+def _text_input_argv(workspace, kind, path, out):
+    """argv of a command that reads `path` as its `kind` input.
+
+    Every other input is valid, or a missing file where a valid `path`
+    would otherwise start training or scoring, and `import` writes below
+    a plain file, so no argv can succeed.
+    """
+    corpus, glove = str(workspace["corpus"]), str(workspace["glove"])
+    missing = str(out.parent / "missing.bin")
+    blocker = out.parent / "blocker"
+    blocker.touch()
+    return {
+        "corpus": ["train", "--corpus", path, "--glove", missing,
+                   "--out", str(out)],
+        "frames": ["minimal-pairs", "--frames", path, "--model", missing,
+                   "--glove", glove, "--out", str(out)],
+        "predictions": ["regress", "--corpus", corpus, "--predictions", path,
+                        "--bootstrap", "0", "--out", str(out)],
+        "config": ["ceiling", "--config", path, "--out", str(out)],
+        "grid": ["tune", "--corpus", corpus, "--glove", missing,
+                 "--grid", path, "--out", str(out)],
+        "import": ["import", "--input", path,
+                   "--output", str(blocker / "out.tsv")],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind, content, named", [
+    ("frames", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
+    ("predictions", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
+    ("config", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
+    ("grid", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
+    ("import", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
+    ("predictions", HUGE_FIELD,
+     "line 3: field larger than field limit (131072)"),
+    ("import", HUGE_FIELD, "line 3: field larger than field limit (131072)"),
+    ("config", b"[" * 100_000, "JSON nested too deeply"),
+    ("grid", b'{"a": ' * 100_000, "JSON nested too deeply"),
+], ids=["frames-utf8", "predictions-utf8", "config-utf8", "grid-utf8",
+        "import-utf8", "predictions-field", "import-field", "config-depth",
+        "grid-depth"])
+def test_malformed_text_input_names_file(workspace, tmp_path, capsys, kind,
+                                         content, named):
+    path = tmp_path / "input.csv"
+    path.write_bytes(content)
+    out = tmp_path / "out.csv"
+    assert main(_text_input_argv(workspace, kind, str(path), out)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}: {named}" in err
+    assert not out.exists()
+
+
+def test_regress_duplicate_prediction_id_exits_one(workspace, tmp_path,
+                                                   capsys):
+    preds = tmp_path / "p.csv"
+    _write_predictions(workspace, preds)
+    rid = workspace["records"][1].id
+    with open(preds, "a", encoding="utf-8", newline="") as fh:
+        fh.write(f"{rid},0.9\n")
+    out = tmp_path / "r.csv"
+    rc = main(["regress", "--corpus", str(workspace["corpus"]),
+               "--predictions", str(preds), "--bootstrap", "0",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    row = len(workspace["records"]) + 2
+    assert f"{preds}: row {row}: duplicate id {rid!r}" in err
+    assert not out.exists()
+
+
+def test_regress_skips_blank_prediction_lines(workspace, tmp_path):
+    preds = tmp_path / "p.csv"
+    _write_predictions(workspace, preds)
+    lines = preds.read_text(encoding="utf-8").split("\n")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n",
+                      encoding="utf-8")
+    outs = []
+    for path in (preds, spaced):
+        out = tmp_path / f"{path.stem}.out.csv"
+        assert main(["regress", "--corpus", str(workspace["corpus"]),
+                     "--predictions", str(path), "--bootstrap", "0",
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_tune_manifest_hashes_grid_file(workspace, tmp_path):
+    argv, _ = _tune_precomputed(workspace, tmp_path)
+    out = tmp_path / "tune.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "tune.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    grid = tmp_path / "grid.json"
+    assert manifest["inputs"]["grid"] == {
+        "path": str(grid),
+        "sha256": hashlib.sha256(grid.read_bytes()).hexdigest()}
+
+
+# a valid start for each kind of file, so that random bytes after it reach
+# the row and value checks and not only the header check
+_VALID_STARTS = {
+    "corpus": "\t".join(COLUMNS).encode("utf-8") + b"\n",
+    "frames": b"frame_id\tverb_active\n",
+    "predictions": b"id,score\n",
+    "config": b'{"corpus": ',
+    "grid": b'[{"hidden_dim": ',
+    "import": b"id,sentence,partitive,strength,mention,subjecthood,"
+              b"modification,mean_rating\n",
+}
+
+
+def test_random_bytes_in_text_inputs_never_raise(workspace, tmp_path,
+                                                 capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(kind=st.sampled_from(sorted(_VALID_STARTS)),
+                      valid_start=st.booleans(),
+                      data=st.binary(max_size=300))
+    def check(kind, valid_start, data):
+        path = tmp_path / "input.csv"
+        path.write_bytes(_VALID_STARTS[kind] * valid_start + data)
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        rc = main(_text_input_argv(workspace, kind, str(path), out))
+        assert rc in (1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    check()

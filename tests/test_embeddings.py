@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sil import embeddings
+from sil.corpus import truncate
 from sil.embeddings import (EmbeddingTable, PrecomputedEmbeddings,
                             UNK_TOKEN, embed_utterance, load_glove,
                             load_precomputed, save_glove, save_precomputed,
@@ -121,6 +122,27 @@ def test_embed_shapes_without_and_with_context():
     assert with_ctx.shape == (12, 100)
     # context rows come first
     np.testing.assert_array_equal(with_ctx[7:], no_ctx)
+
+
+def test_embed_utterance_truncates_the_record():
+    record = make_records(1, seed=0, with_context=True)[0]
+    record.tokens = ["some"] + ["dogs"] * 44
+    record.context_tokens = ["a"] * 160
+    record.features.utterance_length = 45
+    table = make_table(["some", "dogs", "a"], dim=4)
+    # targets keep their first 30 tokens; contexts their last 150, with
+    # the target whole; a record cut before the call is cut the same
+    for with_context, rows in ((False, 30), (True, 150 + 45)):
+        mode = "with_context" if with_context else "target_only"
+        full = embed_utterance(record, table, with_context)
+        assert full.shape == (rows, 4)
+        cut = embed_utterance(truncate(record, mode), table, with_context)
+        assert cut.tobytes() == full.tobytes()
+    source = PrecomputedEmbeddings(
+        dim=3, layer_id=0,
+        table={record.id: np.arange(45 * 3.0).reshape(45, 3)})
+    np.testing.assert_array_equal(embed_utterance(record, source),
+                                  source.table[record.id][:30])
 
 
 def test_precomputed_count_must_match_tokens():

@@ -228,20 +228,6 @@ def test_width_mismatch_rejected():
         forward(np.zeros((2, 5)), params, config)
 
 
-def test_unknown_pooling_rejected():
-    config = small_config()
-    params = init_params(config)
-    with pytest.raises(ContractError):
-        forward(np.zeros((2, 3)), params, config, pooling="mean")
-
-
-def test_attention_pooling_requires_attention_params():
-    config = small_config(use_attention=False)
-    params = init_params(config)
-    with pytest.raises(ContractError):
-        forward(np.zeros((2, 3)), params, config, pooling="attention")
-
-
 def test_eval_mode_is_deterministic():
     rng = np.random.default_rng(3)
     config = small_config(dropout_rate=0.4)
@@ -292,7 +278,7 @@ def test_final_state_pooling_uses_edge_states():
     config = small_config(use_attention=False)
     params = init_params(config)
     x = np.random.default_rng(6).standard_normal((5, 3))
-    fp = forward(x, params, config, pooling="final_state")
+    fp = forward(x, params, config)
     assert fp.attention is None
     pooled = final_state_pool(fp.hidden)
     w = params.tensors["head.w"]
@@ -314,14 +300,14 @@ def test_final_state_sensitive_to_token_order():
     x = np.random.default_rng(13).standard_normal((5, 3))
     swapped = x.copy()
     swapped[[1, 2]] = swapped[[2, 1]]
-    original = forward(x, params, config, pooling="final_state")
-    permuted = forward(swapped, params, config, pooling="final_state")
+    original = forward(x, params, config)
+    permuted = forward(swapped, params, config)
     assert float(original.score.value) != float(permuted.score.value)
 
     for name in params.tensors:
         params.tensors[name] = np.zeros_like(params.tensors[name])
-    a = forward(x, params, config, pooling="final_state")
-    b = forward(swapped, params, config, pooling="final_state")
+    a = forward(x, params, config)
+    b = forward(swapped, params, config)
     assert float(a.score.value) == float(b.score.value)
 
 
@@ -368,10 +354,10 @@ def test_full_model_gradients_both_poolings():
         x = rng.standard_normal((3, 3))
 
         def loss_value():
-            score = forward(x, base, config, pooling=pooling).score.value
+            score = forward(x, base, config).score.value
             return (float(score) - 0.25) ** 2
 
-        fp = forward(x, base, config, pooling=pooling)
+        fp = forward(x, base, config)
         diff = fp.score - constant(np.array(0.25))
         grads = backward(diff * diff)
         eps = 1e-6
@@ -401,8 +387,6 @@ def test_predict_report_shapes():
     assert scores.shape == (1,)
     assert 0.0 < scores[0] < 1.0
     assert len(attention[0]) == 4
-    _, no_attn = predict_batch([x], params, config, pooling="final_state")
-    assert no_attn is None
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +402,11 @@ def _ragged_batch(seed, dim=3, lengths=RAGGED_LENGTHS):
     return inputs, rng.uniform(0.1, 0.9, size=len(lengths))
 
 
-def _tape_batch(inputs, targets, params, config, pooling, rng):
+def _tape_batch(inputs, targets, params, config, rng):
     """Per-item tape forwards and backwards, gradients summed in order."""
     scores, attention, summed = [], [], {}
     for x, target in zip(inputs, targets):
-        fp = forward(x, params, config, train=True, rng=rng, pooling=pooling)
+        fp = forward(x, params, config, train=True, rng=rng)
         err = fp.score - float(target)
         scores.append(float(fp.score.value))
         attention.append(fp.attention)
@@ -440,8 +424,8 @@ def test_kernel_matches_tape_on_ragged_batch(pooling, dropout):
     inputs, targets = _ragged_batch(0)
     # equal seeds give equal masks: the kernel draws in the tape's order
     ref_scores, ref_attn, ref_grads = _tape_batch(
-        inputs, targets, params, config, pooling, np.random.default_rng(5))
-    res = run_batch(inputs, params, config, pooling, targets=targets,
+        inputs, targets, params, config, np.random.default_rng(5))
+    res = run_batch(inputs, params, config, targets=targets,
                     rng=np.random.default_rng(5))
 
     np.testing.assert_allclose(res.scores, ref_scores, rtol=0, atol=1e-12)
@@ -465,9 +449,9 @@ def test_kernel_eval_is_the_tape_forward(pooling):
                           use_attention=pooling == "attention", seed=3)
     params = init_params(config)
     inputs, _ = _ragged_batch(1)
-    scores, attention = predict_batch(inputs, params, config, pooling)
+    scores, attention = predict_batch(inputs, params, config)
     for i, x in enumerate(inputs):
-        fp = forward(x, params, config, pooling=pooling)
+        fp = forward(x, params, config)
         assert abs(scores[i] - float(fp.score.value)) <= 1e-12
         if pooling == "attention":
             np.testing.assert_allclose(attention[i], fp.attention, rtol=0,
@@ -484,7 +468,7 @@ def test_kernel_gradients_match_finite_differences(pooling, dropout):
     inputs, targets = _ragged_batch(2, lengths=(1, 2, 5))
 
     def run():
-        return run_batch(inputs, params, config, pooling, targets=targets,
+        return run_batch(inputs, params, config, targets=targets,
                          rng=np.random.default_rng(9))
 
     grads = run().grads
@@ -514,8 +498,8 @@ def test_kernel_train_and_eval_share_arithmetic(pooling):
                           use_attention=pooling == "attention", seed=6)
     params = init_params(config)
     inputs, targets = _ragged_batch(3)
-    trained = run_batch(inputs, params, config, pooling, targets=targets)
-    scored = run_batch(inputs, params, config, pooling)
+    trained = run_batch(inputs, params, config, targets=targets)
+    scored = run_batch(inputs, params, config)
     assert trained.scores.tobytes() == scored.scores.tobytes()
     if pooling == "attention":
         for got, want in zip(trained.attention, scored.attention):
@@ -557,9 +541,6 @@ def test_kernel_rejects_bad_batches():
     with pytest.raises(ContractError, match="target"):
         run_batch([x], params, config, targets=[0.5, 0.5],
                   rng=np.random.default_rng(0))
-    no_attn = small_config(use_attention=False)
-    with pytest.raises(ContractError):
-        run_batch([x], init_params(no_attn), no_attn, pooling="attention")
 
 
 def test_kernel_nonfinite_values_raise_numeric_error():

@@ -291,6 +291,15 @@ def test_attention_for_records_truncates(tiny_table):
         assert abs(w.sum() - 1.0) < 1e-9
 
 
+def test_attention_for_records_rejects_model_without_attention(tiny_table):
+    config = ModelConfig(input_dim=8, hidden_dim=3, dropout_rate=0.0,
+                         use_attention=False, seed=0)
+    params = init_params(config)
+    with pytest.raises(ContractError, match="without attention"):
+        attention_for_records([attn_record("a", 5)], params, config,
+                              tiny_table)
+
+
 def test_of_weight_normalization():
     record = attn_record("a", 6, partitive_of=(1,), other_of=(4,))
     weights = {"a": np.array([0.2, 0.3, 0.2, 0.1, 0.1, 0.1])}

@@ -94,7 +94,7 @@ def test_evaluate_preserves_input_order(tiny_records, tiny_table):
     scores = evaluate(examples, params, config)
     assert scores.shape == (5,)
     batch, _ = predict_batch([ex.embedded for ex in examples], params,
-                             config.model, config.pooling)
+                             config.model)
     assert scores.tobytes() == batch.tobytes()
     for ex, score in zip(examples, scores):
         direct = forward(ex.embedded, params, config.model).score.value
@@ -215,17 +215,6 @@ def test_nonfinite_input_aborts_with_diagnostic():
     assert curve.epochs == []
 
 
-def test_pooling_must_match_attention_parameters():
-    with_attn = ModelConfig(input_dim=8, hidden_dim=4, use_attention=True)
-    without = ModelConfig(input_dim=8, hidden_dim=4, use_attention=False)
-    with pytest.raises(ContractError, match="use_attention"):
-        TrainConfig(model=with_attn, pooling="final_state")
-    with pytest.raises(ContractError, match="use_attention"):
-        TrainConfig(model=without, pooling="attention")
-    TrainConfig(model=with_attn, pooling="attention")
-    TrainConfig(model=without, pooling="final_state")
-
-
 def _tape_train(train_examples, valid_examples, config):
     """The per-item tape training loop `train` replaced, as a reference."""
     params = init_params(config.model)
@@ -243,7 +232,7 @@ def _tape_train(train_examples, valid_examples, config):
             summed = {}
             for ex in batch:
                 fp = forward(ex.embedded, params, config.model, train=True,
-                             rng=dropout_rng, pooling=config.pooling)
+                             rng=dropout_rng)
                 err = fp.score - ex.target
                 loss = err * err
                 sq_errors.append(float(loss.value))
@@ -255,8 +244,7 @@ def _tape_train(train_examples, valid_examples, config):
         valid_r = float("nan")
         if valid_examples:
             scores = np.array([
-                float(forward(ex.embedded, params, config.model,
-                              pooling=config.pooling).score.value)
+                float(forward(ex.embedded, params, config.model).score.value)
                 for ex in valid_examples])
             valid_r = pearson(scores, np.array([ex.target
                                                 for ex in valid_examples]))
@@ -274,7 +262,7 @@ def test_train_matches_tape_reference_loop(pooling):
     config = tiny_train_config(
         model_kw=dict(hidden_dim=5, dropout_rate=0.2,
                       use_attention=pooling == "attention"),
-        pooling=pooling, epochs=5, batch_size=4, seed=3)
+        epochs=5, batch_size=4, seed=3)
     # with validation: the curve and the best epoch's parameters
     params, curve = train(examples[:10], examples[10:], config)
     ref_params, ref_curve = _tape_train(examples[:10], examples[10:], config)
