@@ -26,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (kfold, parse_corpus, read_rows, read_text,
+from .corpus import (kfold, parse_corpus, parse_row, read_rows, read_text,
                      rescale_rating, split, unscale_rating, write_corpus,
-                     FeatureVector, UtteranceRecord)
+                     COLUMNS)
 from .embeddings import embed_utterance, load_glove, load_precomputed, tokenize
 from .errors import (ContractError, IntegrityError, NumericError, ParseError,
-                     UndefinedCorrelationError, ValidationError)
+                     UndefinedCorrelationError, ValidationError, in_file)
 from .metrics import bootstrap_ceiling, mse, pearson
 from .model import (ModelConfig, load_checkpoint, predict_batch,
                     save_checkpoint)
@@ -270,33 +270,24 @@ _TRUTHY = {"1", "true", "yes", "y", "t"}
 _FALSY = {"0", "false", "no", "n", "f"}
 
 
-def _import_binary(cell: str, path: Path, what: str, row: int) -> int:
+def _import_binary(cell: str) -> str:
+    """The corpus cell of a yes/no/true/false cell, 1 or 0; any other cell
+    unchanged, for the corpus row parser to reject."""
     norm = cell.strip().lower()
-    if norm in _TRUTHY:
-        return 1
-    if norm in _FALSY:
-        return 0
-    raise ValidationError(f"cannot read binary {what} from {cell!r}",
-                          row=row, path=path)
-
-
-def _import_float(cell: str, path: Path, what: str, row: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(f"cannot read {what} from {cell!r}",
-                         line=row, path=path) from None
-
-
-def _import_indices(cell: str, path: Path, what: str, row: int) -> list[int]:
-    try:
-        return [int(v) for v in cell.split(",") if v]
-    except ValueError:
-        raise ValidationError(f"cannot read {what} from {cell!r}",
-                              row=row, path=path) from None
+    return "1" if norm in _TRUTHY else "0" if norm in _FALSY else cell
 
 
 def cmd_import(cfg):
+    """Convert a raw ratings file, one row per item, to the corpus TSV.
+
+    Each raw row becomes the corpus's 14 cells, which `corpus.parse_row`
+    checks as it checks a corpus file, so its errors name the input and
+    the row. Import's own are the column synonyms and `column_map`, the
+    yes/no vocabulary of the binary features, tokenizing, the defaults of
+    `some_index` and the of-indices, and the mean: the mean of a
+    participant-ratings cell (comma- or semicolon-joined) replaces a mean
+    cell that is missing or differs from it by more than 1e-6.
+    """
     raw_path = Path(cfg["input"])
     rows = read_rows(raw_path,
                      "\t" if raw_path.suffix.lower() == ".tsv" else ",")
@@ -327,91 +318,56 @@ def cmd_import(cfg):
         idx = col[field]
         return row[idx].strip() if idx is not None and idx < len(row) else ""
 
-    records = []
-    for row_num, row in enumerate(rows[1:], start=2):
-        if not any(c.strip() for c in row):
-            continue
-        rid = cell(row, "id")
-        sentence = cell(row, "sentence")
-        tokens = sentence.split() if cfg["pretokenized"] else tokenize(sentence)
-        if not tokens:
-            raise ValidationError("empty sentence", row=row_num, path=raw_path)
-        context_text = cell(row, "context")
-        context_tokens = (context_text.split() if cfg["pretokenized"]
-                          else tokenize(context_text)) if context_text else []
-
-        ratings_cell = cell(row, "participant_ratings")
-        participant = []
-        if ratings_cell:
-            parts = ratings_cell.replace(";", ",").split(",")
-            participant = [_import_float(p, raw_path, "participant rating",
-                                         row_num) for p in parts if p.strip()]
-        mean_cell = cell(row, "mean_rating")
-        if mean_cell:
-            mean_rating = _import_float(mean_cell, raw_path, "mean rating",
-                                        row_num)
-        elif participant:
-            mean_rating = sum(participant) / len(participant)
-        else:
-            raise ValidationError("row has no rating", row=row_num,
-                                  path=raw_path)
-        if participant:
-            observed = sum(participant) / len(participant)
-            if abs(observed - mean_rating) > 1e-6:
-                # trust the raw ratings; recompute the mean
-                mean_rating = observed
-
-        nc_cell = cell(row, "no_context_mean_rating")
-        no_context = (_import_float(nc_cell, raw_path, "no-context rating",
-                                    row_num) if nc_cell else None)
-
-        lowered = [t.lower() for t in tokens]
-        some_cell = cell(row, "some_index")
-        if some_cell:
-            some_index = int(_import_float(some_cell, raw_path, "some_index",
-                                           row_num))
-        elif "some" in lowered:
-            some_index = lowered.index("some")
-        else:
-            raise ValidationError(f"no 'some' token in {tokens}",
-                                  row=row_num, path=raw_path)
-
-        partitive = _import_binary(cell(row, "partitive"), raw_path,
-                                   "partitive", row_num)
-        of_part_cell = cell(row, "of_partitive_indices")
-        of_other_cell = cell(row, "of_other_indices")
-        if of_part_cell or of_other_cell:
-            of_partitive = _import_indices(of_part_cell, raw_path,
-                                           "of_partitive_indices", row_num)
-            of_other = _import_indices(of_other_cell, raw_path,
-                                       "of_other_indices", row_num)
-        else:
-            # heuristic: a partitive item's "of" right after "some" is the
-            # partitive one; every other "of" is non-partitive
-            of_partitive = []
-            if (partitive and some_index + 1 < len(tokens)
-                    and lowered[some_index + 1] == "of"):
-                of_partitive = [some_index + 1]
-            of_other = [i for i, t in enumerate(lowered)
-                        if t == "of" and i not in of_partitive]
-
-        features = FeatureVector(
-            partitive=partitive,
-            determiner_strength=_import_float(cell(row, "strength"),
-                                              raw_path, "strength", row_num),
-            linguistic_mention=_import_binary(cell(row, "mention"), raw_path,
-                                              "mention", row_num),
-            subjecthood=_import_binary(cell(row, "subjecthood"), raw_path,
-                                       "subjecthood", row_num),
-            modification=_import_binary(cell(row, "modification"), raw_path,
-                                        "modification", row_num),
-            utterance_length=len(tokens))
-        records.append(UtteranceRecord(
-            id=rid, tokens=tokens, context_tokens=context_tokens,
-            mean_rating=mean_rating, participant_ratings=participant,
-            features=features, some_index=some_index,
-            of_partitive_indices=of_partitive, of_other_indices=of_other,
-            no_context_mean_rating=no_context))
+    split_text = str.split if cfg["pretokenized"] else tokenize
+    positions = {name: i for i, name in enumerate(COLUMNS)}
+    records, seen_ids = [], set()
+    with in_file(raw_path):
+        for row_num, row in enumerate(rows[1:], start=2):
+            if not any(c.strip() for c in row):
+                continue
+            tokens = split_text(cell(row, "sentence"))
+            lowered = [t.lower() for t in tokens]
+            ratings = [p for p in cell(row, "participant_ratings")
+                       .replace(";", ",").split(",") if p.strip()]
+            mean = cell(row, "mean_rating")
+            if ratings:
+                try:  # trust the raw ratings; recompute a mean that differs
+                    observed = sum(map(float, ratings)) / len(ratings)
+                    if not (mean and abs(float(mean) - observed) <= 1e-6):
+                        mean = repr(observed)
+                except ValueError:
+                    pass  # the row parser names the cell that is not a number
+            some = cell(row, "some_index")
+            if not some and tokens:  # no tokens: the row parser says so
+                if "some" not in lowered:
+                    raise ValidationError(f"no 'some' token in {tokens}",
+                                          row=row_num)
+                some = str(lowered.index("some"))
+            of_cells = (cell(row, "of_partitive_indices"),
+                        cell(row, "of_other_indices"))
+            cells = {
+                "id": cell(row, "id"), "tokens": " ".join(tokens),
+                "context_tokens": " ".join(split_text(cell(row, "context"))),
+                "mean_rating": mean, "participant_ratings": ",".join(ratings),
+                "no_context_mean_rating": cell(row, "no_context_mean_rating"),
+                "strength": cell(row, "strength"), "some_index": some,
+                "of_partitive_indices": of_cells[0],
+                "of_other_indices": of_cells[1],
+                **{name: _import_binary(cell(row, name)) for name in
+                   ("partitive", "mention", "subjecthood", "modification")}}
+            record = parse_row([cells[name] for name in COLUMNS], positions,
+                               row_num, seen_ids)
+            if not any(of_cells):
+                # heuristic: a partitive item's "of" right after "some" is
+                # the partitive one; every other "of" is non-partitive
+                after = record.some_index + 1
+                if (record.features.partitive and after < len(tokens)
+                        and lowered[after] == "of"):
+                    record.of_partitive_indices = [after]
+                record.of_other_indices = [
+                    i for i, t in enumerate(lowered)
+                    if t == "of" and i not in record.of_partitive_indices]
+            records.append(record)
 
     def write_validated(tmp):
         write_corpus(records, tmp)
@@ -420,7 +376,7 @@ def cmd_import(cfg):
     out = Path(cfg["output"])
     _atomic_write(out, write_validated)
     print(f"imported {len(records)} records -> {out}")
-    return {"input": raw_path}, [out]
+    return {"input": (raw_path, rows.sha256)}, [out]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +448,7 @@ def cmd_train(cfg):
 
     print(f"trained {config.model.hidden_dim}d model "
           f"(best epoch {curve.best_epoch}) -> {out}")
-    return {"corpus": Path(cfg["corpus"]),
+    return {"corpus": (Path(cfg["corpus"]), records.sha256),
             "embeddings": source_input}, outputs
 
 
@@ -557,7 +513,7 @@ def cmd_tune(cfg):
     by_id = _records_by_id(records)
     train_records = [by_id[i] for i in sp.train_ids]
 
-    inputs = {"corpus": Path(cfg["corpus"])}
+    inputs = {"corpus": (Path(cfg["corpus"]), records.sha256)}
     grid_obj = cfg.get("grid") or PAPER_GRID
     if isinstance(grid_obj, str):
         grid = _parse_grid(_read_json(grid_obj), path=grid_obj)
@@ -622,7 +578,8 @@ def cmd_tune(cfg):
 
 def cmd_eval(cfg):
     params, mconfig = load_checkpoint(cfg["model"])
-    records = _subset_records(parse_corpus(cfg["corpus"]), cfg)
+    corpus = parse_corpus(cfg["corpus"])
+    records = _subset_records(corpus, cfg)
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     embedded = [embed_utterance(record, source, cfg["with_context"])
                 for record in records]
@@ -656,7 +613,7 @@ def cmd_eval(cfg):
     outputs.append(scatter_path)
 
     print(f"evaluated {len(preds)} items -> {out}")
-    return {"corpus": Path(cfg["corpus"]),
+    return {"corpus": (Path(cfg["corpus"]), corpus.sha256),
             "model": (Path(cfg["model"]), params.sha256),
             "embeddings": source_input}, outputs
 
@@ -676,7 +633,7 @@ def cmd_cv_predict(cfg):
     _write_csv(out, ["id", "score"],
                [(ex.id, scores[ex.id]) for ex in examples])
     print(f"wrote {len(scores)} out-of-fold predictions -> {out}")
-    return {"corpus": Path(cfg["corpus"]),
+    return {"corpus": (Path(cfg["corpus"]), records.sha256),
             "embeddings": source_input}, [out]
 
 
@@ -761,7 +718,7 @@ def cmd_attention(cfg):
 
     print(f"attention analyses ({report.n_length_filtered} length-filtered, "
           f"{of_report.n_multi_of} multi-of) -> {out}")
-    return {"corpus": Path(cfg["corpus"]),
+    return {"corpus": (Path(cfg["corpus"]), records.sha256),
             "model": (Path(cfg["model"]), params.sha256),
             "embeddings": source_input}, outputs
 
@@ -815,8 +772,8 @@ def cmd_regress(cfg):
                 for r in comparison.rows])
     print(f"compared {comparison.n_items} items over "
           f"{comparison.n_bootstrap} resamples -> {out}")
-    return {"corpus": Path(cfg["corpus"]),
-            "predictions": Path(cfg["predictions"])}, [out]
+    return {"corpus": (Path(cfg["corpus"]), records.sha256),
+            "predictions": (Path(path), rows.sha256)}, [out]
 
 
 def cmd_ceiling(cfg):
@@ -841,7 +798,7 @@ def cmd_ceiling(cfg):
     out = Path(cfg["out"])
     _write_csv(out, ["metric", "value"], rows)
     print(f"agreement ceiling report -> {out}")
-    return {"corpus": Path(cfg["corpus"])}, [out]
+    return {"corpus": (Path(cfg["corpus"]), records.sha256)}, [out]
 
 
 # ---------------------------------------------------------------------------

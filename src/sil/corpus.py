@@ -11,19 +11,24 @@ utterance. Columns:
 the index lists are comma-joined; `no_context_mean_rating` may be empty.
 Context utterances are flattened with the reserved separator token "<SEP>",
 which counts toward the context-length budget.
+
+`parse_corpus` reads the file through `read_rows`, as every text input is
+read, and `parse_row` is the one check of a row's cells: `sil import`
+puts each converted row through it too.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ContractError, ParseError, ValidationError
+from .errors import ContractError, ParseError, ValidationError, in_file
 from .seeding import rng_for
 
 SEPARATOR_TOKEN = "<SEP>"
@@ -149,69 +154,75 @@ def _not_utf8(path, data: bytes, exc: UnicodeDecodeError,
                       line=base + head.count(b"\n") + 1, path=path)
 
 
-def read_text(path) -> str:
-    """UTF-8 file `path` as text; a bad byte is a ParseError naming it."""
-    data = Path(path).read_bytes()
+class Parsed(list):
+    """A list parsed from one file; `sha256` is the digest of the file's
+    bytes, so a run manifest need not read the file again."""
+
+    sha256: str | None = None
+
+
+def _decoded(path, data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, data, exc) from None
 
 
-def read_rows(path, delimiter: str = ",") -> list[list[str]]:
-    """The `csv` rows of text file `path`; a bad byte or a row `csv`
-    rejects (a field over 131 072 characters) is a ParseError naming it."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""),
+def read_text(path) -> str:
+    """UTF-8 file `path` as text; a bad byte is a ParseError naming it."""
+    return _decoded(path, Path(path).read_bytes())
+
+
+def read_rows(path, delimiter: str = ",") -> Parsed:
+    """The `csv` rows of text file `path`, read once and hashed; a bad
+    byte or a row `csv` rejects (a field over 131 072 characters) is a
+    ParseError naming it."""
+    data = Path(path).read_bytes()
+    reader = csv.reader(io.StringIO(_decoded(path, data), newline=""),
                         delimiter=delimiter)
     try:
-        return list(reader)
+        rows = Parsed(reader)
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num, path=path) from None
+    rows.sha256 = hashlib.sha256(data).hexdigest()
+    return rows
 
 
-def parse_corpus(path) -> list[UtteranceRecord]:
+def parse_corpus(path) -> Parsed:
     """Read and validate the corpus TSV; one record per row, order kept.
 
-    Every ParseError and ValidationError it raises names the file.
+    The file is read once, by `read_rows`; the result's `sha256` is the
+    digest of its bytes. Every ParseError and ValidationError it raises
+    names the file and the line or row.
     """
-    path = Path(path)
-    # the row parsers know the line, not the file: the file is added here,
-    # once, rather than passed through every per-cell call
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return _parse_rows(csv.reader(fh, delimiter="\t"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
-    except csv.Error as exc:
-        raise ParseError(str(exc), path=path) from None
-    except ParseError as exc:
-        raise ParseError(exc.message, exc.line, path) from None
-    except ValidationError as exc:
-        raise ValidationError(exc.message, exc.row, path) from None
-
-
-def _parse_rows(reader) -> list[UtteranceRecord]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty corpus file", line=1) from None
-    missing = [c for c in COLUMNS if c not in header]
-    if missing:
-        raise ValidationError(f"missing columns: {', '.join(missing)}")
-    col = {name: header.index(name) for name in COLUMNS}
-
-    records = []
-    seen_ids = set()
-    for row_num, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}",
-                line=row_num)
-        records.append(_parse_row(row, col, row_num, seen_ids))
+    rows = read_rows(path, "\t")
+    records = Parsed()
+    records.sha256 = rows.sha256
+    with in_file(path):
+        if not rows:
+            raise ParseError("empty corpus file", line=1)
+        header = rows[0]
+        missing = [c for c in COLUMNS if c not in header]
+        if missing:
+            raise ValidationError(f"missing columns: {', '.join(missing)}")
+        col = {name: header.index(name) for name in COLUMNS}
+        seen_ids = set()
+        for row_num, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(row)}",
+                    line=row_num)
+            records.append(parse_row(row, col, row_num, seen_ids))
     return records
 
 
-def _parse_row(row, col, row_num, seen_ids) -> UtteranceRecord:
+def parse_row(row, col, row_num, seen_ids) -> UtteranceRecord:
+    """The record of one row's cells, every corpus rule checked.
+
+    `col` maps each name of COLUMNS to its cell's position in `row`;
+    `seen_ids` holds the ids of the rows before, and gains this one.
+    Errors carry `row_num` but no file.
+    """
     rid = row[col["id"]].strip()
     if not rid:
         raise ValidationError("empty id", row=row_num)
@@ -224,10 +235,6 @@ def _parse_row(row, col, row_num, seen_ids) -> UtteranceRecord:
         raise ValidationError("record has no tokens", row=row_num)
     context_tokens = row[col["context_tokens"]].split()
 
-    mean_rating = _check_rating(
-        _parse_float(row[col["mean_rating"]], "mean_rating", row_num),
-        "mean_rating", row_num)
-
     participant_cell = row[col["participant_ratings"]].strip()
     participant_ratings = []
     if participant_cell:
@@ -235,6 +242,11 @@ def _parse_row(row, col, row_num, seen_ids) -> UtteranceRecord:
             participant_ratings.append(_check_rating(
                 _parse_float(part, "participant rating", row_num),
                 "participant rating", row_num))
+
+    mean_rating = _check_rating(
+        _parse_float(row[col["mean_rating"]], "mean_rating", row_num),
+        "mean_rating", row_num)
+    if participant_ratings:
         observed = sum(participant_ratings) / len(participant_ratings)
         if abs(observed - mean_rating) > 1e-6:
             raise ValidationError(
@@ -266,9 +278,9 @@ def _parse_row(row, col, row_num, seen_ids) -> UtteranceRecord:
             f"some_index {some_index} outside token range", row=row_num)
 
     of_partitive = _parse_int_list(
-        row[col["of_partitive_indices"]], "of_partitive index", row_num)
+        row[col["of_partitive_indices"]], "of_partitive_indices", row_num)
     of_other = _parse_int_list(
-        row[col["of_other_indices"]], "of_other index", row_num)
+        row[col["of_other_indices"]], "of_other_indices", row_num)
     for idx in of_partitive + of_other:
         if not 0 <= idx < len(tokens):
             raise ValidationError(

@@ -5,6 +5,8 @@ user-input problems (exit 1); NumericError and anything unexpected are
 runtime failures (exit 2).
 """
 
+from contextlib import contextmanager
+
 
 class ContractError(ValueError):
     """A documented precondition of an operation was violated."""
@@ -37,6 +39,18 @@ class ValidationError(ValueError):
         self.message = message
         self.row = row
         self.path = path
+
+
+@contextmanager
+def in_file(path):
+    """Re-raise a ParseError or ValidationError of the block naming `path`,
+    keeping its line or row: row parsers know the line, not the file."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, path) from None
+    except ValidationError as exc:
+        raise ValidationError(exc.message, exc.row, path) from None
 
 
 class IntegrityError(ValueError):

@@ -219,12 +219,21 @@ def _train_fold(args) -> tuple[int, int, float, str | None]:
 
 
 def _worker_count(workers: int | None) -> int:
-    """`workers` if given and nonzero, else SIL_WORKERS, else 1; at least 1."""
-    raw = workers or os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """`workers` if given and nonzero, else SIL_WORKERS if set, else 1.
+
+    A negative `workers` (the --workers flag) or a SIL_WORKERS that is
+    not a positive integer is a ContractError, not a quiet serial run.
+    """
+    if workers:
+        if workers < 0:
+            raise ContractError(
+                f"--workers must be a positive integer or 0, got {workers}")
+        return workers
+    raw = os.environ.get(WORKERS_ENV) or "1"
+    if not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ContractError(
+            f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def tune(records, sources: dict, grid: list[GridPoint], folds,
@@ -237,11 +246,12 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
     is the kfold output shared by every grid point. Failures are captured
     per configuration without stopping the sweep. Results are sorted by
     mean r descending, ties broken by smaller hidden_dim, lower dropout,
-    then grid order. `workers` (default: SIL_WORKERS) processes run the
-    fold tasks in parallel.
+    then grid order. `workers` (--workers; 0 or None: SIL_WORKERS, else 1)
+    processes run the fold tasks in parallel.
     """
     if not grid:
         raise ContractError("grid must be nonempty")
+    workers = _worker_count(workers)
 
     example_cache: dict[tuple[str, bool], dict[str, Example]] = {}
 
@@ -278,7 +288,6 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
             heldout_ex = [pool[i] for i in heldout_ids if i in pool]
             tasks.append((p_idx, f_idx, train_ex, heldout_ex, config))
 
-    workers = _worker_count(workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
             outcomes = list(pool_exec.map(_train_fold, tasks))

@@ -99,6 +99,44 @@ def make_records(n: int = 24, seed: int = 0, with_context: bool = False,
     return records
 
 
+def corpus_records(st):
+    """A Hypothesis strategy of valid record lists; `st` is
+    `hypothesis.strategies`, which the tests that use this import or skip.
+
+    Tokens and ids are any text without whitespace or control characters;
+    ratings are any floats in [1, 7], and a mean is its participant
+    ratings' mean whenever it has any.
+    """
+    word = st.text(st.characters(blacklist_categories=(
+        "Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6)
+    rating = st.floats(1.0, 7.0)
+    binary = st.integers(0, 1)
+
+    @st.composite
+    def record(draw, rid):
+        tokens = draw(st.lists(word, min_size=1, max_size=8))
+        participant = draw(st.lists(rating, max_size=4))
+        marked = draw(st.lists(st.integers(0, len(tokens) - 1), unique=True))
+        n_partitive = draw(st.integers(0, len(marked)))
+        return UtteranceRecord(
+            id=rid, tokens=tokens,
+            context_tokens=draw(st.lists(word, max_size=4)),
+            mean_rating=(sum(participant) / len(participant) if participant
+                         else draw(rating)),
+            participant_ratings=participant,
+            features=FeatureVector(
+                partitive=draw(binary), determiner_strength=draw(rating),
+                linguistic_mention=draw(binary), subjecthood=draw(binary),
+                modification=draw(binary), utterance_length=len(tokens)),
+            some_index=draw(st.integers(0, len(tokens) - 1)),
+            of_partitive_indices=marked[:n_partitive],
+            of_other_indices=marked[n_partitive:],
+            no_context_mean_rating=draw(st.none() | rating))
+
+    return st.lists(word, unique=True, max_size=5).flatmap(
+        lambda ids: st.tuples(*map(record, ids))).map(list)
+
+
 def vocab_of(records) -> set[str]:
     tokens = set()
     for r in records:

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import make_records, vocab_of, write_glove
+from conftest import corpus_records, make_records, vocab_of, write_glove
 
 from sil.cli import build_parser, main
 from sil.corpus import COLUMNS, parse_corpus, write_corpus
@@ -140,6 +140,9 @@ def test_unreadable_corpus_names_file(tmp_path, capsys, content, named):
     assert rc == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    if not named.startswith("line "):
+        last_line = content.count(b"\n")  # the bad byte's or field's line
+        named = f"line {last_line}: {named}"
     assert f"{bad}: {named}" in err
 
 
@@ -570,7 +573,7 @@ def test_import_non_integer_of_index_exits_one(tmp_path, capsys, column):
     assert rc == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "raw.csv" in err and "row 2" in err and column in err
+    assert f"{raw}: line 2: cannot parse {column} from 'x'" in err
     assert not out.exists()
 
 
@@ -583,8 +586,42 @@ def test_import_non_numeric_rating_names_file(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"{raw}: line 2: cannot read mean rating from 'high'" in err
+    assert f"{raw}: line 2: cannot parse mean_rating from 'high'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra_column, rows, named", [
+    ("", [RAW_ROWS[0].replace(",5.5,", ",nan,")],
+     "row 2: mean_rating nan outside [1, 7]"),
+    ("", [RAW_ROWS[0].replace(",4.2,", ",9.0,")],
+     "row 2: strength 9.0 outside [1, 7]"),
+    ("", [RAW_ROWS[0], RAW_ROWS[1].replace("r2,", "r1,")],
+     "row 3: duplicate id 'r1'"),
+    (",some_index", [RAW_ROWS[0] + ",1e400"],
+     "line 2: cannot parse some_index from '1e400'"),
+    (",some_index", [RAW_ROWS[0] + ",0.7"],
+     "line 2: cannot parse some_index from '0.7'"),
+    (",some_index", [RAW_ROWS[0] + ",6"],
+     "row 2: some_index 6 outside token range"),
+    (",ratings", [RAW_ROWS[0].replace(",5.5,", ",,") + ',"4;x"'],
+     "line 2: cannot parse participant rating from 'x'"),
+    ("", [RAW_ROWS[0].replace(",True,", ",maybe,")],
+     "line 2: cannot parse partitive from 'maybe'"),
+], ids=["nan-rating", "strength", "duplicate-id", "some-index-overflow",
+        "some-index-fraction", "some-index-past-end", "participant-rating",
+        "binary-feature"])
+def test_import_bad_cell_names_input_row(tmp_path, capsys, extra_column,
+                                         rows, named):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(RAW_HEADER + extra_column + "\n" + "\n".join(rows) + "\n",
+                   encoding="utf-8")
+    out = tmp_path / "corpus.tsv"
+    rc = main(["import", "--input", str(raw), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ".tmp" not in err
+    assert f"sil import: error: {raw}: {named}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv"]
 
 
 def test_import_column_map_override(tmp_path):
@@ -602,6 +639,29 @@ def test_import_column_map_override(tmp_path):
                "--output", str(out)])
     assert rc == 0
     assert parse_corpus(out)[0].id == "k1"
+
+
+def test_import_of_a_written_corpus_writes_it_again(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def marks_every_of(record):
+        """Whether import's of-index default leaves `record` as it is."""
+        return (record.of_partitive_indices or record.of_other_indices
+                or "of" not in (t.lower() for t in record.tokens))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(records=corpus_records(st))
+    def check(records):
+        hypothesis.assume(all(map(marks_every_of, records)))
+        written = tmp_path / "in.tsv"
+        write_corpus(records, written)
+        out = tmp_path / "out.tsv"
+        assert main(["import", "--pretokenized", "--input", str(written),
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == written.read_bytes()
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +751,43 @@ def test_tune_workers_flag_leaves_environment(workspace, tmp_path,
         assert "SIL_WORKERS" not in os.environ
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("env, flag, named", [
+    ("abc", "0", "SIL_WORKERS must be a positive integer, got 'abc'"),
+    ("0", None, "SIL_WORKERS must be a positive integer, got '0'"),
+    (None, "-3", "--workers must be a positive integer or 0, got -3"),
+], ids=["env-text", "env-zero", "flag-negative"])
+def test_bad_worker_count_exits_one(workspace, tmp_path, monkeypatch, capsys,
+                                    env, flag, named):
+    if env is None:
+        monkeypatch.delenv("SIL_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("SIL_WORKERS", env)
+    argv, _ = _tune_precomputed(workspace, tmp_path)
+    out = tmp_path / "tune.csv"
+    workers = ["--workers", flag] if flag else []
+    assert main(argv + workers + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"sil tune: error: {named}" in err
+    assert not out.exists()
+
+
+def test_workers_zero_or_unset_runs_serially(workspace, tmp_path,
+                                             monkeypatch):
+    argv, _ = _tune_precomputed(workspace, tmp_path)
+    outs = []
+    for env, workers in ((None, "0"), ("", None), ("1", None)):
+        if env is None:
+            monkeypatch.delenv("SIL_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("SIL_WORKERS", env)
+        out = tmp_path / f"tune-{len(outs)}.csv"
+        flag = ["--workers", workers] if workers else []
+        assert main(argv + flag + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -996,7 +1093,12 @@ def test_manifest_hashes_vectors_from_the_load(workspace, trained, tmp_path,
         "path": str(glove),
         "sha256": hashlib.sha256(glove.read_bytes()).hexdigest()}
     assert str(glove) not in hashed
-    assert str(workspace["corpus"]) in hashed or command == "minimal-pairs"
+    assert str(workspace["corpus"]) not in hashed
+    if command != "minimal-pairs":
+        corpus = workspace["corpus"]
+        assert manifest["inputs"]["corpus"] == {
+            "path": str(corpus),
+            "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
 
 
 def test_non_utf8_vector_file_exits_one(trained, tmp_path, capsys):
@@ -1176,7 +1278,8 @@ def test_manifest_hashes_precomputed_from_the_load(workspace, trained,
 
 
 def _read_once_cases(workspace, trained, tmp_path):
-    """argv and the input files it must open once, per command and source."""
+    """argv and the input files it must open once, per command and source:
+    every corpus, vector, checkpoint, predictions and import input."""
     corpus, glove, model = (str(workspace["corpus"]), str(workspace["glove"]),
                             str(trained))
     pc = str(_precomputed_file(workspace, tmp_path))
@@ -1187,24 +1290,34 @@ def _read_once_cases(workspace, trained, tmp_path):
         encoding="utf-8")
     fit = ["--hidden-dim", "2", "--epochs", "1", "--batch-size", "8"]
     out = ["--out", str(tmp_path / "o.csv")]
+    preds = tmp_path / "p.csv"
+    _write_predictions(workspace, preds)
     cases = {"tune": (["tune", "--corpus", corpus, "--glove", glove,
                        "--precomputed", f"pc={pc}", "--grid", str(grid),
-                       "--k", "2", "--epochs", "1", *out], [glove, pc])}
+                       "--k", "2", "--epochs", "1", *out],
+                      [corpus, glove, pc]),
+             "regress": (["regress", "--corpus", corpus, "--predictions",
+                          str(preds), "--bootstrap", "10", *out],
+                         [corpus, str(preds)]),
+             "ceiling": (["ceiling", "--corpus", corpus, "--bootstrap", "10",
+                          *out], [corpus]),
+             "import": (["import", "--pretokenized", "--input", corpus,
+                         "--output", str(tmp_path / "o.tsv")], [corpus])}
     for name, source in (("glove", ["--glove", glove]),
                          ("precomputed", ["--precomputed", pc])):
         vectors = source[1]
         cases[f"train-{name}"] = (
             ["train", "--corpus", corpus, *source, *fit,
-             "--out", str(tmp_path / "m.bin")], [vectors])
+             "--out", str(tmp_path / "m.bin")], [corpus, vectors])
         cases[f"cv-predict-{name}"] = (
             ["cv-predict", "--corpus", corpus, *source, *fit, "--k", "2",
-             *out], [vectors])
+             *out], [corpus, vectors])
         cases[f"eval-{name}"] = (
             ["eval", "--model", model, "--corpus", corpus, *source, *out],
-            [model, vectors])
+            [model, corpus, vectors])
         cases[f"attention-{name}"] = (
             ["attention", "--model", model, "--corpus", corpus, *source,
-             "--bootstrap", "10", *out], [model, vectors])
+             "--bootstrap", "10", *out], [model, corpus, vectors])
     cases["minimal-pairs-glove"] = (
         ["minimal-pairs", "--model", model, "--glove", glove,
          "--bootstrap", "10", *out], [model, glove])
@@ -1214,7 +1327,8 @@ def _read_once_cases(workspace, trained, tmp_path):
 @pytest.mark.parametrize("case", [
     "train-glove", "train-precomputed", "eval-glove", "eval-precomputed",
     "cv-predict-glove", "cv-predict-precomputed", "tune",
-    "minimal-pairs-glove", "attention-glove", "attention-precomputed"])
+    "minimal-pairs-glove", "attention-glove", "attention-precomputed",
+    "regress", "ceiling", "import"])
 def test_each_model_and_vector_file_is_opened_once(workspace, trained,
                                                    tmp_path, monkeypatch,
                                                    case):
@@ -1272,6 +1386,7 @@ def _text_input_argv(workspace, kind, path, out):
 
 
 @pytest.mark.parametrize("kind, content, named", [
+    ("corpus", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
     ("frames", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
     ("predictions", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
     ("config", NOT_UTF8, "line 3: not UTF-8 text (invalid start byte)"),
@@ -1280,11 +1395,12 @@ def _text_input_argv(workspace, kind, path, out):
     ("predictions", HUGE_FIELD,
      "line 3: field larger than field limit (131072)"),
     ("import", HUGE_FIELD, "line 3: field larger than field limit (131072)"),
+    ("corpus", HUGE_FIELD, "line 3: field larger than field limit (131072)"),
     ("config", b"[" * 100_000, "JSON nested too deeply"),
     ("grid", b'{"a": ' * 100_000, "JSON nested too deeply"),
-], ids=["frames-utf8", "predictions-utf8", "config-utf8", "grid-utf8",
-        "import-utf8", "predictions-field", "import-field", "config-depth",
-        "grid-depth"])
+], ids=["corpus-utf8", "frames-utf8", "predictions-utf8", "config-utf8",
+        "grid-utf8", "import-utf8", "predictions-field", "import-field",
+        "corpus-field", "config-depth", "grid-depth"])
 def test_malformed_text_input_names_file(workspace, tmp_path, capsys, kind,
                                          content, named):
     path = tmp_path / "input.csv"

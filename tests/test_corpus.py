@@ -1,5 +1,6 @@
 """Corpus TSV parsing, rescaling, truncation, splits and folds."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from sil.corpus import (COLUMNS, MAX_CONTEXT_TOKENS, MAX_TARGET_TOKENS, Split,
                         unscale_rating, write_corpus)
 from sil.errors import ContractError, ParseError, ValidationError
 
-from conftest import make_records
+from conftest import corpus_records, make_records
 
 
 def test_rescale_endpoints_and_midpoint():
@@ -42,6 +43,22 @@ def test_round_trip_is_bit_exact(tmp_path):
     write_corpus(reparsed, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert reparsed == records
+
+
+def test_parse_of_written_records_gives_them_back(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(records=corpus_records(st))
+    def check(records):
+        path = tmp_path / "c.tsv"
+        write_corpus(records, path)
+        parsed = parse_corpus(path)
+        assert parsed == records
+        assert parsed.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    check()
 
 
 def test_missing_column_rejected(tmp_path):
