@@ -107,13 +107,11 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path) -> str:
-    return _sha256_bytes(Path(path).read_bytes())
-
-
-def _read_json(path) -> dict:
+def _read_json(path) -> tuple[object, str]:
+    """The JSON value in file `path`, and the sha256 of the bytes read."""
+    text, digest = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text), digest
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
@@ -126,7 +124,7 @@ def _effective_config(args) -> dict:
     flags = command.flags_by_key(args.command)
     merged = dict(command.defaults)
     if args.config:
-        file_config = _read_json(args.config)
+        file_config, _ = _read_json(args.config)
         if not isinstance(file_config, dict):
             raise ValidationError(f"{args.config}: config must be an object")
         unknown = set(file_config) - set(flags)
@@ -150,18 +148,11 @@ def _effective_config(args) -> dict:
 
 
 def _manifest_inputs(inputs: dict) -> dict:
-    """{name: {path, sha256}} for each input file that exists.
-
-    An input is a path, or a (path, sha256) pair when the command's
-    loader already hashed the bytes it read, so the file is not read again.
-    """
-    entries = {}
-    for name, value in inputs.items():
-        path, digest = value if isinstance(value, tuple) else (value, None)
-        if path and Path(path).exists():
-            entries[name] = {"path": str(path),
-                             "sha256": digest or _sha256_file(path)}
-    return entries
+    """{name: {path, sha256}} for each input's (path, sha256) pair; the
+    loader that read the file hashed the same bytes, so no file is read
+    again."""
+    return {name: {"path": str(path), "sha256": digest}
+            for name, (path, digest) in inputs.items()}
 
 
 def _write_manifest(command: str, argv: list[str], config: dict,
@@ -516,8 +507,9 @@ def cmd_tune(cfg):
     inputs = {"corpus": (Path(cfg["corpus"]), records.sha256)}
     grid_obj = cfg.get("grid") or PAPER_GRID
     if isinstance(grid_obj, str):
-        grid = _parse_grid(_read_json(grid_obj), path=grid_obj)
-        inputs["grid"] = Path(grid_obj)
+        grid_json, digest = _read_json(grid_obj)
+        grid = _parse_grid(grid_json, path=grid_obj)
+        inputs["grid"] = (Path(grid_obj), digest)
     else:
         grid = _parse_grid(grid_obj)
 
@@ -673,7 +665,7 @@ def cmd_minimal_pairs(cfg):
     inputs = {"model": (Path(cfg["model"]), params.sha256),
               "glove": (Path(cfg["glove"]), table.sha256)}
     if cfg.get("frames"):
-        inputs["frames"] = Path(cfg["frames"])
+        inputs["frames"] = (Path(cfg["frames"]), frames.sha256)
     return inputs, outputs
 
 

@@ -168,9 +168,11 @@ def _decoded(path, data: bytes) -> str:
         raise _not_utf8(path, data, exc) from None
 
 
-def read_text(path) -> str:
-    """UTF-8 file `path` as text; a bad byte is a ParseError naming it."""
-    return _decoded(path, Path(path).read_bytes())
+def read_text(path) -> tuple[str, str]:
+    """UTF-8 file `path` as text, and the sha256 of the bytes read; a bad
+    byte is a ParseError naming it."""
+    data = Path(path).read_bytes()
+    return _decoded(path, data), hashlib.sha256(data).hexdigest()
 
 
 def read_rows(path, delimiter: str = ",") -> Parsed:
@@ -332,40 +334,34 @@ def write_corpus(records: list[UtteranceRecord], path) -> None:
 # Truncation
 # ---------------------------------------------------------------------------
 
-def truncate(record: UtteranceRecord, mode: str,
-             max_target_tokens: int = MAX_TARGET_TOKENS,
-             max_context_tokens: int = MAX_CONTEXT_TOKENS) -> UtteranceRecord:
-    """Return a truncated copy of `record`.
+def truncate(record: UtteranceRecord, *, with_context: bool
+             ) -> UtteranceRecord:
+    """Return a truncated copy of `record`, or `record` if nothing is cut.
 
-    target_only: keep the first `max_target_tokens` target tokens; marker
-    indices outside the kept window are dropped. with_context: keep the
-    last `max_context_tokens` context tokens (truncating the beginning of
-    the context); the target is left alone.
+    Without context: keep the first MAX_TARGET_TOKENS target tokens;
+    marker indices outside the kept window are dropped. With context: keep
+    the last MAX_CONTEXT_TOKENS context tokens (truncating the beginning
+    of the context); the target is left alone.
     """
-    if mode == "target_only":
-        if len(record.tokens) <= max_target_tokens:
-            return record
-        kept = record.tokens[:max_target_tokens]
-        some_index = record.some_index
-        if some_index is not None and some_index >= max_target_tokens:
-            some_index = None
-        return dataclasses.replace(
-            record,
-            tokens=kept,
-            some_index=some_index,
-            of_partitive_indices=[i for i in record.of_partitive_indices
-                                  if i < max_target_tokens],
-            of_other_indices=[i for i in record.of_other_indices
-                              if i < max_target_tokens],
-        )
-    if mode == "with_context":
-        if len(record.context_tokens) <= max_context_tokens:
+    if with_context:
+        if len(record.context_tokens) <= MAX_CONTEXT_TOKENS:
             return record
         return dataclasses.replace(
-            record,
-            context_tokens=record.context_tokens[-max_context_tokens:],
-        )
-    raise ContractError(f"unknown truncation mode {mode!r}")
+            record, context_tokens=record.context_tokens[-MAX_CONTEXT_TOKENS:])
+    if len(record.tokens) <= MAX_TARGET_TOKENS:
+        return record
+    some_index = record.some_index
+    if some_index is not None and some_index >= MAX_TARGET_TOKENS:
+        some_index = None
+    return dataclasses.replace(
+        record,
+        tokens=record.tokens[:MAX_TARGET_TOKENS],
+        some_index=some_index,
+        of_partitive_indices=[i for i in record.of_partitive_indices
+                              if i < MAX_TARGET_TOKENS],
+        of_other_indices=[i for i in record.of_other_indices
+                          if i < MAX_TARGET_TOKENS],
+    )
 
 
 # ---------------------------------------------------------------------------

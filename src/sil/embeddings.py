@@ -466,8 +466,7 @@ def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
     untruncated target's tokens (`features.utterance_length`); a cut
     target takes the rows of the tokens it kept.
     """
-    record = truncate(record, "with_context" if with_context
-                      else "target_only")
+    record = truncate(record, with_context=with_context)
     if isinstance(source, PrecomputedEmbeddings):
         if with_context:
             raise ContractError(

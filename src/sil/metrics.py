@@ -104,18 +104,21 @@ def bootstrap_ceiling(ratings_per_item: list, B: int, seed: int) -> float:
     return float(rs.mean())
 
 
-def bootstrap_ci(groups: dict, B: int, level: float = 0.95,
-                 seed: int = 0) -> dict:
-    """Percentile bootstrap of the mean for each group of values.
+# the tail mass on each side of bootstrap_ci's 95% interval; in floating
+# point (1 - 0.95) / 2 is 0.025000000000000022, not 0.025, and the
+# probes' interval bounds are defined by this value
+CI_ALPHA = (1.0 - 0.95) / 2.0
+
+
+def bootstrap_ci(groups: dict, B: int, seed: int = 0) -> dict:
+    """Percentile bootstrap 95% interval of the mean for each group of
+    values.
 
     Returns {key: (mean, lo, hi)}. A group of identical values collapses to
     (v, v, v).
     """
     if B < 1:
         raise ContractError("bootstrap replicate count must be >= 1")
-    if not 0.0 < level < 1.0:
-        raise ContractError("confidence level must be in (0, 1)")
-    alpha = (1.0 - level) / 2.0
     out = {}
     rng = rng_for(seed, "bootstrap-ci")
     for key in groups:
@@ -125,6 +128,6 @@ def bootstrap_ci(groups: dict, B: int, level: float = 0.95,
         n = len(values)
         idx = rng.integers(0, n, size=(B, n))
         means = values[idx].mean(axis=1)
-        lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
+        lo, hi = np.quantile(means, [CI_ALPHA, 1.0 - CI_ALPHA])
         out[key] = (float(values.mean()), float(lo), float(hi))
     return out

@@ -299,27 +299,6 @@ def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
                        hidden=h_mat.value.copy())
 
 
-def attention_pool(hidden: np.ndarray, params: ModelParams
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Attention weights and pooled vector for given top-layer states."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    if hidden.ndim != 2 or hidden.shape[0] < 1:
-        raise ContractError("hidden states must be a nonempty T x 2H matrix")
-    weights, pooled = _attention_nodes(
-        constant(hidden), constant(params.tensors["attn.W"]),
-        constant(params.tensors["attn.v"]))
-    return weights.value.copy(), pooled.value.copy()
-
-
-def final_state_pool(hidden: np.ndarray) -> np.ndarray:
-    """Concatenate the forward last-step and backward first-step states."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    if hidden.ndim != 2 or hidden.shape[0] < 1:
-        raise ContractError("hidden states must be a nonempty T x 2H matrix")
-    H = hidden.shape[1] // 2
-    return np.concatenate([hidden[-1, :H], hidden[0, H:]])
-
-
 # ---------------------------------------------------------------------------
 # Batched kernel: packed whole-sequence biLSTM with hand-written BPTT
 # ---------------------------------------------------------------------------

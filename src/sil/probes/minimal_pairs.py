@@ -16,9 +16,9 @@ from importlib import resources
 
 import numpy as np
 
-from ..corpus import read_rows, unscale_rating
+from ..corpus import Parsed, read_rows, unscale_rating
 from ..embeddings import tokenize
-from ..errors import ValidationError
+from ..errors import ValidationError, in_file
 from ..metrics import bootstrap_ci
 from ..model import predict_batch
 
@@ -67,36 +67,43 @@ class MinimalPairVariant:
         return tokenize(self.text)
 
 
-def load_frames(path=None) -> list[SentenceFrame]:
-    """Read the frame table; defaults to the bundled 25-frame file."""
+def load_frames(path=None) -> Parsed:
+    """Read the frame table; defaults to the bundled 25-frame file.
+
+    The file is read once, by `read_rows`; the result's `sha256` is the
+    digest of its bytes. Every ValidationError it raises names the file,
+    and the row when one is at fault.
+    """
     if path is None:
         path = resources.files("sil").joinpath("data/frames.tsv")
     rows = read_rows(path, "\t")
-    if not rows:
-        raise ValidationError("empty frames file")
-    header = rows[0]
-    missing = [c for c in FRAME_COLUMNS if c not in header]
-    if missing:
-        raise ValidationError(f"frames file missing columns: {missing}")
-    col = {name: header.index(name) for name in FRAME_COLUMNS}
-    frames = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-        # hand-edited TSVs often drop tabs for trailing empty cells
-        row = row + [""] * (len(header) - len(row))
-        values = {name: row[col[name]].strip() for name in FRAME_COLUMNS}
-        for name, value in values.items():
-            if name != "complement" and not value:
-                raise ValidationError(f"frame row {i}: empty {name}")
-        frames.append(SentenceFrame(**values))
-    seen = set()
-    for frame in frames:
-        key = (frame.verb_active, frame.subj_head, frame.obj_head)
-        if key in seen:
-            raise ValidationError(
-                f"duplicate verb/NP combination in frame {frame.frame_id}")
-        seen.add(key)
+    frames = Parsed()
+    frames.sha256 = rows.sha256
+    with in_file(path):
+        if not rows:
+            raise ValidationError("empty frames file")
+        header = rows[0]
+        missing = [c for c in FRAME_COLUMNS if c not in header]
+        if missing:
+            raise ValidationError(f"frames file missing columns: {missing}")
+        col = {name: header.index(name) for name in FRAME_COLUMNS}
+        for i, row in enumerate(rows[1:], start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            # hand-edited TSVs often drop tabs for trailing empty cells
+            row = row + [""] * (len(header) - len(row))
+            values = {name: row[col[name]].strip() for name in FRAME_COLUMNS}
+            for name, value in values.items():
+                if name != "complement" and not value:
+                    raise ValidationError(f"empty {name}", row=i)
+            frames.append(SentenceFrame(**values))
+        seen = set()
+        for frame in frames:
+            key = (frame.verb_active, frame.subj_head, frame.obj_head)
+            if key in seen:
+                raise ValidationError(
+                    f"duplicate verb/NP combination in frame {frame.frame_id}")
+            seen.add(key)
     return frames
 
 

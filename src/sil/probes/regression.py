@@ -27,17 +27,14 @@ NN_PREDICTOR = "nn_prediction"
 
 @dataclass
 class RegressionSpec:
-    main_effects: tuple = MAIN_EFFECTS
-    interactions: list = field(default_factory=list)  # pairs of main effects
-    standardize: bool = True
-    include_nn: bool = True  # whether the extended model adds NN_PREDICTOR
+    """The interaction terms (pairs of MAIN_EFFECTS names) that both models
+    add to the main effects."""
+
+    interactions: list = field(default_factory=list)
 
     def __post_init__(self):
-        names = list(self.main_effects)
-        if len(set(names)) != len(names):
-            raise ContractError("duplicate predictors in main_effects")
         for a, b in self.interactions:
-            if a not in names or b not in names:
+            if a not in MAIN_EFFECTS or b not in MAIN_EFFECTS:
                 raise ContractError(
                     f"interaction ({a}, {b}) references undeclared predictor")
 
@@ -91,9 +88,10 @@ def build_design(records, spec: RegressionSpec, nn_predictions: dict | None
                  ) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Design matrix (intercept first), column names, and raw-scale response.
 
-    Continuous predictors are z-scored, binary ones centered; interaction
-    columns are products of the transformed mains. The NN predictor, when
-    given, is appended last and standardized like any continuous column.
+    The columns are MAIN_EFFECTS, then the spec's interactions, then the
+    NN predictor when `nn_predictions` is given. Continuous predictors are
+    z-scored, binary ones centered; interaction columns are products of
+    the standardized mains.
     """
     if not records:
         raise ContractError("no records for regression")
@@ -102,11 +100,10 @@ def build_design(records, spec: RegressionSpec, nn_predictions: dict | None
     names = ["intercept"]
 
     transformed: dict[str, np.ndarray] = {}
-    for name in spec.main_effects:
+    for name in MAIN_EFFECTS:
         col = np.array([_feature_value(r, name) for r in records],
                        dtype=np.float64)
-        transformed[name] = (_standardize_column(col, name)
-                             if spec.standardize else col)
+        transformed[name] = _standardize_column(col, name)
         columns.append(transformed[name])
         names.append(name)
     for a, b in spec.interactions:
@@ -120,8 +117,7 @@ def build_design(records, spec: RegressionSpec, nn_predictions: dict | None
                 f"(first: {missing[0]!r})")
         col = np.array([nn_predictions[r.id] for r in records],
                        dtype=np.float64)
-        columns.append(_standardize_column(col, NN_PREDICTOR)
-                       if spec.standardize else col)
+        columns.append(_standardize_column(col, NN_PREDICTOR))
         names.append(NN_PREDICTOR)
     return np.column_stack(columns), names, y
 
@@ -166,8 +162,7 @@ def regression_compare(records, nn_predictions: dict, spec: RegressionSpec,
     """
     X_orig, names_orig, y = build_design(records, spec, None)
     _check_full_rank(X_orig, names_orig)
-    X_ext, names_ext, _ = build_design(
-        records, spec, nn_predictions if spec.include_nn else None)
+    X_ext, names_ext, _ = build_design(records, spec, nn_predictions)
 
     beta_orig = _fit(X_orig, y)
     beta_ext = _fit(X_ext, y)
@@ -203,17 +198,15 @@ def regression_compare(records, nn_predictions: dict, spec: RegressionSpec,
             ci_original=ci_o, ci_extended=ci_e, p_shrink=p,
             stars="" if math.isnan(p) else _stars(p)))
 
-    if NN_PREDICTOR in names_ext:
-        j = names_ext.index(NN_PREDICTOR)
-        b_e = float(beta_ext[j])
-        if B > 0:
-            e = draws_ext[:, j]
-            ci_e = (float(np.quantile(e, 0.025)), float(np.quantile(e, 0.975)))
-        else:
-            ci_e = (b_e, b_e)
-        rows.append(CoefficientRow(
-            predictor=NN_PREDICTOR, beta_original=float("nan"),
-            beta_extended=b_e, ci_original=(float("nan"), float("nan")),
-            ci_extended=ci_e, p_shrink=float("nan"), stars=""))
+    b_e = float(beta_ext[-1])
+    if B > 0:
+        e = draws_ext[:, -1]
+        ci_e = (float(np.quantile(e, 0.025)), float(np.quantile(e, 0.975)))
+    else:
+        ci_e = (b_e, b_e)
+    rows.append(CoefficientRow(
+        predictor=NN_PREDICTOR, beta_original=float("nan"),
+        beta_extended=b_e, ci_original=(float("nan"), float("nan")),
+        ci_extended=ci_e, p_shrink=float("nan"), stars=""))
 
     return CoefficientComparison(rows=rows, n_items=n, n_bootstrap=B)

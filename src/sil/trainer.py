@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import rescale_rating
+from .corpus import kfold, rescale_rating
 from .embeddings import embed_utterance
 from .errors import ContractError, NumericError, UndefinedCorrelationError
 from .metrics import pearson
@@ -70,23 +70,14 @@ class LearningCurve:
         return max(finite) if finite else float("nan")
 
 
-def examples_from_records(records, source, with_context: bool = False,
-                          rating_attr: str = "mean_rating") -> list[Example]:
-    """Embed and rescale records into trainer-ready examples.
-
-    Records without a `rating_attr` rating are skipped; `embed_utterance`
-    truncates the others.
-    """
-    out = []
-    for record in records:
-        rating = getattr(record, rating_attr)
-        if rating is None:
-            continue
-        out.append(Example(
-            id=record.id,
-            embedded=embed_utterance(record, source, with_context),
-            target=rescale_rating(rating)))
-    return out
+def examples_from_records(records, source, with_context: bool = False
+                          ) -> list[Example]:
+    """Embed each record (`embed_utterance` truncates it) and rescale its
+    mean rating into a trainer-ready example, in record order."""
+    return [Example(id=record.id,
+                    embedded=embed_utterance(record, source, with_context),
+                    target=rescale_rating(record.mean_rating))
+            for record in records]
 
 
 def evaluate(examples: list[Example], params: ModelParams,
@@ -202,8 +193,13 @@ class TuneResult:
     error: str | None = None
 
 
-def _fold_seed(seed: int, fold: int) -> int:
-    return derive_seed(seed, f"fold:{fold}")
+def fold_config(config: TrainConfig, seed: int, fold: int) -> TrainConfig:
+    """`config` with the model and training seeds of fold `fold` of a
+    cross-validation run seeded by `seed`; `tune` and `cv_predict` both
+    train their folds with it."""
+    fold_seed = derive_seed(seed, f"fold:{fold}")
+    return replace(config, seed=fold_seed,
+                   model=replace(config.model, seed=fold_seed))
 
 
 def _train_fold(args) -> tuple[int, int, float, str | None]:
@@ -276,14 +272,12 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
             continue
         dim = pool[next(iter(pool))].embedded.shape[1]
         for f_idx, (train_ids, heldout_ids) in enumerate(folds):
-            fold_seed = _fold_seed(seed, f_idx)
-            config = TrainConfig(
+            config = fold_config(TrainConfig(
                 model=ModelConfig(
                     input_dim=dim, hidden_dim=point.hidden_dim,
                     dropout_rate=point.dropout_rate,
-                    use_attention=point.pooling == "attention",
-                    seed=fold_seed),
-                epochs=epochs, batch_size=batch_size, lr=lr, seed=fold_seed)
+                    use_attention=point.pooling == "attention"),
+                epochs=epochs, batch_size=batch_size, lr=lr), seed, f_idx)
             train_ex = [pool[i] for i in train_ids if i in pool]
             heldout_ex = [pool[i] for i in heldout_ids if i in pool]
             tasks.append((p_idx, f_idx, train_ex, heldout_ex, config))
@@ -328,22 +322,17 @@ def cv_predict(examples: list[Example], config: TrainConfig, k: int = 6,
     Each fold's model trains on the other folds with no validation set,
     so the final epoch's parameters are used (no held-out peeking).
     """
-    from .corpus import kfold  # local import avoids a cycle at module load
-
     by_id = {ex.id: ex for ex in examples}
     if len(by_id) != len(examples):
         raise ContractError("duplicate example ids")
     scores: dict[str, float] = {}
     for f_idx, (train_ids, heldout_ids) in enumerate(kfold(examples, k, seed)):
-        fold_seed = _fold_seed(seed, f_idx)
-        fold_config = replace(
-            config, seed=fold_seed,
-            model=replace(config.model, seed=fold_seed))
-        params, curve = train([by_id[i] for i in train_ids], [], fold_config)
+        fold_cfg = fold_config(config, seed, f_idx)
+        params, curve = train([by_id[i] for i in train_ids], [], fold_cfg)
         if curve.aborted:
             raise NumericError(
                 f"fold {f_idx} aborted: {curve.aborted}")
         heldout = [by_id[i] for i in heldout_ids]
-        for ex, score in zip(heldout, evaluate(heldout, params, fold_config)):
+        for ex, score in zip(heldout, evaluate(heldout, params, fold_cfg)):
             scores[ex.id] = float(score)
     return scores

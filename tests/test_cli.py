@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import struct
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -1078,12 +1079,7 @@ def _vector_commands(workspace, trained, tmp_path):
 @pytest.mark.parametrize("command",
                          ["train", "eval", "minimal-pairs", "attention"])
 def test_manifest_hashes_vectors_from_the_load(workspace, trained, tmp_path,
-                                               monkeypatch, command):
-    import sil.cli
-    hashed = []
-    real = sil.cli._sha256_file
-    monkeypatch.setattr(sil.cli, "_sha256_file",
-                        lambda path: hashed.append(str(path)) or real(path))
+                                               command):
     argv, out, key = _vector_commands(workspace, trained, tmp_path)[command]
     assert main(argv) == 0
     manifest = json.loads((tmp_path / (out + ".manifest.json"))
@@ -1092,8 +1088,6 @@ def test_manifest_hashes_vectors_from_the_load(workspace, trained, tmp_path,
     assert manifest["inputs"][key] == {
         "path": str(glove),
         "sha256": hashlib.sha256(glove.read_bytes()).hexdigest()}
-    assert str(glove) not in hashed
-    assert str(workspace["corpus"]) not in hashed
     if command != "minimal-pairs":
         corpus = workspace["corpus"]
         assert manifest["inputs"]["corpus"] == {
@@ -1224,20 +1218,9 @@ def test_precomputed_with_context_exits_one(workspace, trained, tmp_path,
 # checkpoints and precomputed files are read once too
 # ---------------------------------------------------------------------------
 
-def _record_hashed_files(monkeypatch):
-    """The paths `cli._sha256_file` hashes from now on, in a list."""
-    import sil.cli
-    hashed = []
-    real = sil.cli._sha256_file
-    monkeypatch.setattr(sil.cli, "_sha256_file",
-                        lambda path: hashed.append(str(path)) or real(path))
-    return hashed
-
-
 @pytest.mark.parametrize("command", ["eval", "minimal-pairs", "attention"])
 def test_manifest_hashes_checkpoint_from_the_load(workspace, trained, tmp_path,
-                                                  monkeypatch, command):
-    hashed = _record_hashed_files(monkeypatch)
+                                                  command):
     argv, out, _ = _vector_commands(workspace, trained, tmp_path)[command]
     assert main(argv) == 0
     manifest = json.loads((tmp_path / (out + ".manifest.json"))
@@ -1245,7 +1228,6 @@ def test_manifest_hashes_checkpoint_from_the_load(workspace, trained, tmp_path,
     assert manifest["inputs"]["model"] == {
         "path": str(trained),
         "sha256": hashlib.sha256(trained.read_bytes()).hexdigest()}
-    assert str(trained) not in hashed
 
 
 def _precomputed_file(workspace, tmp_path):
@@ -1260,9 +1242,7 @@ def _precomputed_file(workspace, tmp_path):
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_manifest_hashes_precomputed_from_the_load(workspace, trained,
-                                                   tmp_path, monkeypatch,
-                                                   command):
-    hashed = _record_hashed_files(monkeypatch)
+                                                   tmp_path, command):
     pc = _precomputed_file(workspace, tmp_path)
     out = tmp_path / "o.bin"
     argv = [command, "--corpus", str(workspace["corpus"]),
@@ -1274,7 +1254,6 @@ def test_manifest_hashes_precomputed_from_the_load(workspace, trained,
                           .read_text(encoding="utf-8"))
     assert manifest["inputs"]["embeddings"] == {
         "path": str(pc), "sha256": hashlib.sha256(pc.read_bytes()).hexdigest()}
-    assert str(pc) not in hashed
 
 
 def _read_once_cases(workspace, trained, tmp_path):
@@ -1295,7 +1274,7 @@ def _read_once_cases(workspace, trained, tmp_path):
     cases = {"tune": (["tune", "--corpus", corpus, "--glove", glove,
                        "--precomputed", f"pc={pc}", "--grid", str(grid),
                        "--k", "2", "--epochs", "1", *out],
-                      [corpus, glove, pc]),
+                      [corpus, glove, pc, str(grid)]),
              "regress": (["regress", "--corpus", corpus, "--predictions",
                           str(preds), "--bootstrap", "10", *out],
                          [corpus, str(preds)]),
@@ -1321,14 +1300,21 @@ def _read_once_cases(workspace, trained, tmp_path):
     cases["minimal-pairs-glove"] = (
         ["minimal-pairs", "--model", model, "--glove", glove,
          "--bootstrap", "10", *out], [model, glove])
+    frames = tmp_path / "frames.tsv"
+    frames.write_bytes(
+        resources.files("sil").joinpath("data/frames.tsv").read_bytes())
+    cases["minimal-pairs-frames"] = (
+        ["minimal-pairs", "--model", model, "--glove", glove,
+         "--frames", str(frames), "--bootstrap", "10", *out],
+        [model, glove, str(frames)])
     return cases
 
 
 @pytest.mark.parametrize("case", [
     "train-glove", "train-precomputed", "eval-glove", "eval-precomputed",
     "cv-predict-glove", "cv-predict-precomputed", "tune",
-    "minimal-pairs-glove", "attention-glove", "attention-precomputed",
-    "regress", "ceiling", "import"])
+    "minimal-pairs-glove", "minimal-pairs-frames", "attention-glove",
+    "attention-precomputed", "regress", "ceiling", "import"])
 def test_each_model_and_vector_file_is_opened_once(workspace, trained,
                                                    tmp_path, monkeypatch,
                                                    case):
@@ -1356,6 +1342,9 @@ def test_each_model_and_vector_file_is_opened_once(workspace, trained,
 # ---------------------------------------------------------------------------
 
 NOT_UTF8 = b"id,score\nu000,0.5\n\xff\xfe,0.1\n"
+FRAMES_HEADER = (b"frame_id\tsubj_premod\tsubj_head\tsubj_postmod\tobj_premod"
+                 b"\tobj_head\tobj_postmod\tverb_active\tverb_passive"
+                 b"\tpassive_aux\tother_det\tcomplement\n")
 HUGE_FIELD = b"id,score\nu000,0.5\n" + b"a" * 131_073 + b",0.1\n"
 
 
@@ -1398,9 +1387,17 @@ def _text_input_argv(workspace, kind, path, out):
     ("corpus", HUGE_FIELD, "line 3: field larger than field limit (131072)"),
     ("config", b"[" * 100_000, "JSON nested too deeply"),
     ("grid", b'{"a": ' * 100_000, "JSON nested too deeply"),
+    ("frames", FRAMES_HEADER
+     + b"f01\t\tdogs\tin town\tred\tcars\ton show\tsaw\tseen\twere\tthe\t\n",
+     "row 2: empty subj_premod"),
+    ("frames", b"frame_id\tsubj_head\nf01\tdogs\n",
+     "frames file missing columns: ['subj_premod', 'subj_postmod', "
+     "'obj_premod', 'obj_head', 'obj_postmod', 'verb_active', "
+     "'verb_passive', 'passive_aux', 'other_det', 'complement']"),
 ], ids=["corpus-utf8", "frames-utf8", "predictions-utf8", "config-utf8",
         "grid-utf8", "import-utf8", "predictions-field", "import-field",
-        "corpus-field", "config-depth", "grid-depth"])
+        "corpus-field", "config-depth", "grid-depth", "frames-empty-cell",
+        "frames-missing-columns"])
 def test_malformed_text_input_names_file(workspace, tmp_path, capsys, kind,
                                          content, named):
     path = tmp_path / "input.csv"

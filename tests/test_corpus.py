@@ -166,7 +166,7 @@ def test_target_truncation_keeps_first_30_and_drops_markers():
     base.of_partitive_indices = [36]
     base.of_other_indices = [5]
     base.features.utterance_length = 42
-    out = truncate(base, "target_only")
+    out = truncate(base, with_context=False)
     assert out.tokens == base.tokens[:MAX_TARGET_TOKENS]
     assert out.some_index is None
     assert out.of_partitive_indices == []
@@ -178,13 +178,16 @@ def test_target_truncation_keeps_first_30_and_drops_markers():
 def test_short_target_unchanged_and_same_object():
     record = make_records(1, seed=4)[0]
     assert len(record.tokens) <= MAX_TARGET_TOKENS
-    assert truncate(record, "target_only") is record
+    assert truncate(record, with_context=False) is record
+    # the flag is keyword-only: a positional mode string is not read as True
+    with pytest.raises(TypeError):
+        truncate(record, "target_only")
 
 
 def test_context_truncation_keeps_last_150():
     record = make_records(1, seed=5)[0]
     record.context_tokens = [f"c{i}" for i in range(200)]
-    out = truncate(record, "with_context")
+    out = truncate(record, with_context=True)
     assert out.context_tokens == record.context_tokens[-MAX_CONTEXT_TOKENS:]
     assert out.context_tokens[0] == "c50"
     assert out.tokens == record.tokens
@@ -195,14 +198,8 @@ def test_context_mode_leaves_long_target_alone():
     record.tokens = [f"w{i}" for i in range(42)]
     record.some_index = 0
     record.tokens[0] = "some"
-    out = truncate(record, "with_context")
+    out = truncate(record, with_context=True)
     assert len(out.tokens) == 42
-
-
-def test_unknown_truncation_mode_rejected():
-    record = make_records(1)[0]
-    with pytest.raises(ContractError):
-        truncate(record, "both")
 
 
 def test_split_sizes_and_determinism():

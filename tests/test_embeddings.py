@@ -133,10 +133,10 @@ def test_embed_utterance_truncates_the_record():
     # targets keep their first 30 tokens; contexts their last 150, with
     # the target whole; a record cut before the call is cut the same
     for with_context, rows in ((False, 30), (True, 150 + 45)):
-        mode = "with_context" if with_context else "target_only"
         full = embed_utterance(record, table, with_context)
         assert full.shape == (rows, 4)
-        cut = embed_utterance(truncate(record, mode), table, with_context)
+        cut = embed_utterance(truncate(record, with_context=with_context),
+                              table, with_context)
         assert cut.tobytes() == full.tobytes()
     source = PrecomputedEmbeddings(
         dim=3, layer_id=0,

@@ -228,8 +228,6 @@ def test_ci_validates_inputs():
         bootstrap_ci({"g": [1.0]}, B=0)
     with pytest.raises(ContractError):
         bootstrap_ci({"g": []}, B=10)
-    with pytest.raises(ContractError):
-        bootstrap_ci({"g": [1.0]}, B=10, level=1.0)
 
 
 def test_ci_narrows_with_samples():

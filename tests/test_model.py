@@ -14,8 +14,7 @@ from sil.cli import main
 from sil.corpus import write_corpus
 from sil.errors import ContractError, IntegrityError, NumericError
 from sil.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PREDICT_CHUNK,
-                       ModelConfig, ModelParams, attention_pool,
-                       final_state_pool, forward, init_params,
+                       ModelConfig, ModelParams, forward, init_params,
                        load_checkpoint, lstm_cell, param_shapes,
                        predict_batch, run_batch, save_checkpoint)
 
@@ -280,16 +279,13 @@ def test_final_state_pooling_uses_edge_states():
     x = np.random.default_rng(6).standard_normal((5, 3))
     fp = forward(x, params, config)
     assert fp.attention is None
-    pooled = final_state_pool(fp.hidden)
+    # the forward direction's last state and the backward direction's first
+    H = config.hidden_dim
+    pooled = np.concatenate([fp.hidden[-1, :H], fp.hidden[0, H:]])
     w = params.tensors["head.w"]
     b = float(params.tensors["head.b"])
     expected = 1.0 / (1.0 + np.exp(-(w @ pooled + b)))
     assert float(fp.score.value) == pytest.approx(expected, abs=1e-12)
-
-
-def test_single_token_final_state_is_whole_state():
-    hidden = np.random.default_rng(7).standard_normal((1, 8))
-    np.testing.assert_array_equal(final_state_pool(hidden), hidden[0])
 
 
 def test_final_state_sensitive_to_token_order():
@@ -320,27 +316,6 @@ def test_head_bias_raises_score_monotonically():
         params.tensors["head.b"] = np.array(bias)
         scores.append(float(forward(x, params, config).score.value))
     assert scores[0] < scores[1] < scores[2]
-
-
-def test_identical_states_attract_uniform_attention():
-    config = small_config()
-    params = init_params(config)
-    hidden = np.tile(np.random.default_rng(9).standard_normal(8), (5, 1))
-    weights, pooled = attention_pool(hidden, params)
-    np.testing.assert_allclose(weights, np.full(5, 0.2), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pooled, hidden[0], rtol=0, atol=1e-12)
-
-
-def test_attention_pooled_vector_stays_in_convex_hull():
-    rng = np.random.default_rng(10)
-    config = small_config()
-    params = init_params(config)
-    for trial in range(20):
-        hidden = rng.standard_normal((int(rng.integers(2, 9)), 8))
-        weights, pooled = attention_pool(hidden, params)
-        assert abs(weights.sum() - 1.0) <= 1e-9
-        assert np.all(pooled <= hidden.max(axis=0) + 1e-12)
-        assert np.all(pooled >= hidden.min(axis=0) - 1e-12)
 
 
 def test_full_model_gradients_both_poolings():

@@ -351,18 +351,16 @@ def test_of_normalization_pools_across_records():
 
 def test_exact_linear_recovery_without_standardization():
     records = make_records(40, seed=2)
-    for r in records:
-        r.mean_rating = (2.0 + 1.5 * r.features.partitive
-                         - 0.25 * r.features.determiner_strength)
+    X, names, _ = build_design(records, RegressionSpec(), None)
+    planted = dict(zip(names, [2.0, 1.5, -0.25, 0.5, -0.75, 0.3, 0.1]))
+    for r, rating in zip(records, X @ [planted[n] for n in names]):
+        r.mean_rating = float(rating)
     rng = np.random.default_rng(0)
     nn = {r.id: float(rng.normal()) for r in records}
-    spec = RegressionSpec(main_effects=("partitive", "strength"),
-                          standardize=False)
-    comp = regression_compare(records, nn, spec, B=0, seed=0)
-    assert comp.row("intercept").beta_original == pytest.approx(2.0, abs=1e-9)
-    assert comp.row("partitive").beta_original == pytest.approx(1.5, abs=1e-9)
-    assert comp.row("strength").beta_original == \
-        pytest.approx(-0.25, abs=1e-9)
+    comp = regression_compare(records, nn, RegressionSpec(), B=0, seed=0)
+    for name in names:
+        assert comp.row(name).beta_original == \
+            pytest.approx(planted[name], abs=1e-9), name
 
 
 def test_b_zero_reports_point_fit_only():
@@ -403,17 +401,6 @@ def test_nn_row_reports_extended_fit_only():
     assert math.isnan(row.p_shrink)
 
 
-def test_include_nn_false_gives_identical_models():
-    records = make_records(20, seed=4)
-    nn = {r.id: float(i) for i, r in enumerate(records)}
-    spec = RegressionSpec(include_nn=False)
-    comp = regression_compare(records, nn, spec, B=30, seed=0)
-    assert all(r.predictor != "nn_prediction" for r in comp.rows)
-    for row in comp.rows:
-        assert row.beta_extended == pytest.approx(row.beta_original,
-                                                  abs=1e-12)
-
-
 def test_singular_design_names_the_collinear_predictors():
     records = make_records(30, seed=5)
     for r in records:
@@ -427,23 +414,17 @@ def test_singular_design_names_the_collinear_predictors():
 
 def test_interaction_columns_are_products():
     records = make_records(15, seed=6)
-    spec = RegressionSpec(main_effects=("partitive", "mention"),
-                          interactions=[("partitive", "mention")],
-                          standardize=False)
+    spec = RegressionSpec(interactions=[("partitive", "mention")])
     X, names, y = build_design(records, spec, None)
-    assert names == ["intercept", "partitive", "mention",
-                     "partitive:mention"]
-    np.testing.assert_allclose(X[:, 3], X[:, 1] * X[:, 2], atol=0)
+    assert names == ["intercept", *MAIN_EFFECTS, "partitive:mention"]
+    np.testing.assert_allclose(X[:, -1], X[:, 1] * X[:, 3], atol=0)
     np.testing.assert_array_equal(
         y, [r.mean_rating for r in records])
 
 
 def test_interaction_must_reference_declared_mains():
     with pytest.raises(ContractError, match="undeclared"):
-        RegressionSpec(main_effects=("partitive",),
-                       interactions=[("partitive", "strength")])
-    with pytest.raises(ContractError, match="duplicate"):
-        RegressionSpec(main_effects=("partitive", "partitive"))
+        RegressionSpec(interactions=[("partitive", "nn_prediction")])
 
 
 def test_standardization_centers_and_scales():

@@ -68,21 +68,6 @@ def test_examples_keep_whole_target_with_context():
     assert examples[0].embedded.shape == (150 + 42, 6)
 
 
-def test_examples_skip_missing_ratings():
-    records = make_records(6, seed=1)  # no_context column absent
-    table = make_table(sorted(vocab_of(records)))
-    none_left = examples_from_records(
-        records, table, rating_attr="no_context_mean_rating")
-    assert none_left == []
-
-    with_col = make_records(6, seed=1, no_context_col=True)
-    examples = examples_from_records(
-        with_col, table, rating_attr="no_context_mean_rating")
-    assert len(examples) == 6
-    assert examples[0].target == rescale_rating(
-        with_col[0].no_context_mean_rating)
-
-
 # ---------------------------------------------------------------------------
 # train / evaluate
 # ---------------------------------------------------------------------------
