@@ -32,7 +32,7 @@ from .corpus import (kfold, parse_corpus, parse_row, read_rows, read_text,
 from .embeddings import embed_utterance, load_glove, load_precomputed, tokenize
 from .errors import (ContractError, IntegrityError, NumericError, ParseError,
                      UndefinedCorrelationError, ValidationError, in_file)
-from .metrics import bootstrap_ceiling, mse, pearson
+from .metrics import bootstrap_ceiling, mse, pearson_or_nan
 from .model import (ModelConfig, load_checkpoint, predict_batch,
                     save_checkpoint)
 from .probes import (attention_by_position, attention_for_records,
@@ -101,6 +101,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     for row in rows:
         writer.writerow([_fmt_cell(cell) for cell in row])
     _atomic_write_text(path, buf.getvalue())
+
+
+def _interval_rows(intervals, *prefix) -> list[tuple]:
+    """CSV rows `(*prefix, *key, n, mean, lo, hi)` of `bootstrap_ci` rows."""
+    return [(*prefix, *r.key, r.n, r.mean, r.lo, r.hi) for r in intervals]
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -375,6 +380,9 @@ def cmd_import(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_train(cfg):
+    if not 0.0 <= cfg["valid_fraction"] < 1.0:
+        raise ValidationError(
+            f"valid_fraction must be in [0, 1), got {cfg['valid_fraction']}")
     records = parse_corpus(cfg["corpus"])
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     seed = cfg["seed"]
@@ -429,10 +437,7 @@ def cmd_train(cfg):
         scores = evaluate(test_ex, params, config)
         targets = np.array([ex.target for ex in test_ex])
         rows.append(("test_mse", mse(scores, targets)))
-        try:
-            rows.append(("test_pearson_r", pearson(scores, targets)))
-        except UndefinedCorrelationError:
-            rows.append(("test_pearson_r", float("nan")))
+        rows.append(("test_pearson_r", pearson_or_nan(scores, targets)))
     metrics_path = Path(cfg.get("metrics") or out.with_suffix(".metrics.csv"))
     _write_csv(metrics_path, ["metric", "value"], rows)
     outputs.append(metrics_path)
@@ -583,11 +588,8 @@ def cmd_eval(cfg):
 
     scores = np.array([p[1] for p in preds])
     targets = np.array([rescale_rating(p[3]) for p in preds])
-    rows = [("n_items", len(preds)), ("mse", mse(scores, targets))]
-    try:
-        rows.append(("pearson_r", pearson(scores, targets)))
-    except (UndefinedCorrelationError, ContractError):
-        rows.append(("pearson_r", float("nan")))
+    rows = [("n_items", len(preds)), ("mse", mse(scores, targets)),
+            ("pearson_r", pearson_or_nan(scores, targets))]
     out = Path(cfg["out"])
     _write_csv(out, ["metric", "value"], rows)
     outputs = [out]
@@ -640,7 +642,7 @@ def cmd_minimal_pairs(cfg):
     table = load_glove(cfg["glove"], cfg["unk_policy"],
                        keep={t for v in variants for t in v.tokens()})
     scores = score_variants(variants, params, mconfig, table)
-    report = minimal_pair_report(variants, scores, B=cfg["bootstrap"],
+    groups = minimal_pair_report(variants, scores, B=cfg["bootstrap"],
                                  seed=derive_seed(cfg["seed"], "minimal-pairs"))
 
     out = Path(cfg["out"])
@@ -657,8 +659,7 @@ def cmd_minimal_pairs(cfg):
 
     groups_path = Path(cfg.get("groups") or out.with_suffix(".groups.csv"))
     _write_csv(groups_path, ["grouping", "level", "n", "mean", "lo", "hi"],
-               [(g.grouping, g.level, g.n, g.mean, g.lo, g.hi)
-                for g in report.groups])
+               _interval_rows(groups))
     outputs.append(groups_path)
 
     print(f"scored {len(variants)} variants -> {out}")
@@ -682,21 +683,16 @@ def cmd_attention(cfg):
                                       seed=derive_seed(seed, "of-analysis"))
 
     out = Path(cfg["out"])
-    rows = [("some_vs_other", s.group, s.position, s.n, s.mean, s.lo, s.hi)
-            for s in report.position_curves]
-    rows += [("subjecthood_renormalized", s.group, s.position, s.n, s.mean,
-              s.lo, s.hi) for s in report.subjecthood_curves]
     _write_csv(out, ["analysis", "group", "position", "n", "mean", "lo", "hi"],
-               rows)
+               _interval_rows(report.position_curves, "some_vs_other")
+               + _interval_rows(report.subjecthood_curves,
+                                "subjecthood_renormalized"))
     outputs = [out]
 
     of_path = Path(cfg.get("of_out") or out.with_suffix(".of.csv"))
-    of_rows = [("raw", s.kind, s.n_tokens, s.mean, s.lo, s.hi)
-               for s in of_report.raw]
-    of_rows += [("normalized", s.kind, s.n_tokens, s.mean, s.lo, s.hi)
-                for s in of_report.normalized]
     _write_csv(of_path, ["mode", "kind", "n_tokens", "mean", "lo", "hi"],
-               of_rows)
+               _interval_rows(of_report.raw, "raw")
+               + _interval_rows(of_report.normalized, "normalized"))
     outputs.append(of_path)
 
     summary_path = Path(cfg.get("summary") or out.with_suffix(".summary.csv"))
@@ -782,10 +778,7 @@ def cmd_ceiling(cfg):
     if len(paired) >= 2:
         x = np.array([p[0] for p in paired])
         y = np.array([p[1] for p in paired])
-        try:
-            rows.append(("context_vs_no_context_r", pearson(x, y)))
-        except UndefinedCorrelationError:
-            rows.append(("context_vs_no_context_r", float("nan")))
+        rows.append(("context_vs_no_context_r", pearson_or_nan(x, y)))
 
     out = Path(cfg["out"])
     _write_csv(out, ["metric", "value"], rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +33,25 @@ def pearson(x, y) -> float:
     return float(dx @ dy) / (sx * sy)
 
 
+def pearson_or_nan(x, y) -> float:
+    """`pearson`, or NaN where r is undefined: fewer than 2 points or a
+    series with zero variance. Series of different shapes still raise."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape == y.shape and x.ndim == 1 and len(x) < 2:
+        return float("nan")
+    try:
+        return pearson(x, y)
+    except UndefinedCorrelationError:
+        return float("nan")
+
+
 def mse(predicted, target) -> float:
+    """Mean squared error; NaN for no items."""
     predicted = np.asarray(predicted, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
+    if predicted.size == target.size == 0:
+        return float("nan")
     return float(np.mean((predicted - target) ** 2))
 
 
@@ -110,16 +127,30 @@ def bootstrap_ceiling(ratings_per_item: list, B: int, seed: int) -> float:
 CI_ALPHA = (1.0 - 0.95) / 2.0
 
 
-def bootstrap_ci(groups: dict, B: int, seed: int = 0) -> dict:
-    """Percentile bootstrap 95% interval of the mean for each group of
-    values.
+@dataclass(frozen=True)
+class Interval:
+    """One group's row of a probe summary: its key (a tuple), its size, its
+    mean and the bounds of its 95% bootstrap interval."""
 
-    Returns {key: (mean, lo, hi)}. A group of identical values collapses to
-    (v, v, v).
+    key: tuple
+    n: int
+    mean: float
+    lo: float
+    hi: float
+
+
+def bootstrap_ci(groups: dict, B: int, seed: int = 0) -> list[Interval]:
+    """Percentile bootstrap 95% interval of the mean for each group of
+    values, keyed by a tuple.
+
+    Returns one Interval per group, sorted by key. The groups are resampled
+    in the dict's order, so a group's bounds depend on the groups before
+    it, not on the sort. A group of identical values v has
+    mean = lo = hi = v.
     """
     if B < 1:
         raise ContractError("bootstrap replicate count must be >= 1")
-    out = {}
+    rows = []
     rng = rng_for(seed, "bootstrap-ci")
     for key in groups:
         values = np.asarray(groups[key], dtype=np.float64)
@@ -129,5 +160,6 @@ def bootstrap_ci(groups: dict, B: int, seed: int = 0) -> dict:
         idx = rng.integers(0, n, size=(B, n))
         means = values[idx].mean(axis=1)
         lo, hi = np.quantile(means, [CI_ALPHA, 1.0 - CI_ALPHA])
-        out[key] = (float(values.mean()), float(lo), float(hi))
-    return out
+        rows.append(Interval(key, n, float(values.mean()), float(lo),
+                             float(hi)))
+    return sorted(rows, key=lambda row: row.key)

@@ -2,17 +2,16 @@
 
 from .attention import (AttentionReport, OfReport, attention_by_position,
                         attention_for_records, partitive_of_analysis)
-from .minimal_pairs import (MinimalPairReport, MinimalPairVariant,
-                            SentenceFrame, generate_minimal_pairs,
-                            load_frames, minimal_pair_report, realize,
-                            score_variants)
+from .minimal_pairs import (MinimalPairVariant, SentenceFrame,
+                            generate_minimal_pairs, load_frames,
+                            minimal_pair_report, realize, score_variants)
 from .regression import (CoefficientComparison, CoefficientRow,
                          RegressionSpec, build_design, regression_compare)
 
 __all__ = [
     "AttentionReport", "OfReport", "attention_by_position",
     "attention_for_records", "partitive_of_analysis",
-    "MinimalPairReport", "MinimalPairVariant", "SentenceFrame",
+    "MinimalPairVariant", "SentenceFrame",
     "generate_minimal_pairs", "load_frames", "minimal_pair_report",
     "realize", "score_variants",
     "CoefficientComparison", "CoefficientRow", "RegressionSpec",

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..embeddings import embed_utterance
 from ..errors import ContractError
-from ..metrics import bootstrap_ci
+from ..metrics import Interval, bootstrap_ci
 from ..model import predict_batch
 
 
@@ -32,35 +32,18 @@ def attention_for_records(records, params, config, source) -> dict[str, np.ndarr
 
 
 @dataclass
-class PositionStat:
-    group: str
-    position: int
-    n: int
-    mean: float
-    lo: float
-    hi: float
-
-
-@dataclass
 class AttentionReport:
+    """The two positionwise analyses. Each curve is `bootstrap_ci`'s rows,
+    keyed (group, position) and sorted."""
+
     # analysis (a): raw weights, some-token vs all other tokens by position
-    position_curves: list[PositionStat]
+    position_curves: list[Interval]
     some_mean: float
     other_mean: float
     # analysis (b): some-weight zeroed + renormalized, grouped by subjecthood
-    subjecthood_curves: list[PositionStat]
+    subjecthood_curves: list[Interval]
     n_length_filtered: int
     skipped_missing_some: int
-
-
-def _curve(buckets: dict[tuple[str, int], list[float]], B: int,
-           seed: int) -> list[PositionStat]:
-    cis = bootstrap_ci(buckets, B=B, seed=seed)
-    return [
-        PositionStat(group=key[0], position=key[1], n=len(buckets[key]),
-                     mean=cis[key][0], lo=cis[key][1], hi=cis[key][2])
-        for key in sorted(buckets)
-    ]
 
 
 def attention_by_position(records, attention_by_id: dict, max_len: int = 30,
@@ -116,27 +99,21 @@ def attention_by_position(records, attention_by_id: dict, max_len: int = 30,
     if not some_values:
         raise ContractError("no record carried a usable some-token index")
     return AttentionReport(
-        position_curves=_curve(raw_buckets, B, seed),
+        position_curves=bootstrap_ci(raw_buckets, B=B, seed=seed),
         some_mean=float(np.mean(some_values)),
         other_mean=float(np.mean(other_values)) if other_values else 0.0,
-        subjecthood_curves=_curve(renorm_buckets, B, seed),
+        subjecthood_curves=bootstrap_ci(renorm_buckets, B=B, seed=seed),
         n_length_filtered=n_filtered,
         skipped_missing_some=skipped)
 
 
 @dataclass
-class OfStat:
-    kind: str  # partitive / other
-    n_tokens: int
-    mean: float
-    lo: float
-    hi: float
-
-
-@dataclass
 class OfReport:
-    raw: list[OfStat]
-    normalized: list[OfStat]
+    """Of-token weights by kind, each mode `bootstrap_ci`'s rows keyed
+    (kind,), sorted; a kind with no token has no row."""
+
+    raw: list[Interval]
+    normalized: list[Interval]
     n_multi_of: int  # utterances entering the normalized comparison
 
 
@@ -176,11 +153,9 @@ def partitive_of_analysis(records, attention_by_id: dict, B: int = 1000,
         for i in other_idx:
             norm_vals["other"].append(float(weights[i]) / total)
 
-    def stats(vals: dict[str, list[float]]) -> list[OfStat]:
-        present = {k: v for k, v in vals.items() if v}
-        cis = bootstrap_ci(present, B=B, seed=seed)
-        return [OfStat(kind=k, n_tokens=len(present[k]), mean=cis[k][0],
-                       lo=cis[k][1], hi=cis[k][2]) for k in sorted(present)]
+    def stats(vals: dict[str, list[float]]) -> list[Interval]:
+        return bootstrap_ci({(k,): v for k, v in vals.items() if v}, B=B,
+                            seed=seed)
 
     return OfReport(raw=stats(raw_vals), normalized=stats(norm_vals),
                     n_multi_of=n_multi)

@@ -16,10 +16,10 @@ from importlib import resources
 
 import numpy as np
 
-from ..corpus import Parsed, read_rows, unscale_rating
+from ..corpus import MAX_TARGET_TOKENS, Parsed, read_rows, unscale_rating
 from ..embeddings import tokenize
 from ..errors import ValidationError, in_file
-from ..metrics import bootstrap_ci
+from ..metrics import Interval, bootstrap_ci
 from ..model import predict_batch
 
 FRAME_COLUMNS = [
@@ -165,33 +165,14 @@ def generate_minimal_pairs(frames: list[SentenceFrame]
 
 
 def score_variants(variants, params, config, table) -> np.ndarray:
-    """Eval-mode model scores in [0, 1] for each variant's tokenization."""
-    embedded = [np.vstack([table.lookup(t) for t in variant.tokens()])
+    """Eval-mode model scores in [0, 1] for each variant's tokenization,
+    cut to its first MAX_TARGET_TOKENS tokens as `embed_utterance` cuts a
+    corpus target."""
+    embedded = [np.vstack([table.lookup(t) for t
+                           in variant.tokens()[:MAX_TARGET_TOKENS]])
                 for variant in variants]
     scores, _ = predict_batch(embedded, params, config)
     return scores
-
-
-@dataclass
-class GroupStat:
-    grouping: str
-    level: str
-    n: int
-    mean: float
-    lo: float
-    hi: float
-
-
-@dataclass
-class MinimalPairReport:
-    groups: list[GroupStat]
-    per_sentence: list[tuple[str, dict[str, int], float]]  # id, features, raw
-
-    def group_mean(self, grouping: str, level: str) -> float:
-        for g in self.groups:
-            if g.grouping == grouping and g.level == level:
-                return g.mean
-        raise KeyError(f"{grouping}/{level}")
 
 
 def _groupings(variant: MinimalPairVariant) -> list[tuple[str, str]]:
@@ -209,26 +190,18 @@ def _groupings(variant: MinimalPairVariant) -> list[tuple[str, str]]:
 
 
 def minimal_pair_report(variants, scores, B: int = 1000,
-                        seed: int = 0) -> MinimalPairReport:
+                        seed: int = 0) -> list[Interval]:
     """Group mean predicted ratings (raw 1-7 scale) with bootstrap CIs.
 
     Groupings: partitive presence, grammatical function of the some-NP,
     prenominal / postnominal modification, and their union ("modification",
     modified = either modifier present, splitting 600/200).
-    """
-    raw = [unscale_rating(float(s)) for s in scores]
-    buckets: dict[tuple[str, str], list[float]] = {}
-    per_sentence = []
-    for variant, value in zip(variants, raw):
-        per_sentence.append((variant.variant_id, dict(variant.features), value))
-        for grouping, level in _groupings(variant):
-            buckets.setdefault((grouping, level), []).append(value)
 
-    cis = bootstrap_ci({key: vals for key, vals in buckets.items()},
-                       B=B, seed=seed)
-    groups = [
-        GroupStat(grouping=key[0], level=key[1], n=len(buckets[key]),
-                  mean=cis[key][0], lo=cis[key][1], hi=cis[key][2])
-        for key in sorted(buckets)
-    ]
-    return MinimalPairReport(groups=groups, per_sentence=per_sentence)
+    Returns `bootstrap_ci`'s rows, keyed (grouping, level) and sorted.
+    """
+    buckets: dict[tuple[str, str], list[float]] = {}
+    for variant, score in zip(variants, scores):
+        value = unscale_rating(float(score))
+        for key in _groupings(variant):
+            buckets.setdefault(key, []).append(value)
+    return bootstrap_ci(buckets, B=B, seed=seed)

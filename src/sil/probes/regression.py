@@ -157,6 +157,9 @@ def regression_compare(records, nn_predictions: dict, spec: RegressionSpec,
                        B: int = 10000, seed: int = 0) -> CoefficientComparison:
     """Fit original and extended models and bootstrap coefficient shrinkage.
 
+    Returns one row per predictor of the extended model, in design order:
+    the intercept, the main effects, the interactions, then
+    `nn_prediction`, whose original-model beta, CI and p_shrink are NaN.
     With B=0 only the point fits are reported (CIs collapse to the point
     estimate, p_shrink is NaN).
     """
@@ -177,36 +180,27 @@ def regression_compare(records, nn_predictions: dict, spec: RegressionSpec,
             draws_orig[b] = _fit(X_orig[idx], y[idx])
             draws_ext[b] = _fit(X_ext[idx], y[idx])
 
+    nan = float("nan")
     rows = []
-    for j, name in enumerate(names_orig):
-        b_o = float(beta_orig[j])
+    for j, name in enumerate(names_ext):
+        # the NN predictor, last, is in the extended model only
+        shared = j < len(names_orig)
+        b_o = float(beta_orig[j]) if shared else nan
         b_e = float(beta_ext[j])
+        ci_o, ci_e, p = (b_o, b_o), (b_e, b_e), nan
         if B > 0:
-            o = draws_orig[:, j]
             e = draws_ext[:, j]
-            ci_o = (float(np.quantile(o, 0.025)), float(np.quantile(o, 0.975)))
             ci_e = (float(np.quantile(e, 0.025)), float(np.quantile(e, 0.975)))
-            shrunk = np.abs(e) < np.abs(o)
-            ties = np.abs(e) == np.abs(o)
-            p = float((shrunk.sum() + 0.5 * ties.sum()) / B)
-        else:
-            ci_o = (b_o, b_o)
-            ci_e = (b_e, b_e)
-            p = float("nan")
+            if shared:
+                o = draws_orig[:, j]
+                ci_o = (float(np.quantile(o, 0.025)),
+                        float(np.quantile(o, 0.975)))
+                shrunk = np.abs(e) < np.abs(o)
+                ties = np.abs(e) == np.abs(o)
+                p = float((shrunk.sum() + 0.5 * ties.sum()) / B)
         rows.append(CoefficientRow(
             predictor=name, beta_original=b_o, beta_extended=b_e,
             ci_original=ci_o, ci_extended=ci_e, p_shrink=p,
             stars="" if math.isnan(p) else _stars(p)))
-
-    b_e = float(beta_ext[-1])
-    if B > 0:
-        e = draws_ext[:, -1]
-        ci_e = (float(np.quantile(e, 0.025)), float(np.quantile(e, 0.975)))
-    else:
-        ci_e = (b_e, b_e)
-    rows.append(CoefficientRow(
-        predictor=NN_PREDICTOR, beta_original=float("nan"),
-        beta_extended=b_e, ci_original=(float("nan"), float("nan")),
-        ci_extended=ci_e, p_shrink=float("nan"), stars=""))
 
     return CoefficientComparison(rows=rows, n_items=n, n_bootstrap=B)

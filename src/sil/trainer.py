@@ -18,8 +18,8 @@ import numpy as np
 
 from .corpus import kfold, rescale_rating
 from .embeddings import embed_utterance
-from .errors import ContractError, NumericError, UndefinedCorrelationError
-from .metrics import pearson
+from .errors import ContractError, NumericError
+from .metrics import pearson_or_nan
 from .model import (ModelConfig, ModelParams, init_params, predict_batch,
                     run_batch)
 from .optim import AdamState, adam_step
@@ -155,10 +155,7 @@ def train(train_examples: list[Example], valid_examples: list[Example],
         if valid_examples:
             scores = evaluate(valid_examples, params, config)
             targets = np.array([ex.target for ex in valid_examples])
-            try:
-                valid_r = pearson(scores, targets)
-            except (UndefinedCorrelationError, ContractError):
-                valid_r = float("nan")
+            valid_r = pearson_or_nan(scores, targets)
         curve.epochs.append(EpochStats(train_mse=train_mse, valid_r=valid_r))
         if math.isfinite(valid_r) and valid_r > best_r:
             best_r = valid_r

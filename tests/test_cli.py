@@ -4,9 +4,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import shlex
 import struct
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,6 +441,38 @@ def test_flag_table_is_consistent(tmp_path, capsys, command):
         assert f"{command} requires --{missing}" in capsys.readouterr().err
 
 
+def _readme_command_lines() -> list[str]:
+    """Every `sil ...` line of README's fenced bash blocks, with its
+    backslash continuations joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines, block, pending = [], None, ""
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            block = None if block is not None else line[3:].strip()
+            continue
+        if block != "bash":
+            continue
+        pending += line.strip()
+        if pending.endswith("\\"):
+            pending = pending[:-1] + " "
+            continue
+        if pending.startswith("sil "):
+            lines.append(pending)
+        pending = ""
+    return lines
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    assert {line.split()[1] for line in lines} == set(_subcommands())
+
+
 def test_manifest_path_flag(workspace, tmp_path):
     out = tmp_path / "c.csv"
     manifest = tmp_path / "run.json"
@@ -492,6 +528,65 @@ def test_eval_subset_sizes_match_split(workspace, trained, tmp_path):
         assert rc == 0
         sizes[subset] = int(dict(read_csv(report)[1:])["n_items"])
     assert sizes == {"train": 17, "test": 7}
+
+
+def _small_corpus(workspace, tmp_path, n):
+    corpus = tmp_path / f"corpus{n}.tsv"
+    write_corpus(workspace["records"][:n], corpus)
+    return corpus
+
+
+def test_train_on_one_test_item_reports_nan_r(workspace, tmp_path, capsys):
+    # 5 records at --train-fraction 0.7 hold out floor(5 * 0.3) = 1 item
+    out = tmp_path / "m.bin"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--corpus",
+                   str(_small_corpus(workspace, tmp_path, 5)),
+                   "--glove", str(workspace["glove"]), "--hidden-dim", "4",
+                   "--epochs", "2", "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in caught] == []
+    metrics = dict(read_csv(out.with_suffix(".metrics.csv"))[1:])
+    assert int(metrics["test_items"]) == 1
+    assert math.isnan(float(metrics["test_pearson_r"]))
+    assert (tmp_path / "m.bin.manifest.json").exists()
+
+
+def test_eval_of_an_empty_subset_reports_nan(workspace, trained, tmp_path,
+                                             capsys):
+    # 3 records at --train-fraction 0.7 hold out floor(3 * 0.3) = 0 items
+    report = tmp_path / "report.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--model", str(trained), "--corpus",
+                   str(_small_corpus(workspace, tmp_path, 3)),
+                   "--glove", str(workspace["glove"]), "--subset", "test",
+                   "--out", str(report)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in caught] == []
+    metrics = dict(read_csv(report)[1:])
+    assert int(metrics["n_items"]) == 0
+    assert math.isnan(float(metrics["mse"]))
+    assert math.isnan(float(metrics["pearson_r"]))
+    assert (tmp_path / "report.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.0", "-0.5"])
+def test_valid_fraction_out_of_range_exits_one(workspace, tmp_path, capsys,
+                                               fraction):
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]), "--hidden-dim", "4",
+               "--epochs", "1", "--valid-fraction", fraction,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "valid_fraction must be in [0, 1)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

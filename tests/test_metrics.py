@@ -1,11 +1,15 @@
 """Correlation, MSE, and the two bootstrap estimators."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from sil import metrics
 from sil.errors import ContractError, UndefinedCorrelationError
-from sil.metrics import bootstrap_ceiling, bootstrap_ci, mse, pearson
+from sil.metrics import (Interval, bootstrap_ceiling, bootstrap_ci, mse,
+                         pearson, pearson_or_nan)
 from sil.seeding import rng_for
 
 
@@ -55,10 +59,28 @@ def test_pearson_symmetry_and_affine_invariance():
     assert abs(r) <= 1.0
 
 
+def test_pearson_or_nan_is_nan_only_where_r_is_undefined():
+    assert math.isnan(pearson_or_nan([], []))
+    assert math.isnan(pearson_or_nan([1.0], [2.0]))
+    assert math.isnan(pearson_or_nan([1.0, 1.0, 1.0], [1, 2, 3]))
+    assert pearson_or_nan([1, 2, 3, 4], [2, 4, 5, 4]) == \
+        pearson([1, 2, 3, 4], [2, 4, 5, 4])
+    with pytest.raises(ContractError):
+        pearson_or_nan([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ContractError):
+        pearson_or_nan([1.0], [1.0, 2.0])
+
+
 def test_mse_basic_cases():
     assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert mse([0.0, 0.0], [1.0, 1.0]) == 1.0
     assert mse([0.0, 2.0], [1.0, 0.0]) == pytest.approx(2.5)
+
+
+def test_mse_of_no_items_is_nan_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(mse([], []))
 
 
 def test_ceiling_on_identical_ratings_is_one():
@@ -201,26 +223,28 @@ def test_ceiling_matches_loop_property():
 
 
 def test_ci_of_identical_values_collapses():
-    out = bootstrap_ci({"g": [3.0, 3.0, 3.0]}, B=100, seed=0)
-    assert out["g"] == (3.0, 3.0, 3.0)
+    [row] = bootstrap_ci({("g",): [3.0, 3.0, 3.0]}, B=100, seed=0)
+    assert row == Interval(("g",), 3, 3.0, 3.0, 3.0)
 
 
 def test_ci_of_zero_one_group():
-    out = bootstrap_ci({"g": [0.0, 1.0]}, B=20000, seed=0)
-    mean, lo, hi = out["g"]
+    [row] = bootstrap_ci({("g",): [0.0, 1.0]}, B=20000, seed=0)
     # the four equally likely resamples of size 2 average to 0, .5, .5, 1
-    assert mean == 0.5
-    assert lo == 0.0
-    assert hi == 1.0
+    assert row.mean == 0.5
+    assert row.lo == 0.0
+    assert row.hi == 1.0
 
 
 def test_ci_brackets_the_mean_and_orders():
     rng = np.random.default_rng(8)
-    groups = {f"g{i}": rng.normal(i, 1.0, size=30) for i in range(3)}
-    out = bootstrap_ci(groups, B=500, seed=1)
-    for key, (mean, lo, hi) in out.items():
-        assert lo <= mean <= hi
-        assert mean == pytest.approx(float(np.mean(groups[key])), abs=1e-12)
+    groups = {(f"g{i}",): rng.normal(i, 1.0, size=30) for i in range(3)}
+    rows = bootstrap_ci(groups, B=500, seed=1)
+    assert [row.key for row in rows] == sorted(groups)
+    for row in rows:
+        assert row.lo <= row.mean <= row.hi
+        assert row.n == 30
+        assert row.mean == pytest.approx(float(np.mean(groups[row.key])),
+                                         abs=1e-12)
 
 
 def test_ci_validates_inputs():
@@ -232,8 +256,8 @@ def test_ci_validates_inputs():
 
 def test_ci_narrows_with_samples():
     rng = np.random.default_rng(12)
-    small = {"g": rng.normal(0, 1, size=10)}
-    large = {"g": rng.normal(0, 1, size=1000)}
-    _, lo_s, hi_s = bootstrap_ci(small, B=400, seed=2)["g"]
-    _, lo_l, hi_l = bootstrap_ci(large, B=400, seed=2)["g"]
-    assert (hi_l - lo_l) < (hi_s - lo_s)
+    small = {("g",): rng.normal(0, 1, size=10)}
+    large = {("g",): rng.normal(0, 1, size=1000)}
+    [wide] = bootstrap_ci(small, B=400, seed=2)
+    [narrow] = bootstrap_ci(large, B=400, seed=2)
+    assert (narrow.hi - narrow.lo) < (wide.hi - wide.lo)

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from conftest import make_records, make_table, vocab_of
 
-from sil.corpus import FeatureVector, UtteranceRecord
+from sil.corpus import MAX_TARGET_TOKENS, FeatureVector, UtteranceRecord
 from sil.errors import ContractError, ValidationError
-from sil.model import ModelConfig, init_params
+from sil.model import ModelConfig, init_params, predict_batch
 from sil.probes.attention import (attention_by_position,
                                   attention_for_records,
                                   partitive_of_analysis)
 from sil.probes.minimal_pairs import (FEATURE_BITS, MinimalPairVariant,
-                                      generate_minimal_pairs, load_frames,
+                                      SentenceFrame, generate_minimal_pairs,
+                                      load_frames,
                                       minimal_pair_report, realize,
                                       score_variants)
 from sil.probes.regression import (MAIN_EFFECTS, RegressionSpec,
@@ -119,8 +120,8 @@ def test_realize_uses_passive_aux(frames):
 
 def test_group_sizes(variants):
     scores = np.full(800, 0.5)
-    report = minimal_pair_report(variants, scores, B=10, seed=0)
-    sizes = {(g.grouping, g.level): g.n for g in report.groups}
+    rows = minimal_pair_report(variants, scores, B=10, seed=0)
+    sizes = {row.key: row.n for row in rows}
     assert sizes[("partitive", "partitive")] == 400
     assert sizes[("partitive", "no_partitive")] == 400
     assert sizes[("grammatical_function", "subject")] == 400
@@ -129,12 +130,11 @@ def test_group_sizes(variants):
     assert sizes[("postnominal", "modified")] == 400
     assert sizes[("modification", "modified")] == 600
     assert sizes[("modification", "unmodified")] == 200
-    assert len(report.per_sentence) == 800
 
 
 def test_constant_scores_give_flat_means(variants):
-    report = minimal_pair_report(variants, np.full(800, 0.5), B=10, seed=0)
-    for g in report.groups:
+    rows = minimal_pair_report(variants, np.full(800, 0.5), B=10, seed=0)
+    for g in rows:
         assert g.mean == pytest.approx(4.0, abs=1e-12)
         assert g.lo == pytest.approx(4.0, abs=1e-12)
         assert g.hi == pytest.approx(4.0, abs=1e-12)
@@ -143,10 +143,11 @@ def test_constant_scores_give_flat_means(variants):
 def test_injected_partitive_signal_surfaces_in_groups(variants):
     scores = np.array([0.5 + 0.1 * v.features["partitive"]
                        for v in variants])
-    report = minimal_pair_report(variants, scores, B=50, seed=0)
-    assert report.group_mean("partitive", "partitive") == \
+    rows = minimal_pair_report(variants, scores, B=50, seed=0)
+    groups = {row.key: row for row in rows}
+    assert groups[("partitive", "partitive")].mean == \
         pytest.approx(4.6, abs=1e-9)
-    assert report.group_mean("partitive", "no_partitive") == \
+    assert groups[("partitive", "no_partitive")].mean == \
         pytest.approx(4.0, abs=1e-9)
 
 
@@ -161,6 +162,29 @@ def test_score_variants_runs_model(frames):
     assert np.all((scores > 0.0) & (scores < 1.0))
     again = score_variants(subset, params, config, table)
     assert scores.tobytes() == again.tobytes()
+
+
+def test_score_variants_cuts_long_variants_as_embedding_does():
+    frame = SentenceFrame(
+        frame_id="long", subj_premod="very old and rather tired",
+        subj_head="farmers",
+        subj_postmod="from the far green hills beyond the old river",
+        obj_premod="small brown and white", obj_head="goats",
+        obj_postmod="who graze on the wide meadows near the village",
+        verb_active="milked", verb_passive="milked", passive_aux="were",
+        complement="every single morning before the sun came up")
+    subset = generate_minimal_pairs([frame])
+    assert max(len(v.tokens()) for v in subset) > MAX_TARGET_TOKENS
+    vocab = sorted({t for v in subset for t in v.tokens()})
+    table = make_table(vocab, dim=8)
+    config = ModelConfig(input_dim=8, hidden_dim=3, dropout_rate=0.0, seed=1)
+    params = init_params(config)
+    scores = score_variants(subset, params, config, table)
+    cut, _ = predict_batch(
+        [np.vstack([table.lookup(t)
+                    for t in v.tokens()[:MAX_TARGET_TOKENS]])
+         for v in subset], params, config)
+    np.testing.assert_allclose(scores, cut, rtol=0, atol=1e-12)
 
 
 def test_load_frames_rejects_missing_columns(tmp_path):
@@ -204,20 +228,20 @@ def attn_record(rid, n_tokens, some_index=0, subjecthood=0, partitive_of=(),
         of_other_indices=list(other_of))
 
 
-def curve_lookup(curves):
-    return {(c.group, c.position): c for c in curves}
+def by_key(rows):
+    return {row.key: row for row in rows}
 
 
 def test_renormalization_zeroes_some_and_rescales():
     record = attn_record("a", 3, some_index=0, subjecthood=1)
     weights = {"a": np.array([1 / 3, 1 / 3, 1 / 3])}
     report = attention_by_position([record], weights, B=10, seed=0)
-    raw = curve_lookup(report.position_curves)
+    raw = by_key(report.position_curves)
     assert raw[("some", 0)].mean == pytest.approx(1 / 3)
     assert raw[("other", 1)].mean == pytest.approx(1 / 3)
     assert report.some_mean == pytest.approx(1 / 3)
     assert report.other_mean == pytest.approx(1 / 3)
-    renorm = curve_lookup(report.subjecthood_curves)
+    renorm = by_key(report.subjecthood_curves)
     assert set(renorm) == {("subject", 1), ("subject", 2)}
     assert renorm[("subject", 1)].mean == pytest.approx(0.5)
     assert renorm[("subject", 2)].mean == pytest.approx(0.5)
@@ -231,7 +255,7 @@ def test_subjecthood_splits_groups():
     weights = {"s": np.array([0.5, 0.4, 0.1]),
                "n": np.array([0.2, 0.3, 0.5])}
     report = attention_by_position(records, weights, B=10, seed=0)
-    renorm = curve_lookup(report.subjecthood_curves)
+    renorm = by_key(report.subjecthood_curves)
     assert renorm[("subject", 1)].mean == pytest.approx(0.8)
     assert renorm[("subject", 2)].mean == pytest.approx(0.2)
     assert renorm[("non_subject", 1)].mean == pytest.approx(0.375)
@@ -245,10 +269,12 @@ def test_length_filter_keeps_raw_curves_only():
     weights = {"long": np.full(30, 1 / 30), "short": np.full(3, 1 / 3)}
     report = attention_by_position([long, short], weights, B=10, seed=0)
     assert report.n_length_filtered == 1
-    raw_positions = {c.position for c in report.position_curves
-                     if c.group == "other"}
+    raw_positions = {position for group, position
+                     in by_key(report.position_curves)
+                     if group == "other"}
     assert max(raw_positions) == 29  # long record still feeds raw curves
-    renorm_positions = {c.position for c in report.subjecthood_curves}
+    renorm_positions = {position for _, position
+                        in by_key(report.subjecthood_curves)}
     assert renorm_positions == {1, 2}
 
 
@@ -275,7 +301,7 @@ def test_records_missing_weights_are_ignored():
     weights = {"a": np.full(3, 1 / 3)}
     report = attention_by_position(records, weights, B=10, seed=0)
     assert report.skipped_missing_some == 0
-    assert curve_lookup(report.position_curves)[("some", 0)].n == 1
+    assert by_key(report.position_curves)[("some", 0)].n == 1
 
 
 def test_attention_for_records_truncates(tiny_table):
@@ -304,12 +330,12 @@ def test_of_weight_normalization():
     record = attn_record("a", 6, partitive_of=(1,), other_of=(4,))
     weights = {"a": np.array([0.2, 0.3, 0.2, 0.1, 0.1, 0.1])}
     report = partitive_of_analysis([record], weights, B=10, seed=0)
-    raw = {s.kind: s for s in report.raw}
-    assert raw["partitive"].mean == pytest.approx(0.3)
-    assert raw["other"].mean == pytest.approx(0.1)
-    norm = {s.kind: s for s in report.normalized}
-    assert norm["partitive"].mean == pytest.approx(0.75)
-    assert norm["other"].mean == pytest.approx(0.25)
+    raw = by_key(report.raw)
+    assert raw[("partitive",)].mean == pytest.approx(0.3)
+    assert raw[("other",)].mean == pytest.approx(0.1)
+    norm = by_key(report.normalized)
+    assert norm[("partitive",)].mean == pytest.approx(0.75)
+    assert norm[("other",)].mean == pytest.approx(0.25)
     assert report.n_multi_of == 1
 
 
@@ -317,8 +343,8 @@ def test_single_of_skips_normalized_comparison():
     record = attn_record("a", 4, partitive_of=(1,))
     weights = {"a": np.array([0.4, 0.3, 0.2, 0.1])}
     report = partitive_of_analysis([record], weights, B=10, seed=0)
-    assert [s.kind for s in report.raw] == ["partitive"]
-    assert report.raw[0].n_tokens == 1
+    assert [s.key for s in report.raw] == [("partitive",)]
+    assert report.raw[0].n == 1
     assert report.normalized == []
     assert report.n_multi_of == 0
 
@@ -327,8 +353,8 @@ def test_of_indices_beyond_kept_weights_drop_out():
     record = attn_record("a", 3, partitive_of=(1,), other_of=(7,))
     weights = {"a": np.array([0.5, 0.3, 0.2])}
     report = partitive_of_analysis([record], weights, B=10, seed=0)
-    kinds = [s.kind for s in report.raw]
-    assert kinds == ["partitive"]
+    kinds = [s.key for s in report.raw]
+    assert kinds == [("partitive",)]
     assert report.n_multi_of == 0
 
 
@@ -338,10 +364,10 @@ def test_of_normalization_pools_across_records():
     weights = {"a": np.array([0.2, 0.4, 0.2, 0.1, 0.1]),
                "b": np.array([0.2, 0.1, 0.2, 0.4, 0.1])}
     report = partitive_of_analysis([a, b], weights, B=10, seed=0)
-    norm = {s.kind: s for s in report.normalized}
-    assert norm["partitive"].n_tokens == 2
-    assert norm["partitive"].mean == pytest.approx((0.8 + 0.2) / 2)
-    assert norm["other"].mean == pytest.approx((0.2 + 0.8) / 2)
+    norm = by_key(report.normalized)
+    assert norm[("partitive",)].n == 2
+    assert norm[("partitive",)].mean == pytest.approx((0.8 + 0.2) / 2)
+    assert norm[("other",)].mean == pytest.approx((0.2 + 0.8) / 2)
     assert report.n_multi_of == 2
 
 
