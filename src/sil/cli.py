@@ -712,6 +712,10 @@ def cmd_attention(cfg):
 
 
 def cmd_regress(cfg):
+    if cfg["bootstrap"] < 0:
+        raise ValidationError(
+            f"--bootstrap must be >= 0 (0: point fits only), "
+            f"got {cfg['bootstrap']}")
     records = parse_corpus(cfg["corpus"])
     path = cfg["predictions"]
     rows = read_rows(path)

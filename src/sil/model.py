@@ -397,21 +397,29 @@ def _lstm_backward(dH, G, C, TC, U, packing, direction) -> np.ndarray:
 
     `dH` is the loss gradient w.r.t. this direction's h outputs (packed);
     the recurrent gradients are carried row by row from step to step.
+    `G` is consumed: its activated gates are overwritten by per-row
+    factors `Q` and then, step by step, by the returned gradients, so the
+    result is `G`'s buffer and no other (rows x 4H) array is allocated.
     """
     steps = packing.steps[direction]
     total, H = C.shape
     gates = G.reshape(total, 4, H)
     i, f, g, o = (gates[:, k] for k in range(4))
-    c_prev = packing.predecessor(direction, C)
-    # per-row factors of dz that do not depend on the carried gradients
-    Q = np.empty((total, 4, H))
-    np.multiply(g, i * (1.0 - i), out=Q[:, 0])
-    np.multiply(c_prev, f * (1.0 - f), out=Q[:, 1])
-    np.multiply(i, 1.0 - g * g, out=Q[:, 2])
-    np.multiply(TC, o * (1.0 - o), out=Q[:, 3])
+    # per-row factors of dz that do not depend on the carried gradients,
+    # written over the gates they are made of. Q[:, 0] needs g and i and
+    # Q[:, 2] needs i and g, so Q[:, 2] waits in a temporary; o_dtanh
+    # reads o before Q[:, 3] overwrites it; the carry keeps a copy of f
     o_dtanh = o * (1.0 - TC * TC)
+    f_carry = f.copy()
+    q2 = i * (1.0 - g * g)
+    np.multiply(g, i * (1.0 - i), out=i)
+    g[...] = q2
+    del q2
+    c_prev = packing.predecessor(direction, C)
+    np.multiply(c_prev, f * (1.0 - f), out=f)
+    del c_prev
+    np.multiply(TC, o * (1.0 - o), out=o)
 
-    dZ = np.empty((total, 4, H))
     n_max = max(r.stop - r.start for r, _, _ in steps)
     carry_h = np.zeros((n_max, H))
     carry_c = np.zeros((n_max, H))
@@ -420,17 +428,17 @@ def _lstm_backward(dH, G, C, TC, U, packing, direction) -> np.ndarray:
         dh = dH[r] + carry_h[:n]
         dc = dh * o_dtanh[r]
         dc += carry_c[:n]
-        dz = dZ[r]
-        np.multiply(dc[:, None, :], Q[r, :3], out=dz[:, :3])
-        np.multiply(dh, Q[r, 3], out=dz[:, 3])
+        dz = gates[r]  # Q of these rows in, their dz out
+        np.multiply(dc[:, None, :], dz[:, :3], out=dz[:, :3])
+        np.multiply(dh, dz[:, 3], out=dz[:, 3])
         if m:
             np.dot(dz[:m].reshape(m, 4 * H), U, out=carry_h[:m])
-            np.multiply(dc[:m], f[r][:m], out=carry_c[:m])
-    return dZ.reshape(total, 4 * H)
+            np.multiply(dc[:m], f_carry[r][:m], out=carry_c[:m])
+    return G
 
 
 def run_batch(inputs, params: ModelParams, config: ModelConfig,
-              targets=None, rng=None) -> BatchPass:
+              targets=None, rng=None, ids=None) -> BatchPass:
     """Score a batch of ragged (T_i x input_dim) inputs in one pass.
 
     With `targets` the call runs in train mode: inverted dropout on every
@@ -438,14 +446,25 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     `rng.random((T_i, 2H))` per layer, the per-item tape's stream order),
     squared-error losses, and the gradients of their sum w.r.t. every
     parameter. `config.use_attention` selects the pooling. Raises
-    NumericError for a non-finite loss or gradient. Eval mode computes no
+    NumericError for a non-finite loss, naming the item, or gradient,
+    naming the parameter and every item of the batch; `ids` name the
+    inputs there (default: their batch positions). Eval mode computes no
     gradients. Both modes run the same whole-batch products: with dropout
     off they give the same scores bit for bit, and a score moves with the
     rest of the batch only in rounding (within 1e-12 of the per-item tape).
+
+    Train mode keeps each layer's packed input and output and each
+    direction's gates, cells and tanh(cells) until that layer's backward
+    has run, then frees them; the dropout masks are kept packed only.
+    `_lstm_backward` writes its gradients over the gates, so a direction's
+    backward allocates no (rows x 4H) array.
     """
     inputs = [_checked_input(x, config) for x in inputs]
     if not inputs:
         raise ContractError("run_batch needs at least one input")
+    names = list(range(len(inputs)) if ids is None else ids)
+    if len(names) != len(inputs):
+        raise ContractError("need exactly one id per input")
     train = targets is not None
     if train:
         targets = np.asarray(targets, dtype=np.float64)
@@ -467,10 +486,12 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
                   for _ in range(L - 1)] for x in inputs]
         masks = [packing.pack([d[layer] for d in drawn])
                  for layer in range(L - 1)]
+        del drawn
 
     X = packing.pack(inputs)
     # train mode keeps, per layer, the input, the output and each
-    # direction's (G, C, TC) for the backward pass; eval keeps nothing
+    # direction's (G, C, TC) until that layer's backward has run; eval
+    # keeps nothing
     layers = []
     for layer in range(L):
         out = np.empty((packing.total, 2 * H))
@@ -521,50 +542,61 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     losses[order] = sorted_losses
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
-        raise NumericError(f"loss value is non-finite for batch item {bad[0]}")
+        raise NumericError(
+            f"loss value is non-finite for item {names[bad[0]]!r}")
 
     grads: dict[str, np.ndarray] = {}
     d_logit = (err + err) * sorted_scores * (1.0 - sorted_scores)
     grads["head.w"] = pooled.T @ d_logit
     grads["head.b"] = np.asarray(d_logit.sum())
     d_pooled = d_logit[:, None] * P["head.w"]
-    d_top = np.zeros_like(top)
+    dH = np.zeros_like(top)
     if attend:
         d_e = np.empty(packing.total)
         for k, (w, rows) in enumerate(zip(weights, item_rows)):
             dw = top[rows] @ d_pooled[k]
             d_e[rows] = w * (dw - dw @ w)
-            d_top[rows] += np.outer(w, d_pooled[k])
+            dH[rows] += np.outer(w, d_pooled[k])
         grads["attn.v"] = A.T @ d_e
         dS = np.outer(d_e, P["attn.v"])
         dS *= 1.0 - A * A
         grads["attn.W"] = top.T @ dS
-        d_top += dS @ P["attn.W"].T
+        dH += dS @ P["attn.W"].T
+        del A, dS
     else:
-        d_top[last, :H] += d_pooled[:, :H]
-        d_top[first, H:] += d_pooled[:, H:]
+        dH[last, :H] += d_pooled[:, :H]
+        dH[first, H:] += d_pooled[:, H:]
 
-    dH = d_top
+    # each layer's saved state, its predecessor states and its gate
+    # gradients are freed as soon as its backward no longer reads them
+    del top
     for layer in reversed(range(L)):
-        X, out, states = layers[layer]
-        dX = None
+        X, out, states = layers.pop()
         for d, cols in (("fw", slice(0, H)), ("bw", slice(H, 2 * H))):
             prefix = f"lstm.{layer}.{d}"
-            G, C, TC = states[d]
             W, U = P[f"{prefix}.W"], P[f"{prefix}.U"]
-            dZ = _lstm_backward(dH[:, cols], G, C, TC, U, packing, d)
+            dZ = _lstm_backward(dH[:, cols], *states.pop(d), U, packing, d)
             h_prev = packing.predecessor(d, out[:, cols])
             grads[f"{prefix}.W"] = dZ.T @ X
             grads[f"{prefix}.U"] = dZ.T @ h_prev
+            del h_prev
             grads[f"{prefix}.b"] = dZ.sum(axis=0)
             if layer > 0:
-                dX = dZ @ W if dX is None else dX + dZ @ W
+                if d == "fw":
+                    dX = dZ @ W
+                else:
+                    dX += dZ @ W
+            del dZ
         if layer > 0:
-            dH = dX * masks[layer - 1] if masks else dX
+            if masks:
+                dX *= masks[layer - 1]
+            dH = dX
 
     for name, g in grads.items():
         if not math.isfinite(float(np.sum(g))):
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
+            raise NumericError(
+                f"non-finite gradient for parameter '{name}' in a batch "
+                f"of items {', '.join(map(repr, names))}")
     return BatchPass(scores=scores, attention=attention, losses=losses,
                      grads=grads)
 

@@ -51,6 +51,16 @@ class TrainConfig:
             raise ContractError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
+        _check_positive("--lr", self.lr)
+        if self.grad_clip is not None:
+            _check_positive("--grad-clip", self.grad_clip)
+
+
+def _check_positive(flag: str, value: float) -> None:
+    """ContractError naming `flag` unless `value` is finite and above 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ContractError(
+            f"{flag} must be a finite number above 0, got {value}")
 
 
 @dataclass
@@ -135,7 +145,8 @@ def train(train_examples: list[Example], valid_examples: list[Example],
                          for i in order[start:start + config.batch_size]]
                 result = run_batch(
                     [ex.embedded for ex in batch], params, config.model,
-                    targets=[ex.target for ex in batch], rng=dropout_rng)
+                    targets=[ex.target for ex in batch], rng=dropout_rng,
+                    ids=[ex.id for ex in batch])
                 sq_errors.extend(result.losses.tolist())
                 grads = result.grads
                 for g in grads.values():
@@ -143,6 +154,8 @@ def train(train_examples: list[Example], valid_examples: list[Example],
                 if config.grad_clip is not None:
                     _clip_grads(grads, config.grad_clip)
                 adam_step(params.tensors, grads, state)
+                # freed before the next step's run_batch, not after it
+                del result, grads
         except NumericError as exc:
             curve.aborted = f"epoch {epoch}: {exc}"
             break
@@ -244,6 +257,7 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
     """
     if not grid:
         raise ContractError("grid must be nonempty")
+    _check_positive("--lr", lr)
     workers = _worker_count(workers)
 
     example_cache: dict[tuple[str, bool], dict[str, Example]] = {}

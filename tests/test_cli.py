@@ -589,6 +589,27 @@ def test_valid_fraction_out_of_range_exits_one(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--lr", "nan"), ("train", "--lr", "inf"),
+    ("train", "--lr", "-1"), ("train", "--lr", "0"),
+    ("train", "--grad-clip", "nan"), ("train", "--grad-clip", "inf"),
+    ("train", "--grad-clip", "0"), ("train", "--grad-clip", "-1"),
+    ("tune", "--lr", "nan"), ("tune", "--lr", "-1"),
+    ("cv-predict", "--lr", "inf"), ("cv-predict", "--grad-clip", "0"),
+])
+def test_bad_step_size_exits_one(workspace, tmp_path, capsys, command, flag,
+                                 value):
+    out = tmp_path / "out.csv"
+    rc = main([command, "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]), "--epochs", "1",
+               flag, value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be a finite number above 0, got " in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # import
 # ---------------------------------------------------------------------------
@@ -945,6 +966,17 @@ def test_regress_bad_interaction_exits_one(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "c.csv")])
     assert rc == 1
     assert "a:b" in capsys.readouterr().err
+
+
+def test_regress_negative_bootstrap_exits_one(workspace, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    rc = main(["regress", "--corpus", str(workspace["corpus"]),
+               "--predictions", str(tmp_path / "absent.csv"),
+               "--bootstrap", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "--bootstrap must be >= 0 (0: point fits only), got -1" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_regress_non_numeric_score_exits_one(workspace, tmp_path, capsys):

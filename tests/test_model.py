@@ -4,6 +4,7 @@ kernel, checkpoints."""
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,6 +532,36 @@ def test_kernel_nonfinite_values_raise_numeric_error():
     with np.errstate(invalid="ignore"), pytest.raises(
             NumericError, match="non-finite gradient for parameter 'attn"):
         run_batch([x], params, config, targets=[0.5])
+
+
+def test_train_mode_run_batch_peak_memory():
+    """numpy's traced peak of one train-mode call at a fixed shape.
+
+    The backward writes its factors and gate gradients over the gates and
+    frees each layer's saved state once that layer's backward ends, for a
+    peak of about 5.8 MB. The bound sits below the 8.3 MB taken when every
+    layer is kept to the end and each direction allocates two more
+    (rows x 4H) arrays.
+    """
+    config = ModelConfig(input_dim=16, hidden_dim=32, dropout_rate=0.2,
+                         seed=0)
+    params = init_params(config)
+    rng = np.random.default_rng(5)
+    inputs = [rng.standard_normal((T, 16))
+              for T in (20, 34, 48, 62, 77, 91, 105, 120)]
+    targets = rng.random(len(inputs))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_batch(inputs, params, config, targets=targets,
+                  rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 7.0e6
 
 
 # ---------------------------------------------------------------------------

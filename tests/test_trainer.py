@@ -1,6 +1,7 @@
 """Training loop, grid search, and cross-validated prediction."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,9 @@ from sil.corpus import (FeatureVector, UtteranceRecord, kfold,
 from sil.autodiff import backward
 from sil.errors import ContractError
 from sil.metrics import pearson
-from sil.model import ModelConfig, forward, init_params, predict_batch
-from sil.optim import AdamState, adam_step
+from sil.model import (ModelConfig, forward, init_params, predict_batch,
+                       run_batch)
+from sil.optim import ADAM_BLOCK, AdamState, adam_step
 from sil.seeding import rng_for
 from sil.trainer import (Example, GridPoint, TrainConfig, cv_predict,
                          evaluate, examples_from_records, train, tune)
@@ -200,6 +202,75 @@ def test_nonfinite_input_aborts_with_diagnostic():
     assert curve.epochs == []
 
 
+def test_nonfinite_loss_names_the_example(tiny_records, tiny_table):
+    examples = examples_from_records(tiny_records, tiny_table)
+    examples[5].embedded[2, 0] = np.nan
+    _, curve = train(examples, [], tiny_train_config())
+    assert curve.aborted == ("epoch 1: loss value is non-finite for item "
+                             f"{examples[5].id!r}")
+
+
+def test_nonfinite_gradient_names_parameter_and_batch(tiny_records,
+                                                      tiny_table):
+    # an infinite input saturates every gate it reaches, so the scores
+    # and losses stay finite while 0 * inf poisons the input weights'
+    # gradients
+    examples = examples_from_records(tiny_records, tiny_table)
+    examples[5].embedded[2, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        _, curve = train(examples, [], tiny_train_config(
+            batch_size=len(examples)))
+    head, named = curve.aborted.split(" in a batch of items ")
+    assert head == "epoch 1: non-finite gradient for parameter 'lstm.0.fw.W'"
+    # one batch holds every example, in its shuffled order
+    assert sorted(named.split(", ")) == sorted(repr(ex.id) for ex in examples)
+
+
+@pytest.mark.parametrize("field, value, flag", [
+    ("lr", float("nan"), "--lr"), ("lr", float("inf"), "--lr"),
+    ("lr", -1.0, "--lr"), ("lr", 0.0, "--lr"),
+    ("grad_clip", float("nan"), "--grad-clip"),
+    ("grad_clip", float("inf"), "--grad-clip"),
+    ("grad_clip", 0.0, "--grad-clip"), ("grad_clip", -1.0, "--grad-clip"),
+])
+def test_train_config_rejects_bad_step_sizes(field, value, flag):
+    with pytest.raises(ContractError, match=f"{flag} must be a finite "
+                                            f"number above 0, got {value}"):
+        tiny_train_config(**{field: value})
+
+
+def test_only_one_gradient_set_is_alive_as_each_step_starts(monkeypatch):
+    # numpy's traced bytes as each run_batch starts: the parameters, Adam's
+    # two moments and its two block-sized scratch buffers, never also the
+    # previous step's gradients
+    config = tiny_train_config(model_kw=dict(input_dim=16, hidden_dim=64),
+                               epochs=1, batch_size=4)
+    rng = np.random.default_rng(0)
+    examples = [Example(id=f"e{k}", embedded=rng.standard_normal((6, 16)),
+                        target=0.5) for k in range(12)]
+    param_bytes = sum(a.nbytes
+                      for a in init_params(config.model).tensors.values())
+    alive = []
+
+    def traced_run_batch(*args, **kw):
+        alive.append(tracemalloc.get_traced_memory()[0] - base)
+        return run_batch(*args, **kw)
+
+    monkeypatch.setattr("sil.trainer.run_batch", traced_run_batch)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(examples, [], config)
+    finally:
+        if started:
+            tracemalloc.stop()
+    expected = 3 * param_bytes + 2 * ADAM_BLOCK * 8
+    assert len(alive) == 3
+    for nbytes in alive[1:]:
+        assert expected <= nbytes < expected + param_bytes / 2
+
+
 def _tape_train(train_examples, valid_examples, config):
     """The per-item tape training loop `train` replaced, as a reference."""
     params = init_params(config.model)
@@ -379,6 +450,13 @@ def test_tune_rejects_empty_grid():
     records, sources, folds = grid_fixture()
     with pytest.raises(ContractError):
         tune(records, sources, [], folds)
+
+
+def test_tune_rejects_a_nan_learning_rate():
+    records, sources, folds = grid_fixture()
+    grid = [GridPoint(hidden_dim=2, dropout_rate=0.0)]
+    with pytest.raises(ContractError, match="--lr must be a finite number"):
+        tune(records, sources, grid, folds, lr=float("nan"))
 
 
 def test_tune_fold_scores_do_not_depend_on_grid_position():
