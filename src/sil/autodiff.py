@@ -21,6 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ContractError, NumericError
+from .model import sigmoid, softmax
 
 __all__ = [
     "Node",
@@ -33,28 +34,6 @@ __all__ = [
     "softmax",
     "sigmoid",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Array-level functions (shared by the Node ops, usable on plain arrays)
-# ---------------------------------------------------------------------------
-
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Shift-invariant softmax along `axis`; rows sum to 1 without overflow."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[axis] == 0:
-        raise ContractError("softmax over an empty axis")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------

@@ -25,24 +25,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+# Each command runs in a process of its own, and for a short stage the
+# start-up costs more than the work. So this module imports at load only
+# what every command uses: the standard library, numpy (which seeding
+# loads anyway), errors, corpus and seeding. Each cmd_* imports the rest
+# of the package itself, so a process compiles and holds only the modules
+# its command runs: `ceiling` never loads the model, `eval` never loads
+# the trainer, and only `tune` loads a process pool.
+from . import WORKERS_ENV, __version__
 from .corpus import (kfold, parse_corpus, parse_row, read_rows, read_text,
                      rescale_rating, split, unscale_rating, write_corpus,
                      COLUMNS)
-from .embeddings import embed_utterance, load_glove, load_precomputed, tokenize
 from .errors import (ContractError, IntegrityError, NumericError, ParseError,
                      UndefinedCorrelationError, ValidationError, in_file)
-from .metrics import bootstrap_ceiling, mse, pearson_or_nan
-from .model import (ModelConfig, load_checkpoint, predict_batch,
-                    save_checkpoint)
-from .probes import (attention_by_position, attention_for_records,
-                     generate_minimal_pairs, load_frames, minimal_pair_report,
-                     partitive_of_analysis, regression_compare,
-                     RegressionSpec, score_variants)
 from .seeding import derive_seed
-from .trainer import (GridPoint, TrainConfig, cv_predict,
-                      examples_from_records, evaluate, train, tune,
-                      WORKERS_ENV)
 
 USER_ERRORS = (ValidationError, ParseError, ContractError, IntegrityError,
                FileNotFoundError, UndefinedCorrelationError)
@@ -196,6 +192,8 @@ def _load_source(cfg: dict, records, with_context: bool):
 
     A GloVe table parses only the rows of the records' tokens.
     """
+    from .embeddings import load_glove, load_precomputed
+
     glove = cfg.get("glove")
     precomputed = cfg.get("precomputed")
     if bool(glove) == bool(precomputed):
@@ -219,7 +217,10 @@ def _subset_records(records, cfg: dict):
 
 
 def _model_train_config(cfg: dict, input_dim: int, model_seed: int,
-                        train_seed: int) -> TrainConfig:
+                        train_seed: int):
+    from .model import ModelConfig
+    from .trainer import TrainConfig
+
     return TrainConfig(
         model=ModelConfig(
             input_dim=input_dim,
@@ -233,6 +234,14 @@ def _model_train_config(cfg: dict, input_dim: int, model_seed: int,
 
 def _records_by_id(records) -> dict:
     return {r.id: r for r in records}
+
+
+def _check_at_least(cfg: dict, key: str, least: int) -> None:
+    """Reject a count below `least`, naming its flag, before any input is
+    read."""
+    if cfg[key] < least:
+        raise ValidationError(
+            f"{FLAGS[key].name} must be >= {least}, got {cfg[key]}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +293,8 @@ def cmd_import(cfg):
     participant-ratings cell (comma- or semicolon-joined) replaces a mean
     cell that is missing or differs from it by more than 1e-6.
     """
+    from .embeddings import tokenize
+
     raw_path = Path(cfg["input"])
     rows = read_rows(raw_path,
                      "\t" if raw_path.suffix.lower() == ".tsv" else ",")
@@ -380,6 +391,10 @@ def cmd_import(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_train(cfg):
+    from .metrics import mse, pearson_or_nan
+    from .model import save_checkpoint
+    from .trainer import evaluate, examples_from_records, train
+
     if not 0.0 <= cfg["valid_fraction"] < 1.0:
         raise ValidationError(
             f"valid_fraction must be in [0, 1), got {cfg['valid_fraction']}")
@@ -460,6 +475,8 @@ PAPER_GRID = [
 
 def _grid_entry_problem(entry) -> str | None:
     """Why a tune grid entry is unusable, or None if it is fine."""
+    from .model import ModelConfig
+
     if not isinstance(entry, dict):
         return "not an object"
     unknown = sorted(set(entry) - set(_GRID_FLAGS))
@@ -482,8 +499,10 @@ def _grid_entry_problem(entry) -> str | None:
     return None
 
 
-def _parse_grid(obj, path=None) -> list[GridPoint]:
+def _parse_grid(obj, path=None) -> list:
     """Grid points of a JSON grid; `path` names the file it came from."""
+    from .trainer import GridPoint
+
     if not isinstance(obj, list) or not obj:
         raise ValidationError("grid must be a nonempty JSON array", path=path)
     points = []
@@ -503,6 +522,9 @@ def _parse_grid(obj, path=None) -> list[GridPoint]:
 
 
 def cmd_tune(cfg):
+    from .embeddings import load_glove, load_precomputed
+    from .trainer import tune
+
     records = parse_corpus(cfg["corpus"])
     seed = cfg["seed"]
     sp = split(records, cfg["train_fraction"], seed)
@@ -574,6 +596,10 @@ def cmd_tune(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_eval(cfg):
+    from .embeddings import embed_utterance
+    from .metrics import mse, pearson_or_nan
+    from .model import load_checkpoint, predict_batch
+
     params, mconfig = load_checkpoint(cfg["model"])
     corpus = parse_corpus(cfg["corpus"])
     records = _subset_records(corpus, cfg)
@@ -613,6 +639,8 @@ def cmd_eval(cfg):
 
 
 def cmd_cv_predict(cfg):
+    from .trainer import cv_predict, examples_from_records
+
     records = parse_corpus(cfg["corpus"])
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     examples = examples_from_records(records, source, cfg["with_context"])
@@ -636,6 +664,12 @@ def cmd_cv_predict(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_minimal_pairs(cfg):
+    from .embeddings import load_glove
+    from .model import load_checkpoint
+    from .probes.minimal_pairs import (generate_minimal_pairs, load_frames,
+                                       minimal_pair_report, score_variants)
+
+    _check_at_least(cfg, "bootstrap", 1)
     frames = load_frames(cfg.get("frames"))
     variants = generate_minimal_pairs(frames)
     params, mconfig = load_checkpoint(cfg["model"])
@@ -671,6 +705,13 @@ def cmd_minimal_pairs(cfg):
 
 
 def cmd_attention(cfg):
+    from .model import load_checkpoint
+    from .probes.attention import (attention_by_position,
+                                   attention_for_records,
+                                   partitive_of_analysis)
+
+    _check_at_least(cfg, "max_len", 1)
+    _check_at_least(cfg, "bootstrap", 1)
     records = parse_corpus(cfg["corpus"])
     params, mconfig = load_checkpoint(cfg["model"])
     source, source_input = _load_source(cfg, records, with_context=False)
@@ -712,6 +753,8 @@ def cmd_attention(cfg):
 
 
 def cmd_regress(cfg):
+    from .probes.regression import RegressionSpec, regression_compare
+
     if cfg["bootstrap"] < 0:
         raise ValidationError(
             f"--bootstrap must be >= 0 (0: point fits only), "
@@ -769,6 +812,9 @@ def cmd_regress(cfg):
 
 
 def cmd_ceiling(cfg):
+    from .metrics import bootstrap_ceiling, pearson_or_nan
+
+    _check_at_least(cfg, "bootstrap", 1)
     records = parse_corpus(cfg["corpus"])
     items = [r.participant_ratings for r in records
              if len(r.participant_ratings) >= 2]

@@ -13,6 +13,8 @@ code over whole sequences, with the same products in both modes.
 `forward` builds the same model per item on the autodiff tape and is
 kept as the reference that tests compare the kernel against (to 1e-12:
 a product over a batch rounds differently from one over a single item).
+The tape is imported only inside `forward` and `lstm_cell`, so no
+command that scores or trains loads it.
 """
 
 from __future__ import annotations
@@ -26,14 +28,30 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Node, _accum, concat, constant, parameter, stack
-from .autodiff import sigmoid as np_sigmoid
-from .autodiff import softmax
 from .errors import ContractError, IntegrityError, NumericError
 from .seeding import rng_for
 
 CHECKPOINT_MAGIC = b"SIL1"
 CHECKPOINT_VERSION = 1
+
+
+def softmax(x, axis: int = -1) -> np.ndarray:
+    """Shift-invariant softmax along `axis`; rows sum to 1 without overflow."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[axis] == 0:
+        raise ContractError("softmax over an empty axis")
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def sigmoid(x) -> np.ndarray:
+    """Numerically stable logistic function."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
 
 @dataclass
 class ModelConfig:
@@ -179,12 +197,14 @@ def lstm_cell(x: Node, h_prev: Node, c_prev: Node,
     step keeps the tape short: the hand-written backward below is checked
     against finite differences and against a composed-ops reference.
     """
+    from .autodiff import Node, _accum
+
     H = h_prev.value.shape[0]
     z = W.value @ x.value + U.value @ h_prev.value + b.value
-    i = np_sigmoid(z[:H])
-    f = np_sigmoid(z[H:2 * H])
+    i = sigmoid(z[:H])
+    f = sigmoid(z[H:2 * H])
     g = np.tanh(z[2 * H:3 * H])
-    o = np_sigmoid(z[3 * H:])
+    o = sigmoid(z[3 * H:])
     c = f * c_prev.value + i * g
     tc = np.tanh(c)
     out = Node(np.concatenate([o * tc, c]), (x, h_prev, c_prev, W, U, b),
@@ -239,6 +259,8 @@ def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
     rng; eval mode is deterministic. The model pools by attention if
     `config.use_attention`, else by the final states.
     """
+    from .autodiff import concat, constant, parameter, stack
+
     embedded = _checked_input(embedded, config)
     if train and config.dropout_rate > 0.0 and rng is None:
         raise ContractError("train-mode forward needs an rng for dropout")
@@ -381,7 +403,7 @@ def _lstm_forward(X, W, U, b, steps, h_out, C, TC) -> np.ndarray:
             z[:m] += h_out[rp] @ U.T
         z += b
         g = np.tanh(z[:, 2 * H:3 * H])
-        z[...] = np_sigmoid(z)
+        z[...] = sigmoid(z)
         z[:, 2 * H:3 * H] = g
         c = C[r]
         np.multiply(z[:, :H], g, out=c)
@@ -524,7 +546,7 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
         last = np.array([rows[-1] for rows in item_rows])
         first = np.array([rows[0] for rows in item_rows])
         pooled = np.hstack([top[last, :H], top[first, H:]])
-    sorted_scores = np_sigmoid(pooled @ P["head.w"] + P["head.b"])
+    sorted_scores = sigmoid(pooled @ P["head.w"] + P["head.b"])
 
     scores = np.empty(N)
     scores[order] = sorted_scores

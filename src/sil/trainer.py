@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import WORKERS_ENV
 from .corpus import kfold, rescale_rating
 from .embeddings import embed_utterance
 from .errors import ContractError, NumericError
@@ -24,8 +24,6 @@ from .model import (ModelConfig, ModelParams, init_params, predict_batch,
                     run_batch)
 from .optim import AdamState, adam_step
 from .seeding import derive_seed, rng_for
-
-WORKERS_ENV = "SIL_WORKERS"
 
 
 @dataclass
@@ -294,6 +292,7 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
             tasks.append((p_idx, f_idx, train_ex, heldout_ex, config))
 
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
             outcomes = list(pool_exec.map(_train_fold, tasks))
     else:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, artifacts, manifests, reproducibility."""
 
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -8,6 +9,8 @@ import math
 import os
 import shlex
 import struct
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 from conftest import corpus_records, make_records, vocab_of, write_glove
 
+import sil
 from sil.cli import build_parser, main
 from sil.corpus import COLUMNS, parse_corpus, write_corpus
 from sil.embeddings import PrecomputedEmbeddings, save_precomputed
@@ -589,6 +593,12 @@ def test_valid_fraction_out_of_range_exits_one(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+# what each flag's message says its value must be
+_FLAG_RULES = {"--lr": "a finite number above 0",
+               "--grad-clip": "a finite number above 0",
+               "--bootstrap": ">= 1", "--max-len": ">= 1"}
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("train", "--lr", "nan"), ("train", "--lr", "inf"),
     ("train", "--lr", "-1"), ("train", "--lr", "0"),
@@ -596,16 +606,25 @@ def test_valid_fraction_out_of_range_exits_one(workspace, tmp_path, capsys,
     ("train", "--grad-clip", "0"), ("train", "--grad-clip", "-1"),
     ("tune", "--lr", "nan"), ("tune", "--lr", "-1"),
     ("cv-predict", "--lr", "inf"), ("cv-predict", "--grad-clip", "0"),
+    ("ceiling", "--bootstrap", "-1"), ("minimal-pairs", "--bootstrap", "0"),
+    ("attention", "--bootstrap", "0"), ("attention", "--max-len", "0"),
+    ("attention", "--max-len", "-2"),
 ])
 def test_bad_step_size_exits_one(workspace, tmp_path, capsys, command, flag,
                                  value):
     out = tmp_path / "out.csv"
-    rc = main([command, "--corpus", str(workspace["corpus"]),
-               "--glove", str(workspace["glove"]), "--epochs", "1",
-               flag, value, "--out", str(out)])
+    # the probes' inputs do not exist: a count is checked before any read
+    absent = str(tmp_path / "absent")
+    inputs = {
+        "ceiling": ["--corpus", absent],
+        "minimal-pairs": ["--model", absent, "--glove", absent],
+        "attention": ["--corpus", absent, "--model", absent],
+    }.get(command, ["--corpus", str(workspace["corpus"]),
+                    "--glove", str(workspace["glove"]), "--epochs", "1"])
+    rc = main([command, *inputs, flag, value, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"{flag} must be a finite number above 0, got " in err
+    assert f"{flag} must be {_FLAG_RULES[flag]}, got " in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 
@@ -1618,3 +1637,90 @@ def test_random_bytes_in_text_inputs_never_raise(workspace, tmp_path,
         assert not out.exists()
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# process start-up: the modules a command loads, and its BLAS threads
+# ---------------------------------------------------------------------------
+
+_SRC = str(Path(sil.__file__).resolve().parents[1])
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_sil(argv, cwd, env=None, code="sys.exit(main(sys.argv[1:]))"):
+    """Run `code` after `from sil.cli import main`, as the `sil` script
+    does, in a fresh interpreter; its completed process."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys\nfrom sil.cli import main\n{code}",
+         *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120)
+
+
+_CORE = {"sil", "sil.cli", "sil.corpus", "sil.errors", "sil.seeding"}
+_SCORING = {"sil.embeddings", "sil.metrics", "sil.model"}
+# the sil modules each command's process holds when it exits
+_LOADED = {
+    "train": _CORE | _SCORING | {"sil.optim", "sil.trainer"},
+    "eval": _CORE | _SCORING,
+    "minimal-pairs":
+        _CORE | _SCORING | {"sil.probes", "sil.probes.minimal_pairs"},
+    "attention": _CORE | _SCORING | {"sil.probes", "sil.probes.attention"},
+    "regress": _CORE | {"sil.probes", "sil.probes.regression"},
+    "ceiling": _CORE | {"sil.metrics"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LOADED))
+def test_command_loads_only_the_modules_it_runs(workspace, trained, tmp_path,
+                                                command):
+    corpus, glove = str(workspace["corpus"]), str(workspace["glove"])
+    preds = tmp_path / "p.csv"
+    _write_predictions(workspace, preds)
+    argv = {
+        "train": ["--corpus", corpus, "--glove", glove, "--hidden-dim", "4",
+                  "--epochs", "1"],
+        "eval": ["--model", str(trained), "--corpus", corpus,
+                 "--glove", glove],
+        "minimal-pairs": ["--model", str(trained), "--glove", glove,
+                          "--bootstrap", "10"],
+        "attention": ["--corpus", corpus, "--model", str(trained),
+                      "--glove", glove, "--bootstrap", "10"],
+        "regress": ["--corpus", corpus, "--predictions", str(preds),
+                    "--bootstrap", "10"],
+        "ceiling": ["--corpus", corpus, "--bootstrap", "10"],
+    }[command]
+    done = _run_sil(
+        [command, *argv, "--out", str(tmp_path / "out.csv")], tmp_path,
+        code="rc = main(sys.argv[1:])\nprint(rc, sorted(sys.modules))")
+    assert done.returncode == 0, done.stderr
+    rc, modules = done.stdout.splitlines()[-1].split(" ", 1)
+    modules = set(ast.literal_eval(modules))
+    assert rc == "0", done.stderr
+    assert {m for m in modules if m.split(".")[0] == "sil"} == _LOADED[command]
+    assert "concurrent.futures" not in modules
+    assert "sil.autodiff" not in modules
+
+
+def test_blas_threads_default_to_one(workspace, tmp_path):
+    """An unset BLAS thread count gives the checkpoint one thread gives.
+
+    H=100 makes the products big enough for OpenBLAS to split them over
+    threads, which sums in another order. On a host with one core both
+    runs use one thread, so there the test cannot fail.
+    """
+    unset = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    digests = []
+    for name, env in (("unset", unset),
+                      ("one", {**unset, **dict.fromkeys(_BLAS_VARS, "1")})):
+        out = tmp_path / f"{name}.bin"
+        done = _run_sil(
+            ["train", "--corpus", str(workspace["corpus"]),
+             "--glove", str(workspace["glove"]), "--hidden-dim", "100",
+             "--with-context", "--epochs", "1", "--out", str(out)],
+            tmp_path, env=env)
+        assert done.returncode == 0, done.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
