@@ -156,6 +156,30 @@ def _manifest_inputs(inputs: dict) -> dict:
             for name, (path, digest) in inputs.items()}
 
 
+def _environment() -> dict:
+    """What the run's numbers depend on beyond its inputs: the python and
+    numpy versions, the BLAS thread variables as this process saw them,
+    the CPUs and the process's peak resident set so far."""
+    env = {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "blas_threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+    if hasattr(os, "sched_getaffinity"):
+        env["cpu_affinity"] = len(os.sched_getaffinity(0))
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return env
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes
+    env["peak_rss_mb"] = round(
+        peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+    return env
+
+
 def _write_manifest(command: str, argv: list[str], config: dict,
                     inputs: dict, outputs: list[Path], seed: int,
                     started: str, manifest_path: Path) -> None:
@@ -165,6 +189,7 @@ def _write_manifest(command: str, argv: list[str], config: dict,
         "config": config,
         "config_sha256": _sha256_bytes(
             json.dumps(config, sort_keys=True).encode("utf-8")),
+        "environment": _environment(),
         "inputs": _manifest_inputs(inputs),
         "outputs": [str(p) for p in outputs],
         "seed": seed,
@@ -395,6 +420,8 @@ def cmd_train(cfg):
     from .model import save_checkpoint
     from .trainer import evaluate, examples_from_records, train
 
+    for key in ("hidden_dim", "epochs", "batch_size"):
+        _check_at_least(cfg, key, 1)
     if not 0.0 <= cfg["valid_fraction"] < 1.0:
         raise ValidationError(
             f"valid_fraction must be in [0, 1), got {cfg['valid_fraction']}")
@@ -525,6 +552,10 @@ def cmd_tune(cfg):
     from .embeddings import load_glove, load_precomputed
     from .trainer import tune
 
+    for key in ("epochs", "batch_size"):
+        _check_at_least(cfg, key, 1)
+    # k's upper bound is the corpus size, which kfold checks
+    _check_at_least(cfg, "k", 2)
     records = parse_corpus(cfg["corpus"])
     seed = cfg["seed"]
     sp = split(records, cfg["train_fraction"], seed)
@@ -641,6 +672,9 @@ def cmd_eval(cfg):
 def cmd_cv_predict(cfg):
     from .trainer import cv_predict, examples_from_records
 
+    for key in ("hidden_dim", "epochs", "batch_size"):
+        _check_at_least(cfg, key, 1)
+    _check_at_least(cfg, "k", 2)
     records = parse_corpus(cfg["corpus"])
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     examples = examples_from_records(records, source, cfg["with_context"])

@@ -46,11 +46,16 @@ def softmax(x, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    Neither exp overflows. Below 0 the numerator is exp(x) = exp(-|x|),
+    and at or above 0 it is exp(0) = 1, so this is bit for bit the
+    select of 1 / d and exp(-|x|) / d, with one divide and no mask.
+    `fmin` maps NaN to 0 in the numerator, so a NaN comes out of the
+    denominator alone, with the select's sign bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.asarray(np.exp(np.fmin(x, 0.0)) / (1.0 + np.exp(-np.abs(x))))
 
 
 @dataclass
@@ -460,7 +465,7 @@ def _lstm_backward(dH, G, C, TC, U, packing, direction) -> np.ndarray:
 
 
 def run_batch(inputs, params: ModelParams, config: ModelConfig,
-              targets=None, rng=None, ids=None) -> BatchPass:
+              targets=None, rng=None, ids=None, on_grad=None) -> BatchPass:
     """Score a batch of ragged (T_i x input_dim) inputs in one pass.
 
     With `targets` the call runs in train mode: inverted dropout on every
@@ -470,10 +475,21 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     parameter. `config.use_attention` selects the pooling. Raises
     NumericError for a non-finite loss, naming the item, or gradient,
     naming the parameter and every item of the batch; `ids` name the
-    inputs there (default: their batch positions). Eval mode computes no
-    gradients. Both modes run the same whole-batch products: with dropout
-    off they give the same scores bit for bit, and a score moves with the
-    rest of the batch only in rounding (within 1e-12 of the per-item tape).
+    inputs there (default: their batch positions).
+
+    Gradients go out in a fixed order: head.w and head.b, attn.v and
+    attn.W, then each `lstm.{l}.{d}` W, U and b from the top layer down,
+    fw before bw. Each is checked as it goes, so the parameter named is
+    the first non-finite one in that order. Without `on_grad` they are
+    collected in `BatchPass.grads`. With it, `on_grad(name, grad)`
+    receives each as soon as the backward stops reading that parameter,
+    and `grads` is None: the caller may update the parameter in place
+    then, and at most one gradient tensor is alive at a time.
+
+    Eval mode computes no gradients. Both modes run the same whole-batch
+    products: with dropout off they give the same scores bit for bit,
+    and a score moves with the rest of the batch only in rounding (within
+    1e-12 of the per-item tape).
 
     Train mode keeps each layer's packed input and output and each
     direction's gates, cells and tanh(cells) until that layer's backward
@@ -568,10 +584,21 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
             f"loss value is non-finite for item {names[bad[0]]!r}")
 
     grads: dict[str, np.ndarray] = {}
+
+    def emit(name, grad):
+        if not math.isfinite(float(np.sum(grad))):
+            raise NumericError(
+                f"non-finite gradient for parameter '{name}' in a batch "
+                f"of items {', '.join(map(repr, names))}")
+        if on_grad is None:
+            grads[name] = grad
+        else:
+            on_grad(name, grad)
+
     d_logit = (err + err) * sorted_scores * (1.0 - sorted_scores)
-    grads["head.w"] = pooled.T @ d_logit
-    grads["head.b"] = np.asarray(d_logit.sum())
     d_pooled = d_logit[:, None] * P["head.w"]
+    emit("head.w", pooled.T @ d_logit)
+    emit("head.b", np.asarray(d_logit.sum()))
     dH = np.zeros_like(top)
     if attend:
         d_e = np.empty(packing.total)
@@ -579,18 +606,21 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
             dw = top[rows] @ d_pooled[k]
             d_e[rows] = w * (dw - dw @ w)
             dH[rows] += np.outer(w, d_pooled[k])
-        grads["attn.v"] = A.T @ d_e
         dS = np.outer(d_e, P["attn.v"])
+        emit("attn.v", A.T @ d_e)
         dS *= 1.0 - A * A
-        grads["attn.W"] = top.T @ dS
+        del A
         dH += dS @ P["attn.W"].T
-        del A, dS
+        emit("attn.W", top.T @ dS)
+        del dS
     else:
         dH[last, :H] += d_pooled[:, :H]
         dH[first, H:] += d_pooled[:, H:]
 
     # each layer's saved state, its predecessor states and its gate
-    # gradients are freed as soon as its backward no longer reads them
+    # gradients are freed as soon as its backward no longer reads them; a
+    # direction's parameter gradients go out once its dX share has read W
+    # (and `_lstm_backward` has read U)
     del top
     for layer in reversed(range(L)):
         X, out, states = layers.pop()
@@ -598,29 +628,22 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
             prefix = f"lstm.{layer}.{d}"
             W, U = P[f"{prefix}.W"], P[f"{prefix}.U"]
             dZ = _lstm_backward(dH[:, cols], *states.pop(d), U, packing, d)
-            h_prev = packing.predecessor(d, out[:, cols])
-            grads[f"{prefix}.W"] = dZ.T @ X
-            grads[f"{prefix}.U"] = dZ.T @ h_prev
-            del h_prev
-            grads[f"{prefix}.b"] = dZ.sum(axis=0)
             if layer > 0:
                 if d == "fw":
                     dX = dZ @ W
                 else:
                     dX += dZ @ W
+            emit(f"{prefix}.W", dZ.T @ X)
+            emit(f"{prefix}.U", dZ.T @ packing.predecessor(d, out[:, cols]))
+            emit(f"{prefix}.b", dZ.sum(axis=0))
             del dZ
         if layer > 0:
             if masks:
                 dX *= masks[layer - 1]
             dH = dX
 
-    for name, g in grads.items():
-        if not math.isfinite(float(np.sum(g))):
-            raise NumericError(
-                f"non-finite gradient for parameter '{name}' in a batch "
-                f"of items {', '.join(map(repr, names))}")
     return BatchPass(scores=scores, attention=attention, losses=losses,
-                     grads=grads)
+                     grads=grads if on_grad is None else None)
 
 
 def predict_batch(inputs, params: ModelParams, config: ModelConfig

@@ -2,9 +2,9 @@
 
 Each minibatch is one call of the batched kernel `model.run_batch`: it
 packs the batch's ragged sequences by length (no padding), runs the biLSTM
-over whole sequences and returns the gradients summed over the batch,
-which are averaged before the Adam step. Evaluation scores examples in
-fixed-size chunks through `model.predict_batch`.
+over whole sequences and hands out the gradients summed over the batch,
+which are averaged before each tensor's Adam update. Evaluation scores
+examples in fixed-size chunks through `model.predict_batch`.
 """
 
 from __future__ import annotations
@@ -112,9 +112,19 @@ def train(train_examples: list[Example], valid_examples: list[Example],
     validation Pearson r per epoch, and returns the parameters from the
     epoch with the best validation r. With no usable validation signal
     (empty set or undefined r throughout) the final epoch's parameters
-    are returned. A non-finite loss aborts training with a diagnostic on
-    the curve, returning the last checkpointed parameters. Parameters from
-    the last epoch trained are returned as they are, without a copy.
+    are returned. A non-finite loss or gradient aborts training with a
+    diagnostic on the curve, returning the last checkpointed parameters.
+    Parameters from the last epoch trained are returned as they are,
+    without a copy.
+
+    Without `grad_clip` each tensor takes its Adam update while the
+    backward runs (`run_batch`'s `on_grad`), so a step never holds every
+    gradient. A non-finite gradient is found only when the backward
+    reaches it, so in an aborted step the tensors before it in
+    `run_batch`'s gradient order are already updated, and with no
+    checkpointed epoch the returned parameters are that partial step.
+    Every caller discards them: `sil train` fails on an abort, and `tune`
+    and `cv_predict` drop an aborted fold.
     """
     if not train_examples:
         raise ContractError("train set must be nonempty")
@@ -125,9 +135,18 @@ def train(train_examples: list[Example], valid_examples: list[Example],
             f"{config.model.input_dim}")
 
     params = init_params(config.model)
-    state = AdamState(lr=config.lr)
+    state = AdamState.for_params(params.tensors, lr=config.lr)
     shuffle_rng = rng_for(config.seed, "epoch-shuffle")
     dropout_rng = rng_for(config.seed, "dropout")
+
+    def update(name, g):
+        g /= size
+        adam_step({name: params.tensors[name]}, {name: g}, state)
+
+    # each tensor is updated as soon as the backward is done with it, so
+    # no step holds every gradient at once. Clipping scales by the norm of
+    # every gradient, so with it no tensor can be updated before all exist.
+    on_grad = update if config.grad_clip is None else None
 
     curve = LearningCurve()
     best_params: ModelParams | None = None
@@ -141,19 +160,20 @@ def train(train_examples: list[Example], valid_examples: list[Example],
             for start in range(0, n, config.batch_size):
                 batch = [train_examples[i]
                          for i in order[start:start + config.batch_size]]
+                size = len(batch)
                 result = run_batch(
                     [ex.embedded for ex in batch], params, config.model,
                     targets=[ex.target for ex in batch], rng=dropout_rng,
-                    ids=[ex.id for ex in batch])
+                    ids=[ex.id for ex in batch], on_grad=on_grad)
                 sq_errors.extend(result.losses.tolist())
-                grads = result.grads
-                for g in grads.values():
-                    g /= len(batch)
-                if config.grad_clip is not None:
+                if on_grad is None:
+                    grads = result.grads
+                    for g in grads.values():
+                        g /= size
                     _clip_grads(grads, config.grad_clip)
-                adam_step(params.tensors, grads, state)
-                # freed before the next step's run_batch, not after it
-                del result, grads
+                    adam_step(params.tensors, grads, state)
+                    # freed before the next step's run_batch, not after it
+                    del result, grads
         except NumericError as exc:
             curve.aborted = f"epoch {epoch}: {exc}"
             break

@@ -4,9 +4,11 @@ import ast
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import platform
 import shlex
 import struct
 import subprocess
@@ -213,6 +215,47 @@ def test_train_manifest_records_provenance(workspace, trained):
     assert str(trained) in manifest["outputs"]
     assert "--hidden-dim" in manifest["argv"]
     assert manifest["started_at"] <= manifest["finished_at"]
+
+
+def test_manifest_records_the_environment(workspace, trained):
+    manifest = json.loads(
+        (trained.parent / (trained.name + ".manifest.json"))
+        .read_text(encoding="utf-8"))
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["blas_threads"] == {var: os.environ.get(var)
+                                   for var in _BLAS_VARS}
+    assert env["cpu_count"] == os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        assert 1 <= env["cpu_affinity"] <= env["cpu_count"]
+    if importlib.util.find_spec("resource"):
+        assert env["peak_rss_mb"] > 0
+
+
+def test_environment_block_leaves_outputs_unchanged(workspace, trained,
+                                                    tmp_path, monkeypatch):
+    # the same train and eval with the block emptied: every checkpoint and
+    # CSV keeps its bytes
+    def run(tag):
+        out = tmp_path / f"{tag}.bin"
+        assert main(["train", "--corpus", str(workspace["corpus"]),
+                     "--glove", str(workspace["glove"]), "--hidden-dim", "4",
+                     "--epochs", "2", "--batch-size", "8", "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert main(["eval", "--model", str(out), "--corpus",
+                     str(workspace["corpus"]), "--glove",
+                     str(workspace["glove"]),
+                     "--out", str(tmp_path / f"{tag}.eval.csv")]) == 0
+        return {p.name[len(tag):]: p.read_bytes()
+                for p in sorted(tmp_path.glob(f"{tag}.*"))
+                if not p.name.endswith(".manifest.json")}
+
+    with_block = run("on")
+    monkeypatch.setattr("sil.cli._environment", lambda: {})
+    without = run("off")
+    assert len(with_block) == 7 and with_block == without
+    assert with_block[".bin"] == trained.read_bytes()
 
 
 def test_train_leaves_no_temp_files(workspace, trained):
@@ -596,7 +639,12 @@ def test_valid_fraction_out_of_range_exits_one(workspace, tmp_path, capsys,
 # what each flag's message says its value must be
 _FLAG_RULES = {"--lr": "a finite number above 0",
                "--grad-clip": "a finite number above 0",
-               "--bootstrap": ">= 1", "--max-len": ">= 1"}
+               "--bootstrap": ">= 1", "--max-len": ">= 1",
+               "--epochs": ">= 1", "--batch-size": ">= 1",
+               "--hidden-dim": ">= 1", "--k": ">= 2"}
+# counts that are checked before any input is read
+_COUNT_FLAGS = ("--bootstrap", "--max-len", "--epochs", "--batch-size",
+                "--hidden-dim", "--k")
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -609,18 +657,25 @@ _FLAG_RULES = {"--lr": "a finite number above 0",
     ("ceiling", "--bootstrap", "-1"), ("minimal-pairs", "--bootstrap", "0"),
     ("attention", "--bootstrap", "0"), ("attention", "--max-len", "0"),
     ("attention", "--max-len", "-2"),
+    ("train", "--epochs", "0"), ("train", "--batch-size", "0"),
+    ("train", "--hidden-dim", "0"), ("train", "--hidden-dim", "-3"),
+    ("cv-predict", "--epochs", "0"), ("cv-predict", "--batch-size", "-1"),
+    ("cv-predict", "--hidden-dim", "0"), ("cv-predict", "--k", "1"),
+    ("tune", "--epochs", "0"), ("tune", "--batch-size", "0"),
+    ("tune", "--k", "1"), ("tune", "--k", "0"),
 ])
 def test_bad_step_size_exits_one(workspace, tmp_path, capsys, command, flag,
                                  value):
     out = tmp_path / "out.csv"
-    # the probes' inputs do not exist: a count is checked before any read
+    # a count's inputs do not exist: it is checked before any read
     absent = str(tmp_path / "absent")
+    corpus, glove = ((absent, absent) if flag in _COUNT_FLAGS
+                     else (str(workspace["corpus"]), str(workspace["glove"])))
     inputs = {
         "ceiling": ["--corpus", absent],
         "minimal-pairs": ["--model", absent, "--glove", absent],
         "attention": ["--corpus", absent, "--model", absent],
-    }.get(command, ["--corpus", str(workspace["corpus"]),
-                    "--glove", str(workspace["glove"]), "--epochs", "1"])
+    }.get(command, ["--corpus", corpus, "--glove", glove, "--epochs", "1"])
     rc = main([command, *inputs, flag, value, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err

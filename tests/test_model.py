@@ -17,7 +17,7 @@ from sil.errors import ContractError, IntegrityError, NumericError
 from sil.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PREDICT_CHUNK,
                        ModelConfig, ModelParams, forward, init_params,
                        load_checkpoint, lstm_cell, param_shapes,
-                       predict_batch, run_batch, save_checkpoint)
+                       predict_batch, run_batch, save_checkpoint, sigmoid)
 
 
 def small_config(**kw):
@@ -94,6 +94,27 @@ def test_config_validation():
 def test_config_dict_round_trip():
     config = small_config(hidden_dim=9, dropout_rate=0.3, seed=5)
     assert ModelConfig.from_dict(config.to_dict()) == config
+
+
+def _select_sigmoid(x):
+    """The earlier two-branch formula, kept as the reference."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def test_sigmoid_bytes_match_the_select_formula():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                      1e-320, -1e-320, 36.8, -36.8, 710.0, -710.0,
+                      745.0, -745.0])
+    spread = np.random.default_rng(4).standard_normal(5_000_000) * 20.0
+    for x in (edges, spread, spread.reshape(1000, 5000), np.array(-3.5),
+              np.array(2.0)):
+        with np.errstate(over="ignore"):
+            got, ref = sigmoid(x), _select_sigmoid(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +553,31 @@ def test_kernel_nonfinite_values_raise_numeric_error():
     with np.errstate(invalid="ignore"), pytest.raises(
             NumericError, match="non-finite gradient for parameter 'attn"):
         run_batch([x], params, config, targets=[0.5])
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_streamed_gradients_equal_the_collected_ones(use_attention):
+    config = small_config(dropout_rate=0.3, use_attention=use_attention)
+    params = init_params(config)
+    rng = np.random.default_rng(2)
+    inputs = [rng.standard_normal((T, 3)) for T in (4, 1, 6)]
+    targets = rng.random(3)
+    collected = run_batch(inputs, params, config, targets=targets,
+                          rng=np.random.default_rng(3))
+    streamed = []
+    res = run_batch(inputs, params, config, targets=targets,
+                    rng=np.random.default_rng(3),
+                    on_grad=lambda name, g: streamed.append((name, g)))
+    assert res.grads is None
+    assert res.losses.tobytes() == collected.losses.tobytes()
+    # head, attention, then each layer from the top, fw before bw
+    order = ["head.w", "head.b"] + (["attn.v", "attn.W"] if use_attention
+                                    else [])
+    order += [f"lstm.{layer}.{d}.{t}" for layer in (1, 0)
+              for d in ("fw", "bw") for t in "WUb"]
+    assert [name for name, _ in streamed] == list(collected.grads) == order
+    for name, g in streamed:
+        assert g.tobytes() == collected.grads[name].tobytes(), name
 
 
 def test_train_mode_run_batch_peak_memory():

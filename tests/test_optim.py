@@ -179,3 +179,30 @@ def test_non_contiguous_parameter_rejected_not_lost(view):
     with pytest.raises(ContractError, match="'w' is not C-contiguous"):
         adam_step({"w": p}, {"w": np.ones(p.shape)}, AdamState())
     assert not base.any()
+
+
+def test_per_tensor_calls_match_one_call_over_all_tensors():
+    # each tensor's bias correction counts its own updates, so a step taken
+    # one tensor at a time, on a state made before the first step, gives
+    # the bytes of one call over every tensor on a lazily built state
+    rng = np.random.default_rng(12)
+    shapes = {"lstm.0.fw.W": (12, 5), "several": (3, ADAM_BLOCK // 2 + 3),
+              "head.b": ()}
+    one = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    each = {n: p.copy() for n, p in one.items()}
+    state = AdamState(lr=0.01)
+    early = AdamState.for_params(each, lr=0.01)
+    assert sorted(early.m) == sorted(early.v) == sorted(shapes)
+    assert all(buf.size == ADAM_BLOCK for buf in early.scratch)
+    for step in range(1, 7):
+        grads = {n: np.asarray(rng.standard_normal(s) * 10.0 ** (step - 3))
+                 for n, s in shapes.items()}
+        adam_step(one, grads, state)
+        for n in shapes:
+            adam_step({n: each[n]}, {n: grads[n]}, early)
+        assert state.t == early.t == step
+        assert early.steps == dict.fromkeys(shapes, step)
+        for n in shapes:
+            assert each[n].tobytes() == one[n].tobytes(), (step, n)
+            assert early.m[n].tobytes() == state.m[n].tobytes(), (step, n)
+            assert early.v[n].tobytes() == state.v[n].tobytes(), (step, n)

@@ -167,19 +167,20 @@ def test_best_epoch_parameters_are_that_epochs_snapshot(tiny_records,
 def test_no_validation_returns_the_final_parameters(tiny_records, tiny_table,
                                                     monkeypatch):
     import sil.trainer
-    after_step = []
+    # each tensor's bytes after its latest update; a step updates its
+    # tensors one `adam_step` call at a time
+    after_step = {}
     real = sil.trainer.adam_step
 
     def step_then_snapshot(params, grads, state):
         real(params, grads, state)
-        after_step.append({n: a.tobytes() for n, a in params.items()})
+        after_step.update({n: a.tobytes() for n, a in params.items()})
 
     monkeypatch.setattr(sil.trainer, "adam_step", step_then_snapshot)
     examples = examples_from_records(tiny_records, tiny_table)
     params, curve = train(examples[:16], [], tiny_train_config(epochs=2))
     assert curve.best_epoch == 2
-    assert {n: a.tobytes() for n, a in params.tensors.items()} == \
-        after_step[-1]
+    assert {n: a.tobytes() for n, a in params.tensors.items()} == after_step
 
 
 def test_empty_train_set_rejected(tiny_table):
@@ -269,6 +270,65 @@ def test_only_one_gradient_set_is_alive_as_each_step_starts(monkeypatch):
     assert len(alive) == 3
     for nbytes in alive[1:]:
         assert expected <= nbytes < expected + param_bytes / 2
+
+
+@pytest.mark.parametrize("pooling", ["attention", "final_state"])
+def test_streamed_updates_equal_one_update_over_all_tensors(pooling):
+    # a clip norm no gradient reaches takes the collected path, where one
+    # adam_step updates every tensor, and never scales a gradient
+    records = make_records(14, seed=2, with_context=True)
+    table = make_table(sorted(vocab_of(records)))
+    examples = examples_from_records(records, table, with_context=True)
+    config = tiny_train_config(
+        model_kw=dict(hidden_dim=5, dropout_rate=0.2,
+                      use_attention=pooling == "attention"),
+        epochs=3, batch_size=4, seed=3)
+    runs = [train(examples[:10], examples[10:], replace(config,
+                                                        grad_clip=clip))
+            for clip in (None, 1e300)]
+    (streamed, s_curve), (collected, c_curve) = runs
+    assert s_curve == c_curve
+    for name in collected.names():
+        assert streamed.tensors[name].tobytes() == \
+            collected.tensors[name].tobytes(), name
+
+
+def test_a_step_never_holds_every_gradient(monkeypatch):
+    # numpy's traced peak of each step above the parameters, Adam's
+    # moments and scratch: the live gradients and the activations. One
+    # update over all tensors holds every gradient at once, so the
+    # parameter bytes and more (1.19x them here); updated as the backward
+    # goes, a step holds the activations (0.31x) and one tensor's
+    # gradient at a time, 0.56x them at the largest
+    config = tiny_train_config(model_kw=dict(input_dim=16, hidden_dim=64),
+                               epochs=1, batch_size=4)
+    rng = np.random.default_rng(0)
+    examples = [Example(id=f"e{k}", embedded=rng.standard_normal((6, 16)),
+                        target=0.5) for k in range(12)]
+    param_bytes = sum(a.nbytes
+                      for a in init_params(config.model).tensors.values())
+    peaks = []
+
+    def traced_run_batch(*args, **kw):
+        # the peak since the previous step started, then a fresh one
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        tracemalloc.reset_peak()
+        return run_batch(*args, **kw)
+
+    monkeypatch.setattr("sil.trainer.run_batch", traced_run_batch)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(examples, [], config)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if started:
+            tracemalloc.stop()
+    alive = 3 * param_bytes + 2 * ADAM_BLOCK * 8
+    assert len(peaks) == 4
+    for peak in peaks[2:]:  # steps 2 and 3, once every buffer exists
+        assert alive < peak < alive + param_bytes
 
 
 def _tape_train(train_examples, valid_examples, config):
