@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -120,7 +121,8 @@ def _read_json(path) -> tuple[object, str]:
 
 
 def _effective_config(args) -> dict:
-    """defaults < config file < explicit flags, checked against the table."""
+    """defaults < config file < explicit flags, each value checked against
+    its flag's type and range before any input is read."""
     command = COMMANDS[args.command]
     flags = command.flags_by_key(args.command)
     merged = dict(command.defaults)
@@ -135,11 +137,12 @@ def _effective_config(args) -> dict:
         for key, value in file_config.items():
             # null leaves a key without a default unset, as omitting it does
             if value is not None or key in command.defaults:
-                flags[key].check(key, value, args.config)
+                flags[key].check(f"config {key}", value, args.config)
         merged.update(file_config)
-    for key in flags:
+    for key, flag in flags.items():
         value = getattr(args, key, None)
         if value is not None:
+            flag.check(flag.name, value)
             merged[key] = value
     for key in command.required:
         if not merged.get(key):
@@ -259,14 +262,6 @@ def _model_train_config(cfg: dict, input_dim: int, model_seed: int,
 
 def _records_by_id(records) -> dict:
     return {r.id: r for r in records}
-
-
-def _check_at_least(cfg: dict, key: str, least: int) -> None:
-    """Reject a count below `least`, naming its flag, before any input is
-    read."""
-    if cfg[key] < least:
-        raise ValidationError(
-            f"{FLAGS[key].name} must be >= {least}, got {cfg[key]}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +415,6 @@ def cmd_train(cfg):
     from .model import save_checkpoint
     from .trainer import evaluate, examples_from_records, train
 
-    for key in ("hidden_dim", "epochs", "batch_size"):
-        _check_at_least(cfg, key, 1)
-    if not 0.0 <= cfg["valid_fraction"] < 1.0:
-        raise ValidationError(
-            f"valid_fraction must be in [0, 1), got {cfg['valid_fraction']}")
     records = parse_corpus(cfg["corpus"])
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     seed = cfg["seed"]
@@ -502,8 +492,6 @@ PAPER_GRID = [
 
 def _grid_entry_problem(entry) -> str | None:
     """Why a tune grid entry is unusable, or None if it is fine."""
-    from .model import ModelConfig
-
     if not isinstance(entry, dict):
         return "not an object"
     unknown = sorted(set(entry) - set(_GRID_FLAGS))
@@ -518,11 +506,6 @@ def _grid_entry_problem(entry) -> str | None:
             continue
         if problem:
             return f"{key} {problem}"
-    try:  # the rules ModelConfig applies to the entry's own values
-        ModelConfig(input_dim=1, hidden_dim=entry["hidden_dim"],
-                    dropout_rate=entry["dropout_rate"])
-    except ContractError as exc:
-        return str(exc)
     return None
 
 
@@ -552,10 +535,6 @@ def cmd_tune(cfg):
     from .embeddings import load_glove, load_precomputed
     from .trainer import tune
 
-    for key in ("epochs", "batch_size"):
-        _check_at_least(cfg, key, 1)
-    # k's upper bound is the corpus size, which kfold checks
-    _check_at_least(cfg, "k", 2)
     records = parse_corpus(cfg["corpus"])
     seed = cfg["seed"]
     sp = split(records, cfg["train_fraction"], seed)
@@ -672,9 +651,6 @@ def cmd_eval(cfg):
 def cmd_cv_predict(cfg):
     from .trainer import cv_predict, examples_from_records
 
-    for key in ("hidden_dim", "epochs", "batch_size"):
-        _check_at_least(cfg, key, 1)
-    _check_at_least(cfg, "k", 2)
     records = parse_corpus(cfg["corpus"])
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     examples = examples_from_records(records, source, cfg["with_context"])
@@ -703,7 +679,6 @@ def cmd_minimal_pairs(cfg):
     from .probes.minimal_pairs import (generate_minimal_pairs, load_frames,
                                        minimal_pair_report, score_variants)
 
-    _check_at_least(cfg, "bootstrap", 1)
     frames = load_frames(cfg.get("frames"))
     variants = generate_minimal_pairs(frames)
     params, mconfig = load_checkpoint(cfg["model"])
@@ -744,8 +719,6 @@ def cmd_attention(cfg):
                                    attention_for_records,
                                    partitive_of_analysis)
 
-    _check_at_least(cfg, "max_len", 1)
-    _check_at_least(cfg, "bootstrap", 1)
     records = parse_corpus(cfg["corpus"])
     params, mconfig = load_checkpoint(cfg["model"])
     source, source_input = _load_source(cfg, records, with_context=False)
@@ -789,10 +762,6 @@ def cmd_attention(cfg):
 def cmd_regress(cfg):
     from .probes.regression import RegressionSpec, regression_compare
 
-    if cfg["bootstrap"] < 0:
-        raise ValidationError(
-            f"--bootstrap must be >= 0 (0: point fits only), "
-            f"got {cfg['bootstrap']}")
     records = parse_corpus(cfg["corpus"])
     path = cfg["predictions"]
     rows = read_rows(path)
@@ -848,7 +817,6 @@ def cmd_regress(cfg):
 def cmd_ceiling(cfg):
     from .metrics import bootstrap_ceiling, pearson_or_nan
 
-    _check_at_least(cfg, "bootstrap", 1)
     records = parse_corpus(cfg["corpus"])
     items = [r.participant_ratings for r in records
              if len(r.participant_ratings) >= 2]
@@ -888,10 +856,19 @@ _CONFIG_ITEMS = {
         and all(isinstance(s, str) for s in v)),
 }
 
+# the range a number may lie in, by the words a message names it with
+_RULES = {
+    ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "a finite number above 0": lambda v: math.isfinite(v) and v > 0,
+    "in [0, 1)": lambda v: 0 <= v < 1, "in (0, 1)": lambda v: 0 < v < 1,
+}
+
 
 @dataclass(frozen=True)
 class Flag:
-    """A config key's flag (None: config file only) and its value type."""
+    """A config key's flag (None: config file only), its value type and,
+    for a number, its range."""
 
     name: str | None
     type: type = str  # bool: a switch that sets True
@@ -901,6 +878,7 @@ class Flag:
     # instead (a dict flag's object holds them as its values)
     items: str | None = None
     repeatable: bool = False
+    rule: str | None = None  # a key of _RULES
     per_command: dict = field(default_factory=dict)  # {command: overrides}
 
     def problem(self, value) -> str | None:
@@ -918,13 +896,16 @@ class Flag:
             for item in value.values() if isinstance(value, dict) else value:
                 if not _CONFIG_ITEMS[self.items](item):
                     return f"must hold {self.items}, got {item!r}"
+        if self.rule and not _RULES[self.rule](value):
+            return f"must be {self.rule}, got {value!r}"
         return None
 
-    def check(self, key: str, value, path) -> None:
-        """Reject a config-file value that this flag could not have set."""
+    def check(self, what: str, value, path=None) -> None:
+        """Reject a value that this flag could not have set; `what` names
+        the flag or config key, `path` the config file."""
         problem = self.problem(value)
         if problem:
-            raise ValidationError(f"config {key} {problem}", path=path)
+            raise ValidationError(f"{what} {problem}", path=path)
 
 
 FLAGS = {
@@ -940,24 +921,31 @@ FLAGS = {
         "help": "name=path, repeatable"}}),
     "grid": Flag("--grid", items="objects",
                  help="grid JSON file (default: built-in grid)"),
-    "hidden_dim": Flag("--hidden-dim", int),
-    "dropout_rate": Flag("--dropout", float),
+    "hidden_dim": Flag("--hidden-dim", int, rule=">= 1"),
+    "dropout_rate": Flag("--dropout", float, rule="in [0, 1)"),
     "pooling": Flag("--pooling", choices=("attention", "final_state")),
     "with_context": Flag("--with-context", bool),
     "subset": Flag("--subset", choices=("all", "train", "test")),
-    "k": Flag("--k", int), "epochs": Flag("--epochs", int),
-    "batch_size": Flag("--batch-size", int), "lr": Flag("--lr", float),
-    "grad_clip": Flag("--grad-clip", float),
-    "train_fraction": Flag("--train-fraction", float),
-    "valid_fraction": Flag("--valid-fraction", float),
-    "split_seed": Flag("--split-seed", int), "max_len": Flag("--max-len", int),
-    "bootstrap": Flag("--bootstrap", int), "seed": Flag("--seed", int),
+    # k's upper bound is the corpus size, which kfold checks
+    "k": Flag("--k", int, rule=">= 2"),
+    "epochs": Flag("--epochs", int, rule=">= 1"),
+    "batch_size": Flag("--batch-size", int, rule=">= 1"),
+    "lr": Flag("--lr", float, rule="a finite number above 0"),
+    "grad_clip": Flag("--grad-clip", float, rule="a finite number above 0"),
+    "train_fraction": Flag("--train-fraction", float, rule="in (0, 1)"),
+    "valid_fraction": Flag("--valid-fraction", float, rule="in [0, 1)"),
+    "split_seed": Flag("--split-seed", int),
+    "max_len": Flag("--max-len", int, rule=">= 1"),
+    # regress takes 0 for point fits only
+    "bootstrap": Flag("--bootstrap", int, rule=">= 1",
+                      per_command={"regress": {"rule": ">= 0"}}),
+    "seed": Flag("--seed", int),
     "interactions": Flag("--interactions",
                          items="'a:b' strings or [a, b] pairs",
                          help="comma-joined a:b pairs"),
     "unk_policy": Flag("--unk-policy", choices=(
         "zero_vector", "unk_token", "mean_vector")),
-    "workers": Flag("--workers", int,
+    "workers": Flag("--workers", int, rule=">= 0",
                     help=f"cap fold workers (also {WORKERS_ENV})"),
     "out": Flag("--out", per_command={
         "train": {"help": "checkpoint path"},
@@ -1091,8 +1079,11 @@ def main(argv: list[str] | None = None) -> int:
     except USER_ERRORS as exc:
         print(f"sil {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, ArithmeticError, OSError, KeyError) as exc:
-        print(f"sil {args.command}: runtime error: {exc}", file=sys.stderr)
+    except (NumericError, ArithmeticError, OSError, KeyError,
+            MemoryError) as exc:
+        # a bare MemoryError says nothing, so name its type
+        print(f"sil {args.command}: runtime error: "
+              f"{str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
     manifest_path = Path(args.manifest) if args.manifest else \

@@ -153,6 +153,14 @@ def _stars(p: float) -> str:
     return ""
 
 
+def _p_shrink(extended: np.ndarray, original: np.ndarray) -> float:
+    """The share of paired draws with |beta_extended| < |beta_original|,
+    exact ties counting one half."""
+    shrunk = np.abs(extended) < np.abs(original)
+    ties = np.abs(extended) == np.abs(original)
+    return float((shrunk.sum() + 0.5 * ties.sum()) / len(extended))
+
+
 def regression_compare(records, nn_predictions: dict, spec: RegressionSpec,
                        B: int = 10000, seed: int = 0) -> CoefficientComparison:
     """Fit original and extended models and bootstrap coefficient shrinkage.
@@ -195,9 +203,7 @@ def regression_compare(records, nn_predictions: dict, spec: RegressionSpec,
                 o = draws_orig[:, j]
                 ci_o = (float(np.quantile(o, 0.025)),
                         float(np.quantile(o, 0.975)))
-                shrunk = np.abs(e) < np.abs(o)
-                ties = np.abs(e) == np.abs(o)
-                p = float((shrunk.sum() + 0.5 * ties.sum()) / B)
+                p = _p_shrink(e, o)
         rows.append(CoefficientRow(
             predictor=name, beta_original=b_o, beta_extended=b_e,
             ci_original=ci_o, ci_extended=ci_e, p_shrink=p,

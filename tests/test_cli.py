@@ -22,7 +22,8 @@ import pytest
 from conftest import corpus_records, make_records, vocab_of, write_glove
 
 import sil
-from sil.cli import build_parser, main
+from sil.cli import (COMMANDS, FLAGS, PAPER_GRID, _grid_entry_problem,
+                     build_parser, main)
 from sil.corpus import COLUMNS, parse_corpus, write_corpus
 from sil.embeddings import PrecomputedEmbeddings, save_precomputed
 from sil.model import load_checkpoint
@@ -447,12 +448,12 @@ def _subcommands():
 
 
 def _valid_value(action):
-    """A config value of the type the flag parses to."""
+    """A config value of the type the flag parses to, in every range."""
     if action.const is True:
         return True
     if action.choices:
         return action.choices[0]
-    return {int: 1, float: 0.5}.get(action.type, "x")
+    return {int: 2, float: 0.5}.get(action.type, "x")
 
 
 @pytest.mark.parametrize("command", sorted(_subcommands()))
@@ -631,23 +632,48 @@ def test_valid_fraction_out_of_range_exits_one(workspace, tmp_path, capsys,
                "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "valid_fraction must be in [0, 1)" in err
+    assert f"--valid-fraction must be in [0, 1), got {fraction}" in err
     assert "Traceback" not in err
     assert not out.exists()
 
 
-# what each flag's message says its value must be
+# what each numeric flag's message says its value must be, and the
+# commands where it says otherwise
 _FLAG_RULES = {"--lr": "a finite number above 0",
                "--grad-clip": "a finite number above 0",
                "--bootstrap": ">= 1", "--max-len": ">= 1",
                "--epochs": ">= 1", "--batch-size": ">= 1",
-               "--hidden-dim": ">= 1", "--k": ">= 2"}
-# counts that are checked before any input is read
-_COUNT_FLAGS = ("--bootstrap", "--max-len", "--epochs", "--batch-size",
-                "--hidden-dim", "--k")
+               "--hidden-dim": ">= 1", "--k": ">= 2", "--workers": ">= 0",
+               "--dropout": "in [0, 1)", "--valid-fraction": "in [0, 1)",
+               "--train-fraction": "in (0, 1)"}
+_COMMAND_RULES = {("regress", "--bootstrap"): ">= 0"}
+# the flags that take any integer: each seeds a run
+_UNRANGED = {"seed", "split_seed"}
+# a value just outside each rule
+_OUTSIDE = {"a finite number above 0": "0", ">= 0": "-1", ">= 1": "0",
+            ">= 2": "1", "in [0, 1)": "1", "in (0, 1)": "1"}
 
 
-@pytest.mark.parametrize("command, flag, value", [
+def _rule(command, flag):
+    return _COMMAND_RULES.get((command, flag), _FLAG_RULES[flag])
+
+
+def _numeric_flags(command):
+    """The flags of `command` that take a number in a range."""
+    return [flag.name for key, flag in
+            COMMANDS[command].flags_by_key(command).items()
+            if flag.type in (int, float) and key not in _UNRANGED]
+
+
+def _absent_inputs(command, tmp_path):
+    """Each input flag `command` requires, naming a file that is absent."""
+    return [arg for key in COMMANDS[command].required if key != "out"
+            for arg in (FLAGS[key].name, str(tmp_path / "absent"))]
+
+
+# every numeric flag of every command at a value outside its range, and
+# more values for some
+_BAD_FLAG_CASES = list(dict.fromkeys([
     ("train", "--lr", "nan"), ("train", "--lr", "inf"),
     ("train", "--lr", "-1"), ("train", "--lr", "0"),
     ("train", "--grad-clip", "nan"), ("train", "--grad-clip", "inf"),
@@ -663,24 +689,90 @@ _COUNT_FLAGS = ("--bootstrap", "--max-len", "--epochs", "--batch-size",
     ("cv-predict", "--hidden-dim", "0"), ("cv-predict", "--k", "1"),
     ("tune", "--epochs", "0"), ("tune", "--batch-size", "0"),
     ("tune", "--k", "1"), ("tune", "--k", "0"),
-])
-def test_bad_step_size_exits_one(workspace, tmp_path, capsys, command, flag,
-                                 value):
+    ("train", "--dropout", "1.5"), ("train", "--dropout", "-0.1"),
+    ("train", "--train-fraction", "1.5"), ("train", "--train-fraction", "0"),
+    ("train", "--valid-fraction", "nan"), ("cv-predict", "--lr", "nan"),
+    ("cv-predict", "--dropout", "nan"), ("tune", "--workers", "-1"),
+    ("tune", "--train-fraction", "inf"), ("eval", "--train-fraction", "1.5"),
+    ("regress", "--bootstrap", "-1"),
+    *[(command, flag, _OUTSIDE[_rule(command, flag)])
+      for command in COMMANDS for flag in _numeric_flags(command)],
+]))
+
+
+@pytest.mark.parametrize("command, flag, value", _BAD_FLAG_CASES)
+def test_bad_step_size_exits_one(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out.csv"
-    # a count's inputs do not exist: it is checked before any read
-    absent = str(tmp_path / "absent")
-    corpus, glove = ((absent, absent) if flag in _COUNT_FLAGS
-                     else (str(workspace["corpus"]), str(workspace["glove"])))
-    inputs = {
-        "ceiling": ["--corpus", absent],
-        "minimal-pairs": ["--model", absent, "--glove", absent],
-        "attention": ["--corpus", absent, "--model", absent],
-    }.get(command, ["--corpus", corpus, "--glove", glove, "--epochs", "1"])
-    rc = main([command, *inputs, flag, value, "--out", str(out)])
+    # no input exists: a flag's range is checked before any file is read
+    rc = main([command, *_absent_inputs(command, tmp_path), flag, value,
+               "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"{flag} must be {_FLAG_RULES[flag]}, got " in err
+    said = f"sil {command}: error: {flag} must be {_rule(command, flag)}, got "
+    assert err.startswith(said)
+    assert err[len(said):].rstrip("\n") in (value, repr(float(value)))
     assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "lr", float("nan")), ("train", "dropout_rate", 1.0),
+    ("eval", "train_fraction", 0), ("attention", "max_len", 0),
+    ("cv-predict", "k", 1), ("tune", "workers", -1),
+    ("regress", "bootstrap", -1),
+])
+def test_bad_config_value_exits_one(tmp_path, capsys, command, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    rc = main([command, "--config", str(config),
+               *_absent_inputs(command, tmp_path), "--out", str(out)])
+    assert rc == 1
+    rule = _rule(command, FLAGS[key].name)
+    assert capsys.readouterr().err == (
+        f"sil {command}: error: {config}: config {key} must be {rule}, "
+        f"got {value!r}\n")
+    assert not out.exists()
+
+
+def test_every_numeric_flag_has_a_range():
+    for name, command in COMMANDS.items():
+        for key, flag in command.flags_by_key(name).items():
+            if flag.type in (int, float):
+                assert (flag.rule is None) == (key in _UNRANGED), (name, key)
+
+
+def test_every_default_is_in_range():
+    for name, command in COMMANDS.items():
+        flags = command.flags_by_key(name)
+        for key, value in command.defaults.items():
+            assert flags[key].problem(value) is None, (name, key, value)
+
+
+def test_paper_grid_entries_are_valid():
+    for entry in PAPER_GRID:
+        assert _grid_entry_problem(entry) is None, entry
+
+
+@pytest.mark.parametrize("error, said", [
+    (MemoryError("Unable to allocate 116. TiB for an array with shape "
+                 "(1000000000000, 16) and data type int64"),
+     "Unable to allocate 116. TiB"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys, error, said):
+    def exhausted(cfg):
+        raise error
+
+    monkeypatch.setitem(COMMANDS, "minimal-pairs", dataclasses.replace(
+        COMMANDS["minimal-pairs"], fn=exhausted))
+    out = tmp_path / "mp.csv"
+    rc = main(["minimal-pairs", *_absent_inputs("minimal-pairs", tmp_path),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sil minimal-pairs: runtime error: {said}")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -947,7 +1039,7 @@ def test_tune_workers_flag_leaves_environment(workspace, tmp_path,
 @pytest.mark.parametrize("env, flag, named", [
     ("abc", "0", "SIL_WORKERS must be a positive integer, got 'abc'"),
     ("0", None, "SIL_WORKERS must be a positive integer, got '0'"),
-    (None, "-3", "--workers must be a positive integer or 0, got -3"),
+    (None, "-3", "--workers must be >= 0, got -3"),
 ], ids=["env-text", "env-zero", "flag-negative"])
 def test_bad_worker_count_exits_one(workspace, tmp_path, monkeypatch, capsys,
                                     env, flag, named):
@@ -1048,8 +1140,7 @@ def test_regress_negative_bootstrap_exits_one(workspace, tmp_path, capsys):
                "--predictions", str(tmp_path / "absent.csv"),
                "--bootstrap", "-1", "--out", str(out)])
     assert rc == 1
-    assert "--bootstrap must be >= 0 (0: point fits only), got -1" in \
-        capsys.readouterr().err
+    assert "--bootstrap must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1322,11 +1413,11 @@ def test_non_utf8_precomputed_file_exits_one(workspace, trained, tmp_path,
 
 
 @pytest.mark.parametrize("bad, named", [
-    ({"hidden_dim": 0}, "model dimensions must be positive"),
-    ({"dropout_rate": 1.5}, "dropout_rate must be in [0, 1)"),
-])
-def test_grid_entry_model_config_rejects_exits_one(workspace, tmp_path, capsys,
-                                                   bad, named):
+    ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
+    ({"dropout_rate": 1.5}, "dropout_rate must be in [0, 1), got 1.5"),
+], ids=["hidden_dim", "dropout_rate"])
+def test_grid_entry_out_of_range_exits_one(workspace, tmp_path, capsys, bad,
+                                           named):
     entry = {"hidden_dim": 2, "dropout_rate": 0.0, **bad}
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([{"hidden_dim": 2, "dropout_rate": 0.1},

@@ -17,8 +17,9 @@ from sil.probes.minimal_pairs import (FEATURE_BITS, MinimalPairVariant,
                                       load_frames,
                                       minimal_pair_report, realize,
                                       score_variants)
-from sil.probes.regression import (MAIN_EFFECTS, RegressionSpec,
-                                   build_design, regression_compare)
+from sil.probes import regression
+from sil.probes.regression import (MAIN_EFFECTS, RegressionSpec, _p_shrink,
+                                   _stars, build_design, regression_compare)
 
 REFERENCE_ACTIVE = ("Some of the organic farmers in the mountains milked "
                     "the brown goats who graze on the meadows.")
@@ -278,6 +279,18 @@ def test_length_filter_keeps_raw_curves_only():
     assert renorm_positions == {1, 2}
 
 
+def test_length_filter_keeps_max_len_and_drops_longer():
+    # the renormalized curves keep targets of at most max_len tokens
+    at_limit = attn_record("at", 4, subjecthood=1)
+    over = attn_record("over", 4, subjecthood=0, length=5)
+    weights = {"at": np.full(4, 0.25), "over": np.full(4, 0.25)}
+    report = attention_by_position([at_limit, over], weights, max_len=4,
+                                   B=10, seed=0)
+    assert report.n_length_filtered == 1
+    assert {group for group, _ in by_key(report.subjecthood_curves)} == \
+        {"subject"}
+
+
 def test_records_without_usable_some_are_counted():
     no_index = attn_record("x", 3, some_index=None)
     truncated_away = attn_record("y", 3, some_index=5)
@@ -414,6 +427,54 @@ def test_mediated_predictor_shrinks_with_high_confidence():
     assert mediated.stars in ("**", "***")
     for name in ("strength", "mention", "subjecthood"):
         assert 0.25 < comp.row(name).p_shrink < 0.85, name
+
+
+def test_intervals_are_the_bootstrap_order_statistics(monkeypatch):
+    fits = []
+
+    def recording_fit(X, y):
+        fits.append(fit(X, y))
+        return fits[-1]
+
+    fit = regression._fit
+    monkeypatch.setattr(regression, "_fit", recording_fit)
+    records = make_records(30, seed=9)
+    rng = np.random.default_rng(1)
+    nn = {r.id: r.mean_rating + float(rng.normal()) for r in records}
+    B = 41
+    comp = regression_compare(records, nn, RegressionSpec(), B=B, seed=3)
+    # the two point fits come first, then each resample's original and
+    # extended fits in turn
+    assert len(fits) == 2 + 2 * B
+    drawn = {"original": np.sort(fits[2::2], axis=0),
+             "extended": np.sort(fits[3::2], axis=0)}
+    # np.quantile's linear rule reads sorted draw (B - 1) * q; with 41
+    # draws that is draw 1 for 2.5% and draw 39 for 97.5%, no interpolation
+    for j, row in enumerate(comp.rows):
+        expected = {"extended": row.ci_extended}
+        if j < drawn["original"].shape[1]:
+            expected["original"] = row.ci_original
+        for model, ci in expected.items():
+            assert ci == pytest.approx(
+                (drawn[model][1, j], drawn[model][39, j]),
+                rel=1e-12, abs=1e-12), (row.predictor, model)
+
+
+@pytest.mark.parametrize("p, stars", [
+    (0.5, ""), (0.95, ""), (np.nextafter(0.95, 1), "*"),
+    (0.99, "*"), (np.nextafter(0.99, 1), "**"),
+    (0.999, "**"), (np.nextafter(0.999, 1), "***"), (1.0, "***"),
+])
+def test_stars_mark_p_strictly_above_each_level(p, stars):
+    assert _stars(float(p)) == stars
+
+
+def test_p_shrink_counts_exact_ties_as_half():
+    extended = np.array([1.0, -2.0, 3.0, 0.5])
+    original = np.array([-1.0, 2.0, 1.0, 1.0])
+    # two exact ties in |beta|, one shrunk, one grown
+    assert _p_shrink(extended, original) == 0.5
+    assert _p_shrink(original, original) == 0.5
 
 
 def test_nn_row_reports_extended_fit_only():
