@@ -12,6 +12,3 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 __version__ = "0.1.0"
-
-# the environment variable that caps `tune`'s fold workers
-WORKERS_ENV = "SIL_WORKERS"

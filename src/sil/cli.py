@@ -33,7 +33,7 @@ import numpy as np
 # of the package itself, so a process compiles and holds only the modules
 # its command runs: `ceiling` never loads the model, `eval` never loads
 # the trainer, and only `tune` loads a process pool.
-from . import WORKERS_ENV, __version__
+from . import __version__
 from .corpus import (kfold, parse_corpus, parse_row, read_rows, read_text,
                      rescale_rating, split, unscale_rating, write_corpus,
                      COLUMNS)
@@ -125,7 +125,8 @@ def _effective_config(args) -> dict:
     its flag's type and range before any input is read."""
     command = COMMANDS[args.command]
     flags = command.flags_by_key(args.command)
-    merged = dict(command.defaults)
+    merged = {key: flag.default for key, flag in flags.items()
+              if flag.default is not None}
     if args.config:
         file_config, _ = _read_json(args.config)
         if not isinstance(file_config, dict):
@@ -136,7 +137,7 @@ def _effective_config(args) -> dict:
                 f"{args.config}: unknown config keys: {sorted(unknown)}")
         for key, value in file_config.items():
             # null leaves a key without a default unset, as omitting it does
-            if value is not None or key in command.defaults:
+            if value is not None or flags[key].default is not None:
                 flags[key].check(f"config {key}", value, args.config)
         merged.update(file_config)
     for key, flag in flags.items():
@@ -228,7 +229,7 @@ def _load_source(cfg: dict, records, with_context: bool):
         raise ValidationError(
             "exactly one of --glove / --precomputed is required")
     if glove:
-        table = load_glove(glove, cfg.get("unk_policy", "zero_vector"),
+        table = load_glove(glove, cfg["unk_policy"],
                            keep=_record_tokens(records, with_context))
         return table, (Path(glove), table.sha256)
     source = load_precomputed(precomputed)
@@ -236,7 +237,7 @@ def _load_source(cfg: dict, records, with_context: bool):
 
 
 def _subset_records(records, cfg: dict):
-    subset = cfg.get("subset", "all")
+    subset = cfg["subset"]
     if subset == "all":
         return records
     sp = split(records, cfg["train_fraction"], cfg["split_seed"])
@@ -424,7 +425,7 @@ def cmd_train(cfg):
     train_records = [by_id[i] for i in sp.train_ids]
     test_records = [by_id[i] for i in sp.test_ids]
 
-    if cfg["valid_fraction"] > 0:
+    if cfg["valid_fraction"] > 0 and train_records:
         carve = split(train_records, 1.0 - cfg["valid_fraction"],
                       derive_seed(seed, "valid-carve"))
         core_records = [by_id[i] for i in carve.train_ids]
@@ -440,10 +441,12 @@ def cmd_train(cfg):
                                     cfg["with_context"])
 
     config = _model_train_config(
-        cfg, train_ex[0].embedded.shape[1],
-        model_seed=derive_seed(seed, "model-init"),
+        cfg, source.dim, model_seed=derive_seed(seed, "model-init"),
         train_seed=derive_seed(seed, "train"))
-    params, curve = train(train_ex, valid_ex, config)
+    try:
+        params, curve = train(train_ex, valid_ex, config)
+    except ContractError as exc:  # the split left no item to train on
+        raise ValidationError(str(exc), path=cfg["corpus"]) from None
     if curve.aborted:
         raise NumericError(f"training aborted: {curve.aborted}")
 
@@ -500,7 +503,7 @@ def _grid_entry_problem(entry) -> str | None:
     for key, flag in _GRID_FLAGS.items():
         if key in entry:
             problem = flag.problem(entry[key])
-        elif key in ("hidden_dim", "dropout_rate"):
+        elif flag.default is None:
             problem = "is missing"
         else:
             continue
@@ -522,12 +525,10 @@ def _parse_grid(obj, path=None) -> list:
             where = f" (grid file {path})" if path else ""
             raise ValidationError(
                 f"bad grid entry {entry!r}: {problem}{where}")
-        points.append(GridPoint(
-            hidden_dim=entry["hidden_dim"],
-            dropout_rate=float(entry["dropout_rate"]),
-            pooling=entry.get("pooling", "attention"),
-            with_context=entry.get("with_context", False),
-            embedding=entry.get("embedding", "glove")))
+        point = {key: flag.default for key, flag in _GRID_FLAGS.items()}
+        point.update(entry)
+        point["dropout_rate"] = float(point["dropout_rate"])
+        points.append(GridPoint(**point))
     return points
 
 
@@ -578,7 +579,7 @@ def cmd_tune(cfg):
     results = tune(train_records, sources, grid, folds,
                    epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                    lr=cfg["lr"], seed=derive_seed(seed, "tune"),
-                   workers=cfg.get("workers"))
+                   workers=cfg["workers"])
 
     out = Path(cfg["out"])
     k = cfg["k"]
@@ -655,11 +656,13 @@ def cmd_cv_predict(cfg):
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     examples = examples_from_records(records, source, cfg["with_context"])
     config = _model_train_config(
-        cfg, examples[0].embedded.shape[1],
-        model_seed=derive_seed(cfg["seed"], "model-init"),
+        cfg, source.dim, model_seed=derive_seed(cfg["seed"], "model-init"),
         train_seed=derive_seed(cfg["seed"], "train"))
-    scores = cv_predict(examples, config, cfg["k"],
-                        derive_seed(cfg["seed"], "cv-predict"))
+    try:
+        scores = cv_predict(examples, config, cfg["k"],
+                            derive_seed(cfg["seed"], "cv-predict"))
+    except ContractError as exc:  # the corpus has fewer items than folds
+        raise ValidationError(str(exc), path=cfg["corpus"]) from None
 
     out = Path(cfg["out"])
     _write_csv(out, ["id", "score"],
@@ -867,8 +870,8 @@ _RULES = {
 
 @dataclass(frozen=True)
 class Flag:
-    """A config key's flag (None: config file only), its value type and,
-    for a number, its range."""
+    """A config key's flag (None: config file only), its value type, its
+    default (None: unset) and, for a number, its range."""
 
     name: str | None
     type: type = str  # bool: a switch that sets True
@@ -879,6 +882,7 @@ class Flag:
     items: str | None = None
     repeatable: bool = False
     rule: str | None = None  # a key of _RULES
+    default: object = None
     per_command: dict = field(default_factory=dict)  # {command: overrides}
 
     def problem(self, value) -> str | None:
@@ -910,9 +914,9 @@ class Flag:
 
 FLAGS = {
     "input": Flag("--input"), "output": Flag("--output"),
-    "pretokenized": Flag("--pretokenized", bool, help=(
+    "pretokenized": Flag("--pretokenized", bool, default=False, help=(
         "sentence/context cells are already space-tokenized")),
-    "column_map": Flag(None, dict, items="strings"),
+    "column_map": Flag(None, dict, items="strings", default={}),
     "model": Flag("--model"), "corpus": Flag("--corpus"),
     "frames": Flag("--frames", help="frame TSV (default: bundled)"),
     "glove": Flag("--glove"),
@@ -921,32 +925,39 @@ FLAGS = {
         "help": "name=path, repeatable"}}),
     "grid": Flag("--grid", items="objects",
                  help="grid JSON file (default: built-in grid)"),
-    "hidden_dim": Flag("--hidden-dim", int, rule=">= 1"),
-    "dropout_rate": Flag("--dropout", float, rule="in [0, 1)"),
-    "pooling": Flag("--pooling", choices=("attention", "final_state")),
-    "with_context": Flag("--with-context", bool),
-    "subset": Flag("--subset", choices=("all", "train", "test")),
+    "hidden_dim": Flag("--hidden-dim", int, rule=">= 1", default=100),
+    "dropout_rate": Flag("--dropout", float, rule="in [0, 1)", default=0.2),
+    "pooling": Flag("--pooling", choices=("attention", "final_state"),
+                    default="attention"),
+    "with_context": Flag("--with-context", bool, default=False),
+    "subset": Flag("--subset", choices=("all", "train", "test"),
+                   default="all"),
     # k's upper bound is the corpus size, which kfold checks
-    "k": Flag("--k", int, rule=">= 2"),
-    "epochs": Flag("--epochs", int, rule=">= 1"),
-    "batch_size": Flag("--batch-size", int, rule=">= 1"),
-    "lr": Flag("--lr", float, rule="a finite number above 0"),
+    "k": Flag("--k", int, rule=">= 2", default=5,
+              per_command={"cv-predict": {"default": 6}}),
+    "epochs": Flag("--epochs", int, rule=">= 1", default=40,
+                   per_command={"tune": {"default": 15}}),
+    "batch_size": Flag("--batch-size", int, rule=">= 1", default=32),
+    "lr": Flag("--lr", float, rule="a finite number above 0", default=0.001),
     "grad_clip": Flag("--grad-clip", float, rule="a finite number above 0"),
-    "train_fraction": Flag("--train-fraction", float, rule="in (0, 1)"),
-    "valid_fraction": Flag("--valid-fraction", float, rule="in [0, 1)"),
-    "split_seed": Flag("--split-seed", int),
-    "max_len": Flag("--max-len", int, rule=">= 1"),
+    "train_fraction": Flag("--train-fraction", float, rule="in (0, 1)",
+                           default=0.7),
+    "valid_fraction": Flag("--valid-fraction", float, rule="in [0, 1)",
+                           default=0.1),
+    "split_seed": Flag("--split-seed", int, default=0),
+    "max_len": Flag("--max-len", int, rule=">= 1", default=30),
     # regress takes 0 for point fits only
-    "bootstrap": Flag("--bootstrap", int, rule=">= 1",
-                      per_command={"regress": {"rule": ">= 0"}}),
-    "seed": Flag("--seed", int),
+    "bootstrap": Flag("--bootstrap", int, rule=">= 1", default=1000,
+                      per_command={"regress": {"rule": ">= 0",
+                                               "default": 10000}}),
+    "seed": Flag("--seed", int, default=0),
     "interactions": Flag("--interactions",
                          items="'a:b' strings or [a, b] pairs",
-                         help="comma-joined a:b pairs"),
+                         help="comma-joined a:b pairs", default=""),
     "unk_policy": Flag("--unk-policy", choices=(
-        "zero_vector", "unk_token", "mean_vector")),
-    "workers": Flag("--workers", int, rule=">= 0",
-                    help=f"cap fold workers (also {WORKERS_ENV})"),
+        "zero_vector", "unk_token", "mean_vector"), default="zero_vector"),
+    "workers": Flag("--workers", int, rule=">= 1", default=1,
+                    help="fold worker processes"),
     "out": Flag("--out", per_command={
         "train": {"help": "checkpoint path"},
         "tune": {"help": "ranked report CSV"}, "eval": {"help": "report CSV"},
@@ -963,16 +974,13 @@ FLAGS = {
     "summary": Flag("--summary", help="summary CSV"),
 }
 
-# the rules for a tune grid entry's keys, taken from the flags they mirror
-_GRID_FLAGS = {key: FLAGS[key] for key in (
-    "hidden_dim", "dropout_rate", "pooling", "with_context")}
-_GRID_FLAGS["embedding"] = Flag(None)
-
-# the training options that train and cv-predict share, at their defaults
-_FIT_DEFAULTS = {
-    "hidden_dim": 100, "dropout_rate": 0.2, "pooling": "attention",
-    "with_context": False, "epochs": 40, "batch_size": 32, "lr": 0.001,
-    "seed": 0, "unk_policy": "zero_vector"}
+# the rules and defaults of a tune grid entry's keys, taken from the flags
+# they mirror; an entry must give its model size and dropout
+_GRID_FLAGS = {
+    **{key: replace(FLAGS[key], default=None)
+       for key in ("hidden_dim", "dropout_rate")},
+    "pooling": FLAGS["pooling"], "with_context": FLAGS["with_context"],
+    "embedding": Flag(None, default="glove")}
 
 
 @dataclass(frozen=True)
@@ -980,7 +988,6 @@ class Command:
     help: str
     fn: Callable[[dict], tuple[dict, list[Path]]]
     flags: str  # config keys with a flag, in --help order
-    defaults: dict
     required: tuple[str, ...]
     config_only: tuple[str, ...] = ()
 
@@ -993,54 +1000,43 @@ class Command:
 COMMANDS = {
     "import": Command(
         "convert a released raw dataset to the corpus TSV", cmd_import,
-        "input output pretokenized", {"pretokenized": False, "column_map": {}},
-        ("input", "output"), config_only=("column_map",)),
+        "input output pretokenized", ("input", "output"),
+        config_only=("column_map",)),
     "train": Command(
         "train one model on the train split", cmd_train,
         "corpus glove precomputed hidden_dim dropout_rate pooling "
         "with_context epochs batch_size lr grad_clip train_fraction "
         "valid_fraction seed unk_policy out curve split_manifest metrics",
-        {**_FIT_DEFAULTS, "train_fraction": 0.7, "valid_fraction": 0.1},
         ("corpus", "out")),
     "tune": Command(
         "grid search with k-fold CV on the train split", cmd_tune,
         "corpus glove precomputed grid k epochs batch_size lr "
-        "train_fraction seed unk_policy out workers",
-        {"k": 5, "epochs": 15, "batch_size": 32, "lr": 0.001,
-         "train_fraction": 0.7, "seed": 0, "unk_policy": "zero_vector"},
-        ("corpus", "out")),
+        "train_fraction seed unk_policy out workers", ("corpus", "out")),
     "eval": Command(
         "evaluate a checkpoint on a corpus", cmd_eval,
         "model corpus glove precomputed with_context subset train_fraction "
         "split_seed unk_policy out predictions scatter",
-        {"with_context": False, "subset": "all", "train_fraction": 0.7,
-         "split_seed": 0, "unk_policy": "zero_vector"},
         ("model", "corpus", "out")),
     "cv-predict": Command(
         "out-of-fold predictions for every record", cmd_cv_predict,
         "corpus glove precomputed hidden_dim dropout_rate pooling "
         "with_context epochs batch_size lr grad_clip k seed unk_policy out",
-        {**_FIT_DEFAULTS, "k": 6}, ("corpus", "out")),
+        ("corpus", "out")),
     "minimal-pairs": Command(
         "score the 800-variant minimal-pair suite", cmd_minimal_pairs,
         "frames model glove bootstrap seed unk_policy out groups",
-        {"bootstrap": 1000, "seed": 0, "unk_policy": "zero_vector"},
         ("model", "glove", "out")),
     "attention": Command(
         "attention-weight analyses", cmd_attention,
         "corpus model glove precomputed max_len bootstrap seed unk_policy "
-        "out of_out summary",
-        {"max_len": 30, "bootstrap": 1000, "seed": 0,
-         "unk_policy": "zero_vector"}, ("corpus", "model", "out")),
+        "out of_out summary", ("corpus", "model", "out")),
     "regress": Command(
         "original vs extended rating regression", cmd_regress,
         "corpus predictions bootstrap seed interactions out",
-        {"bootstrap": 10000, "seed": 0, "interactions": ""},
         ("corpus", "predictions", "out")),
     "ceiling": Command(
         "inter-annotator agreement ceiling", cmd_ceiling,
-        "corpus bootstrap seed out", {"bootstrap": 1000, "seed": 0},
-        ("corpus", "out")),
+        "corpus bootstrap seed out", ("corpus", "out")),
 }
 
 
@@ -1054,12 +1050,17 @@ def build_parser() -> _Parser:
         p.add_argument("--manifest", help=(
             "run manifest path (default: <first output>.manifest.json)"))
         for dest, flag in command.flags_by_key(name).items():
+            text = flag.help
+            if flag.default not in (None, ""):
+                shown = "off" if flag.default is False else flag.default
+                text = (f"{text} (default: {shown})" if text
+                        else f"default: {shown}")
             if flag.type is bool:
                 p.add_argument(flag.name, dest=dest, action="store_const",
-                               const=True, default=None, help=flag.help)
+                               const=True, default=None, help=text)
             elif flag.name:
                 p.add_argument(flag.name, dest=dest, type=flag.type,
-                               choices=flag.choices, help=flag.help,
+                               choices=flag.choices, help=text,
                                action="append" if flag.repeatable else "store")
     return parser
 
@@ -1079,9 +1080,11 @@ def main(argv: list[str] | None = None) -> int:
     except USER_ERRORS as exc:
         print(f"sil {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, ArithmeticError, OSError, KeyError,
-            MemoryError) as exc:
-        # a bare MemoryError says nothing, so name its type
+    except (NumericError, ArithmeticError, OSError, KeyError, MemoryError,
+            ValueError) as exc:
+        # every user error is a ValueError matched above; this one is
+        # numpy refusing a size it cannot hold ("array is too big"). A
+        # bare MemoryError says nothing, so name its type
         print(f"sil {args.command}: runtime error: "
               f"{str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -10,12 +10,10 @@ examples in fixed-size chunks through `model.predict_batch`.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import WORKERS_ENV
 from .corpus import kfold, rescale_rating
 from .embeddings import embed_utterance
 from .errors import ContractError, NumericError
@@ -242,27 +240,9 @@ def _train_fold(args) -> tuple[int, int, float, str | None]:
         return point_idx, fold_idx, float("nan"), str(exc)
 
 
-def _worker_count(workers: int | None) -> int:
-    """`workers` if given and nonzero, else SIL_WORKERS if set, else 1.
-
-    A negative `workers` (the --workers flag) or a SIL_WORKERS that is
-    not a positive integer is a ContractError, not a quiet serial run.
-    """
-    if workers:
-        if workers < 0:
-            raise ContractError(
-                f"--workers must be a positive integer or 0, got {workers}")
-        return workers
-    raw = os.environ.get(WORKERS_ENV) or "1"
-    if not (raw.strip().isdecimal() and int(raw) > 0):
-        raise ContractError(
-            f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def tune(records, sources: dict, grid: list[GridPoint], folds,
          *, epochs: int = 40, batch_size: int = 32, lr: float = 0.001,
-         seed: int = 0, workers: int | None = None) -> list[TuneResult]:
+         seed: int = 0, workers: int = 1) -> list[TuneResult]:
     """Grid search scored by mean held-out Pearson r over the given folds.
 
     `records` must already be restricted to the training split (no test
@@ -270,13 +250,14 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
     is the kfold output shared by every grid point. Failures are captured
     per configuration without stopping the sweep. Results are sorted by
     mean r descending, ties broken by smaller hidden_dim, lower dropout,
-    then grid order. `workers` (--workers; 0 or None: SIL_WORKERS, else 1)
-    processes run the fold tasks in parallel.
+    then grid order. `workers` (--workers) processes run the fold tasks
+    in parallel.
     """
     if not grid:
         raise ContractError("grid must be nonempty")
     _check_positive("--lr", lr)
-    workers = _worker_count(workers)
+    if workers < 1:
+        raise ContractError(f"--workers must be >= 1, got {workers}")
 
     example_cache: dict[tuple[str, bool], dict[str, Example]] = {}
 
@@ -299,7 +280,7 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
         except ContractError as exc:
             errors[p_idx] = str(exc)
             continue
-        dim = pool[next(iter(pool))].embedded.shape[1]
+        dim = sources[point.embedding].dim
         for f_idx, (train_ids, heldout_ids) in enumerate(folds):
             config = fold_config(TrainConfig(
                 model=ModelConfig(

@@ -128,7 +128,8 @@ def released_model(tmp_root: Path):
         grid = [GridPoint(hidden_dim=h, dropout_rate=p)
                 for h in (100, 200, 400, 800) for p in (0.1, 0.2, 0.3, 0.4)]
         folds = kfold(train_records, 5, seed=0)
-        ranked = tune(train_records, {"glove": table}, grid, folds, seed=0)
+        ranked = tune(train_records, {"glove": table}, grid, folds, seed=0,
+                      workers=int(os.environ.get("SIL_WORKERS", "1")))
         hidden = ranked[0].point.hidden_dim
         dropout = ranked[0].point.dropout_rate
 

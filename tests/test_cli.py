@@ -26,6 +26,7 @@ from sil.cli import (COMMANDS, FLAGS, PAPER_GRID, _grid_entry_problem,
                      build_parser, main)
 from sil.corpus import COLUMNS, parse_corpus, write_corpus
 from sil.embeddings import PrecomputedEmbeddings, save_precomputed
+from sil.errors import ContractError, ValidationError
 from sil.model import load_checkpoint
 
 
@@ -622,6 +623,34 @@ def test_eval_of_an_empty_subset_reports_nan(workspace, trained, tmp_path,
     assert (tmp_path / "report.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize("valid_fraction", ["0", "0.1"])
+def test_train_on_an_empty_train_split_names_the_corpus(
+        workspace, tmp_path, capsys, valid_fraction):
+    # 24 records at --train-fraction 1e-300 hold out floor(24 * 1) = 24
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]),
+               "--train-fraction", "1e-300",
+               "--valid-fraction", valid_fraction, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sil train: error: {workspace['corpus']}: "
+        f"train set must be nonempty\n")
+    assert not out.exists()
+
+
+def test_cv_predict_on_a_header_only_corpus_names_it(workspace, tmp_path,
+                                                     capsys):
+    corpus = _small_corpus(workspace, tmp_path, 0)
+    out = tmp_path / "cv.csv"
+    rc = main(["cv-predict", "--corpus", str(corpus),
+               "--glove", str(workspace["glove"]), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sil cv-predict: error: {corpus}: k must be in [2, 0], got 6\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fraction", ["1.0", "-0.5"])
 def test_valid_fraction_out_of_range_exits_one(workspace, tmp_path, capsys,
                                                fraction):
@@ -643,7 +672,7 @@ _FLAG_RULES = {"--lr": "a finite number above 0",
                "--grad-clip": "a finite number above 0",
                "--bootstrap": ">= 1", "--max-len": ">= 1",
                "--epochs": ">= 1", "--batch-size": ">= 1",
-               "--hidden-dim": ">= 1", "--k": ">= 2", "--workers": ">= 0",
+               "--hidden-dim": ">= 1", "--k": ">= 2", "--workers": ">= 1",
                "--dropout": "in [0, 1)", "--valid-fraction": "in [0, 1)",
                "--train-fraction": "in (0, 1)"}
 _COMMAND_RULES = {("regress", "--bootstrap"): ">= 0"}
@@ -744,9 +773,39 @@ def test_every_numeric_flag_has_a_range():
 
 def test_every_default_is_in_range():
     for name, command in COMMANDS.items():
+        for key, flag in command.flags_by_key(name).items():
+            if flag.default is not None:
+                assert flag.problem(flag.default) is None, (name, key)
+
+
+# the defaults that differ by command; every other flag has one default
+_COMMAND_DEFAULTS = {("tune", "epochs"): 15, ("cv-predict", "k"): 6,
+                     ("regress", "bootstrap"): 10000}
+
+
+def test_help_shows_each_command_default():
+    for name, command in COMMANDS.items():
         flags = command.flags_by_key(name)
-        for key, value in command.defaults.items():
-            assert flags[key].problem(value) is None, (name, key, value)
+        for key, flag in flags.items():
+            default = _COMMAND_DEFAULTS.get((name, key), FLAGS[key].default)
+            assert flag.default == default, (name, key)
+        for action in _subcommands()[name]._actions:
+            default = flags[action.dest].default if action.dest in flags \
+                else None
+            if default not in (None, ""):
+                shown = "off" if default is False else default
+                assert action.help.endswith(f"default: {shown})") or \
+                    action.help == f"default: {shown}", (name, action.dest)
+
+
+def test_help_names_the_default_beside_its_flag(capsys):
+    assert main(["tune", "--help"]) == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    assert "--epochs EPOCHS default: 15 " in shown
+    assert "--workers WORKERS fold worker processes (default: 1)" in shown
+    assert main(["regress", "--help"]) == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    assert "--bootstrap BOOTSTRAP default: 10000 " in shown
 
 
 def test_paper_grid_entries_are_valid():
@@ -772,6 +831,51 @@ def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys, error, said):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"sil minimal-pairs: runtime error: {said}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code, said", [
+    (ValidationError("bad row", row=3, path="c.tsv"), 1,
+     "error: c.tsv: row 3: bad row"),
+    (ContractError("k must be in [2, 5], got 6"), 1,
+     "error: k must be in [2, 5], got 6"),
+    (ValueError("array is too big"), 2, "runtime error: array is too big"),
+], ids=["validation", "contract", "numpy"])
+def test_value_error_exits_by_kind(tmp_path, monkeypatch, capsys, error,
+                                   code, said):
+    def failing(cfg):
+        raise error
+
+    monkeypatch.setitem(COMMANDS, "ceiling", dataclasses.replace(
+        COMMANDS["ceiling"], fn=failing))
+    rc = main(["ceiling", "--corpus", str(tmp_path / "absent"),
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == code
+    assert capsys.readouterr().err == f"sil ceiling: {said}\n"
+
+
+# 2**62: numpy refuses an array of this many elements before allocating
+_UNSHAPEABLE = "4611686018427387904"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ceiling", "--bootstrap"), ("minimal-pairs", "--bootstrap"),
+    ("attention", "--bootstrap"), ("train", "--hidden-dim"),
+])
+def test_unshapeable_count_exits_two(workspace, trained, tmp_path, capsys,
+                                     command, flag):
+    corpus, glove = str(workspace["corpus"]), str(workspace["glove"])
+    inputs = {"ceiling": ["--corpus", corpus],
+              "minimal-pairs": ["--model", str(trained), "--glove", glove],
+              "attention": ["--corpus", corpus, "--model", str(trained),
+                            "--glove", glove],
+              "train": ["--corpus", corpus, "--glove", glove]}[command]
+    out = tmp_path / "out.csv"
+    rc = main([command, *inputs, flag, _UNSHAPEABLE, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sil {command}: runtime error: ")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -951,8 +1055,7 @@ def test_import_of_a_written_corpus_writes_it_again(tmp_path):
 # tune
 # ---------------------------------------------------------------------------
 
-def test_tune_ranks_grid(workspace, tmp_path, monkeypatch):
-    monkeypatch.delenv("SIL_WORKERS", raising=False)
+def test_tune_ranks_grid(workspace, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([
         {"hidden_dim": 3, "dropout_rate": 0.0},
@@ -1023,54 +1126,48 @@ def test_tune_manifest_hashes_precomputed_sources(workspace, tmp_path):
     assert "corpus" in manifest["inputs"]
 
 
-def test_tune_workers_flag_leaves_environment(workspace, tmp_path,
-                                              monkeypatch):
-    monkeypatch.delenv("SIL_WORKERS", raising=False)
+def test_tune_workers_flag_leaves_environment(workspace, tmp_path):
     argv, _ = _tune_precomputed(workspace, tmp_path)
+    environment = dict(os.environ)
     outs = []
     for workers in ("2", "1"):
         out = tmp_path / f"tune-{workers}.csv"
         assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
-        assert "SIL_WORKERS" not in os.environ
+        assert dict(os.environ) == environment
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("env, flag, named", [
-    ("abc", "0", "SIL_WORKERS must be a positive integer, got 'abc'"),
-    ("0", None, "SIL_WORKERS must be a positive integer, got '0'"),
-    (None, "-3", "--workers must be >= 0, got -3"),
-], ids=["env-text", "env-zero", "flag-negative"])
-def test_bad_worker_count_exits_one(workspace, tmp_path, monkeypatch, capsys,
-                                    env, flag, named):
-    if env is None:
-        monkeypatch.delenv("SIL_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("SIL_WORKERS", env)
+@pytest.mark.parametrize("flag, named", [
+    ("-3", "--workers must be >= 1, got -3"),
+    ("0", "--workers must be >= 1, got 0"),
+], ids=["flag-negative", "flag-zero"])
+def test_bad_worker_count_exits_one(workspace, tmp_path, capsys, flag, named):
     argv, _ = _tune_precomputed(workspace, tmp_path)
     out = tmp_path / "tune.csv"
-    workers = ["--workers", flag] if flag else []
-    assert main(argv + workers + ["--out", str(out)]) == 1
+    assert main(argv + ["--workers", flag, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"sil tune: error: {named}" in err
     assert not out.exists()
 
 
-def test_workers_zero_or_unset_runs_serially(workspace, tmp_path,
-                                             monkeypatch):
+def test_workers_unset_runs_serially(workspace, tmp_path, monkeypatch):
     argv, _ = _tune_precomputed(workspace, tmp_path)
-    outs = []
-    for env, workers in ((None, "0"), ("", None), ("1", None)):
-        if env is None:
-            monkeypatch.delenv("SIL_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("SIL_WORKERS", env)
-        out = tmp_path / f"tune-{len(outs)}.csv"
-        flag = ["--workers", workers] if workers else []
-        assert main(argv + flag + ["--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    out = tmp_path / "tune-1.csv"
+    assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    unset = tmp_path / "tune.csv"
+    assert main(argv + ["--out", str(unset)]) == 0
+    assert unset.read_bytes() == out.read_bytes()
+    manifest = json.loads((tmp_path / "tune.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["config"]["workers"] == 1
 
 
 # ---------------------------------------------------------------------------

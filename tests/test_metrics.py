@@ -1,5 +1,6 @@
 """Correlation, MSE, and the two bootstrap estimators."""
 
+import hashlib
 import math
 import warnings
 
@@ -261,3 +262,31 @@ def test_ci_narrows_with_samples():
     [wide] = bootstrap_ci(small, B=400, seed=2)
     [narrow] = bootstrap_ci(large, B=400, seed=2)
     assert (narrow.hi - narrow.lo) < (wide.hi - wide.lo)
+
+
+def _stream(seed, purpose):
+    """The generator seeded as the seeding module documents: the first 8
+    bytes, little-endian, of sha256("<seed>:<purpose>")."""
+    digest = hashlib.sha256(f"{seed}:{purpose}".encode("utf-8")).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+def test_ci_bounds_are_quantiles_of_one_shared_stream():
+    # keys out of sorted order: the groups draw from one stream in dict
+    # order, and the rows come back sorted
+    rng = np.random.default_rng(21)
+    groups = {("b",): rng.normal(0, 1, size=7), ("c",): rng.normal(2, 1, 5),
+              ("a",): rng.normal(1, 1, size=9)}
+    B, seed = 301, 4
+    stream = _stream(seed, "bootstrap-ci")
+    alpha = (1.0 - 0.95) / 2.0
+    expected = {}
+    for key, values in groups.items():
+        idx = stream.integers(0, len(values), size=(B, len(values)))
+        means = values[idx].mean(axis=1)
+        expected[key] = Interval(key, len(values), float(values.mean()),
+                                 *map(float, np.quantile(
+                                     means, [alpha, 1.0 - alpha])))
+    assert bootstrap_ci(groups, B=B, seed=seed) == \
+        [expected[key] for key in sorted(groups)]
+

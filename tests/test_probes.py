@@ -291,6 +291,27 @@ def test_length_filter_keeps_max_len_and_drops_longer():
         {"subject"}
 
 
+def test_one_token_utterance_is_not_renormalized():
+    # only "some": nothing is left to renormalize, so the record is not
+    # counted among the length-filtered ones
+    alone = attn_record("alone", 1, subjecthood=1)
+    ok = attn_record("ok", 3, subjecthood=1)
+    weights = {"alone": np.array([1.0]), "ok": np.array([0.5, 0.3, 0.2])}
+    report = attention_by_position([alone, ok], weights, B=10, seed=0)
+    assert report.n_length_filtered == 1
+    assert set(by_key(report.subjecthood_curves)) == \
+        {("subject", 1), ("subject", 2)}
+
+
+def test_some_and_other_means_pool_their_own_tokens():
+    records = [attn_record("a", 3, some_index=1), attn_record("b", 4)]
+    weights = {"a": np.array([0.1, 0.7, 0.2]),
+               "b": np.array([0.4, 0.3, 0.2, 0.1])}
+    report = attention_by_position(records, weights, B=10, seed=0)
+    assert report.some_mean == np.mean([0.7, 0.4])
+    assert report.other_mean == np.mean([0.1, 0.2, 0.3, 0.2, 0.1])
+
+
 def test_records_without_usable_some_are_counted():
     no_index = attn_record("x", 3, some_index=None)
     truncated_away = attn_record("y", 3, some_index=5)

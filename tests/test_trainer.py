@@ -1,5 +1,6 @@
 """Training loop, grid search, and cross-validated prediction."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -18,7 +19,8 @@ from sil.model import (ModelConfig, forward, init_params, predict_batch,
 from sil.optim import ADAM_BLOCK, AdamState, adam_step
 from sil.seeding import rng_for
 from sil.trainer import (Example, GridPoint, TrainConfig, cv_predict,
-                         evaluate, examples_from_records, train, tune)
+                         evaluate, examples_from_records, fold_config, train,
+                         tune)
 
 
 def tiny_train_config(**kw):
@@ -583,3 +585,19 @@ def test_split_then_tune_sees_no_test_ids(tiny_records, tiny_table):
     test_ids = set(result.test_ids)
     for train_ids, heldout_ids in folds:
         assert not (set(train_ids) | set(heldout_ids)) & test_ids
+
+
+def test_fold_config_seeds_each_fold_by_its_index():
+    # the documented derivation: sha256("<seed>:fold:<fold>"), first 8
+    # bytes little-endian, seeds both the model and the training stream
+    config = tiny_train_config(seed=3, model_kw={"seed": 5})
+    seeds = []
+    for fold in range(3):
+        digest = hashlib.sha256(f"11:fold:{fold}".encode("utf-8")).digest()
+        expected = int.from_bytes(digest[:8], "little")
+        got = fold_config(config, 11, fold)
+        assert (got.seed, got.model.seed) == (expected, expected)
+        assert got.model == replace(config.model, seed=expected)
+        seeds.append(expected)
+    assert len(set(seeds)) == 3
+
