@@ -205,6 +205,15 @@ def _write_manifest(command: str, argv: list[str], config: dict,
                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _read_corpus(cfg: dict):
+    """The command's `--corpus` records; a corpus with none exits 1 naming
+    the file, before any vector file or checkpoint is read."""
+    records = parse_corpus(cfg["corpus"])
+    if not records:
+        raise ValidationError("no records", path=cfg["corpus"])
+    return records
+
+
 def _record_tokens(records, with_context: bool) -> set[str]:
     """The tokens that embedding `records` looks up: every target token,
     and every context token if the command reads contexts."""
@@ -416,7 +425,7 @@ def cmd_train(cfg):
     from .model import save_checkpoint
     from .trainer import evaluate, examples_from_records, train
 
-    records = parse_corpus(cfg["corpus"])
+    records = _read_corpus(cfg)
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     seed = cfg["seed"]
 
@@ -536,7 +545,7 @@ def cmd_tune(cfg):
     from .embeddings import load_glove, load_precomputed
     from .trainer import tune
 
-    records = parse_corpus(cfg["corpus"])
+    records = _read_corpus(cfg)
     seed = cfg["seed"]
     sp = split(records, cfg["train_fraction"], seed)
     by_id = _records_by_id(records)
@@ -611,8 +620,8 @@ def cmd_eval(cfg):
     from .metrics import mse, pearson_or_nan
     from .model import load_checkpoint, predict_batch
 
+    corpus = _read_corpus(cfg)
     params, mconfig = load_checkpoint(cfg["model"])
-    corpus = parse_corpus(cfg["corpus"])
     records = _subset_records(corpus, cfg)
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     embedded = [embed_utterance(record, source, cfg["with_context"])
@@ -652,7 +661,7 @@ def cmd_eval(cfg):
 def cmd_cv_predict(cfg):
     from .trainer import cv_predict, examples_from_records
 
-    records = parse_corpus(cfg["corpus"])
+    records = _read_corpus(cfg)
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     examples = examples_from_records(records, source, cfg["with_context"])
     config = _model_train_config(
@@ -722,7 +731,7 @@ def cmd_attention(cfg):
                                    attention_for_records,
                                    partitive_of_analysis)
 
-    records = parse_corpus(cfg["corpus"])
+    records = _read_corpus(cfg)
     params, mconfig = load_checkpoint(cfg["model"])
     source, source_input = _load_source(cfg, records, with_context=False)
     weights = attention_for_records(records, params, mconfig, source)
@@ -765,7 +774,7 @@ def cmd_attention(cfg):
 def cmd_regress(cfg):
     from .probes.regression import RegressionSpec, regression_compare
 
-    records = parse_corpus(cfg["corpus"])
+    records = _read_corpus(cfg)
     path = cfg["predictions"]
     rows = read_rows(path)
     if not rows or "id" not in rows[0] or "score" not in rows[0]:
@@ -820,7 +829,7 @@ def cmd_regress(cfg):
 def cmd_ceiling(cfg):
     from .metrics import bootstrap_ceiling, pearson_or_nan
 
-    records = parse_corpus(cfg["corpus"])
+    records = _read_corpus(cfg)
     items = [r.participant_ratings for r in records
              if len(r.participant_ratings) >= 2]
     rows = [("n_items", len(items))]

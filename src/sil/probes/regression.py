@@ -7,6 +7,10 @@ item resamples, both models are refit on the same resample and the
 coefficient draws compared pairwise, giving per-predictor
 p_shrink = P(|beta_extended| < |beta_original|), with exact ties counted
 as one half.
+
+The resamples are refit in blocks of stacked least-squares problems (see
+`_bootstrap_draws`); every draw is bit for bit the `np.linalg.lstsq` fit
+of its own resample.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ MAIN_EFFECTS = ("partitive", "strength", "mention", "subjecthood",
                 "modification", "utterance_length")
 CONTINUOUS = {"strength", "utterance_length", "nn_prediction"}
 NN_PREDICTOR = "nn_prediction"
+
+# the bytes of resampled design and response gathered per bootstrap block
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -129,6 +136,57 @@ def _fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _raise_lstsq_failure(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stacked(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`np.linalg.lstsq(X[i], y[i], rcond=None)[0]` for every i, in one call.
+
+    `X` is (k, n, p) and `y` is (k, n). This calls the gufunc that `lstsq`
+    itself calls, with the same rcond, signature and error state, so each
+    matrix goes through the same LAPACK dgelsd and every row of the result
+    has the bits of its own `lstsq` call; a failed fit raises LinAlgError.
+    """
+    from numpy.linalg import _umath_linalg
+
+    n, p = X.shape[-2:]
+    gufunc = getattr(_umath_linalg, "lstsq", None)
+    if gufunc is None:  # numpy 1.x names the two output shapes apart
+        gufunc = _umath_linalg.lstsq_m if n <= p else _umath_linalg.lstsq_n
+    rcond = np.finfo(np.float64).eps * max(n, p)
+    with np.errstate(call=_raise_lstsq_failure, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        beta, *_ = gufunc(X, y[..., None], rcond, signature="ddd->ddid")
+    return beta[..., 0]
+
+
+def _bootstrap_draws(X: np.ndarray, y: np.ndarray, p_orig: int, B: int,
+                     rng: np.random.Generator
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient draws of the original and extended models on B item
+    resamples: (B, p_orig) and (B, p) arrays.
+
+    `X` is the extended design; the original one is its first `p_orig`
+    columns. Draw b resamples the rows `rng.integers(0, n, size=n)` would
+    give on the b-th call. A block of k draws takes them with one
+    `size=(k, n)` call, which yields the same indices and leaves `rng` in
+    the same state, and gathers about _BLOCK_BYTES of design and response,
+    so memory grows with neither B nor n.
+    """
+    n, p = X.shape
+    draws_orig = np.empty((B, p_orig))
+    draws_ext = np.empty((B, p))
+    block = max(1, _BLOCK_BYTES // (X.itemsize * n * (p + 1)))
+    for start in range(0, B, block):
+        stop = min(start + block, B)
+        idx = rng.integers(0, n, size=(stop - start, n))
+        Xb, yb = X[idx], y[idx]
+        draws_orig[start:stop] = _lstsq_stacked(Xb[..., :p_orig], yb)
+        draws_ext[start:stop] = _lstsq_stacked(Xb, yb)
+    return draws_orig, draws_ext
+
+
 def _check_full_rank(X: np.ndarray, names: list[str]) -> None:
     rank = np.linalg.matrix_rank(X)
     if rank >= X.shape[1]:
@@ -180,13 +238,10 @@ def regression_compare(records, nn_predictions: dict, spec: RegressionSpec,
 
     n = len(records)
     if B > 0:
-        rng = rng_for(seed, "regression-bootstrap")
-        draws_orig = np.empty((B, len(names_orig)))
-        draws_ext = np.empty((B, len(names_ext)))
-        for b in range(B):
-            idx = rng.integers(0, n, size=n)
-            draws_orig[b] = _fit(X_orig[idx], y[idx])
-            draws_ext[b] = _fit(X_ext[idx], y[idx])
+        # the extended design is the original one plus the NN column
+        draws_orig, draws_ext = _bootstrap_draws(
+            X_ext, y, len(names_orig), B,
+            rng_for(seed, "regression-bootstrap"))
 
     nan = float("nan")
     rows = []

@@ -647,8 +647,35 @@ def test_cv_predict_on_a_header_only_corpus_names_it(workspace, tmp_path,
                "--glove", str(workspace["glove"]), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"sil cv-predict: error: {corpus}: k must be in [2, 0], got 6\n")
+        f"sil cv-predict: error: {corpus}: no records\n")
     assert not out.exists()
+
+
+# each command on a header-only corpus; every other file it names is
+# missing, so the corpus is the first file the command reads
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--glove"]),
+    ("tune", ["--glove"]),
+    ("eval", ["--model", "--glove", "--subset=test"]),
+    ("eval", ["--model", "--glove", "--subset=all"]),
+    ("cv-predict", ["--glove"]),
+    ("attention", ["--model", "--glove"]),
+    ("regress", ["--predictions"]),
+    ("ceiling", []),
+], ids=["train", "tune", "eval-test", "eval-all", "cv-predict", "attention",
+        "regress", "ceiling"])
+def test_a_header_only_corpus_exits_one_naming_it(workspace, tmp_path, capsys,
+                                                  command, flags):
+    corpus = _small_corpus(workspace, tmp_path, 0)
+    argv = [command, "--corpus", str(corpus),
+            "--out", str(tmp_path / "out.csv")]
+    for flag in flags:
+        argv += [flag] if "=" in flag else [flag, str(tmp_path / flag[2:])]
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sil {command}: error: {corpus}: no records\n")
+    assert list(tmp_path.iterdir()) == [corpus]
 
 
 @pytest.mark.parametrize("fraction", ["1.0", "-0.5"])

@@ -20,6 +20,7 @@ from sil.probes.minimal_pairs import (FEATURE_BITS, MinimalPairVariant,
 from sil.probes import regression
 from sil.probes.regression import (MAIN_EFFECTS, RegressionSpec, _p_shrink,
                                    _stars, build_design, regression_compare)
+from sil.seeding import rng_for
 
 REFERENCE_ACTIVE = ("Some of the organic farmers in the mountains milked "
                     "the brown goats who graze on the meadows.")
@@ -450,25 +451,24 @@ def test_mediated_predictor_shrinks_with_high_confidence():
         assert 0.25 < comp.row(name).p_shrink < 0.85, name
 
 
-def test_intervals_are_the_bootstrap_order_statistics(monkeypatch):
-    fits = []
-
-    def recording_fit(X, y):
-        fits.append(fit(X, y))
-        return fits[-1]
-
-    fit = regression._fit
-    monkeypatch.setattr(regression, "_fit", recording_fit)
+def test_intervals_are_the_bootstrap_order_statistics():
     records = make_records(30, seed=9)
     rng = np.random.default_rng(1)
     nn = {r.id: r.mean_rating + float(rng.normal()) for r in records}
     B = 41
     comp = regression_compare(records, nn, RegressionSpec(), B=B, seed=3)
-    # the two point fits come first, then each resample's original and
-    # extended fits in turn
-    assert len(fits) == 2 + 2 * B
-    drawn = {"original": np.sort(fits[2::2], axis=0),
-             "extended": np.sort(fits[3::2], axis=0)}
+    # the oracle: each resample drawn by its own integers call and fit by
+    # public lstsq, original then extended
+    X_orig, _, y = build_design(records, RegressionSpec(), None)
+    X_ext, _, _ = build_design(records, RegressionSpec(), nn)
+    stream = rng_for(3, "regression-bootstrap")
+    drawn = {"original": [], "extended": []}
+    for _ in range(B):
+        idx = stream.integers(0, len(records), size=len(records))
+        for model, X in (("original", X_orig), ("extended", X_ext)):
+            drawn[model].append(
+                np.linalg.lstsq(X[idx], y[idx], rcond=None)[0])
+    drawn = {model: np.sort(d, axis=0) for model, d in drawn.items()}
     # np.quantile's linear rule reads sorted draw (B - 1) * q; with 41
     # draws that is draw 1 for 2.5% and draw 39 for 97.5%, no interpolation
     for j, row in enumerate(comp.rows):
@@ -476,9 +476,94 @@ def test_intervals_are_the_bootstrap_order_statistics(monkeypatch):
         if j < drawn["original"].shape[1]:
             expected["original"] = row.ci_original
         for model, ci in expected.items():
-            assert ci == pytest.approx(
-                (drawn[model][1, j], drawn[model][39, j]),
-                rel=1e-12, abs=1e-12), (row.predictor, model)
+            assert ci == (drawn[model][1, j], drawn[model][39, j]), \
+                (row.predictor, model)
+
+
+def _per_draw_lstsq(X, y, p_orig, B, seed):
+    """The bootstrap as one integers call and two public lstsq calls per
+    draw: the reference the stacked draws must equal byte for byte."""
+    rng = np.random.default_rng(seed)
+    n = len(y)
+    draws_orig, draws_ext = [], []
+    for _ in range(B):
+        idx = rng.integers(0, n, size=n)
+        draws_orig.append(
+            np.linalg.lstsq(X[idx][:, :p_orig], y[idx], rcond=None)[0])
+        draws_ext.append(np.linalg.lstsq(X[idx], y[idx], rcond=None)[0])
+    return np.array(draws_orig), np.array(draws_ext), rng
+
+
+def _regression_arrays(n_items, seed, spec, nn_of):
+    records = make_records(n_items, seed=seed)
+    nn = {r.id: nn_of(r, i) for i, r in enumerate(records)}
+    X_orig, _, y = build_design(records, spec, None)
+    X_ext, _, _ = build_design(records, spec, nn)
+    # the original design is the extended one without its last column
+    assert X_ext[:, :-1].tobytes() == X_orig.tobytes()
+    return X_ext, y, X_orig.shape[1]
+
+
+def _assert_draws_match_per_draw_lstsq(X, y, p_orig, B, seed=5):
+    rng = np.random.default_rng(seed)
+    draws_orig, draws_ext = regression._bootstrap_draws(X, y, p_orig, B, rng)
+    ref_orig, ref_ext, ref_rng = _per_draw_lstsq(X, y, p_orig, B, seed)
+    assert draws_orig.tobytes() == ref_orig.tobytes()
+    assert draws_ext.tobytes() == ref_ext.tobytes()
+    # the blocked draws leave the generator where the per-draw calls do
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_stacked_draws_with_an_interaction_equal_per_draw_lstsq():
+    spec = RegressionSpec(interactions=[("partitive", "mention")])
+    X, y, p_orig = _regression_arrays(
+        30, 11, spec, lambda r, i: r.mean_rating + 0.1 * (i % 7))
+    _assert_draws_match_per_draw_lstsq(X, y, p_orig, 97)
+
+
+def test_stacked_draws_on_a_rank_deficient_design_equal_per_draw_lstsq():
+    # constant NN predictions standardize to a zero column, so lstsq
+    # returns the minimum-norm fit of the extended model
+    X, y, p_orig = _regression_arrays(25, 12, RegressionSpec(),
+                                      lambda r, i: 0.5)
+    assert not X[:, -1].any()
+    assert np.linalg.matrix_rank(X) == p_orig
+    _assert_draws_match_per_draw_lstsq(X, y, p_orig, 40)
+
+
+def test_a_single_stacked_draw_equals_per_draw_lstsq():
+    X, y, p_orig = _regression_arrays(40, 13, RegressionSpec(),
+                                      lambda r, i: float(i))
+    _assert_draws_match_per_draw_lstsq(X, y, p_orig, 1)
+
+
+def test_a_partial_last_block_equals_per_draw_lstsq(monkeypatch):
+    X, y, p_orig = _regression_arrays(20, 14, RegressionSpec(),
+                                      lambda r, i: float(i % 5))
+    n, p = X.shape
+    # blocks of 7 draws: 20 draws are two full blocks and one of 6
+    monkeypatch.setattr(regression, "_BLOCK_BYTES",
+                        7 * X.itemsize * n * (p + 1))
+    _assert_draws_match_per_draw_lstsq(X, y, p_orig, 20)
+
+
+def test_draws_past_the_block_size_run_one_to_a_block():
+    # one resample of 16 000 rows is over _BLOCK_BYTES, so each block
+    # holds a single draw
+    rng = np.random.default_rng(15)
+    n, p = 16000, 8
+    assert regression._BLOCK_BYTES // (8 * n * (p + 1)) == 0
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    y = X @ rng.normal(size=p) + rng.normal(size=n)
+    _assert_draws_match_per_draw_lstsq(X, y, p - 1, 3)
+
+
+def test_stacked_fit_of_a_non_finite_design_raises():
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(4, 20, 3))
+    X[2, 5, 1] = np.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        regression._lstsq_stacked(X, rng.normal(size=(4, 20)))
 
 
 @pytest.mark.parametrize("p, stars", [
