@@ -105,10 +105,6 @@ def _interval_rows(intervals, *prefix) -> list[tuple]:
     return [(*prefix, *r.key, r.n, r.mean, r.lo, r.hi) for r in intervals]
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _read_json(path) -> tuple[object, str]:
     """The JSON value in file `path`, and the sha256 of the bytes read."""
     text, digest = read_text(path)
@@ -122,7 +118,9 @@ def _read_json(path) -> tuple[object, str]:
 
 def _effective_config(args) -> dict:
     """defaults < config file < explicit flags, each value checked against
-    its flag's type and range before any input is read."""
+    its flag's type and range, then every output path resolved (a derived
+    one defaults to the main output's path with the flag's suffix) and
+    checked against the other files, before any input is read."""
     command = COMMANDS[args.command]
     flags = command.flags_by_key(args.command)
     merged = {key: flag.default for key, flag in flags.items()
@@ -149,15 +147,41 @@ def _effective_config(args) -> dict:
         if not merged.get(key):
             raise ValidationError(
                 f"{args.command} requires {flags[key].name}")
+    main_output = next(merged[key] for key, flag in flags.items()
+                       if flag.writes is True)
+    for key, flag in flags.items():
+        if isinstance(flag.writes, str) and not merged.get(key):
+            merged[key] = str(Path(main_output).with_suffix(flag.writes))
+    _check_files(args, merged, flags)
     return merged
 
 
-def _manifest_inputs(inputs: dict) -> dict:
-    """{name: {path, sha256}} for each input's (path, sha256) pair; the
-    loader that read the file hashed the same bytes, so no file is read
-    again."""
-    return {name: {"path": str(path), "sha256": digest}
-            for name, (path, digest) in inputs.items()}
+def _output_paths(args, cfg: dict) -> dict[str, Path]:
+    """{flag: path} of each file the run writes, in flag-table order, the
+    manifest last."""
+    flags = COMMANDS[args.command].flags_by_key(args.command)
+    paths = {flag.name: Path(cfg[key])
+             for key, flag in flags.items() if flag.writes}
+    first = next(iter(paths.values()))
+    paths["--manifest"] = Path(args.manifest or f"{first}.manifest.json")
+    return paths
+
+
+def _check_files(args, cfg: dict, flags: dict[str, Flag]) -> None:
+    """Reject a run that would write one file twice, or write a file it
+    reads, naming both flags, before any input but --config is read."""
+    taken = {os.path.realpath(args.config): "--config"} if args.config else {}
+    for key, flag in flags.items():
+        value = cfg.get(key) if flag.reads else None
+        for path in value if isinstance(value, list) else [value]:
+            if isinstance(path, str):
+                if flag.repeatable:  # tune's name=path sources
+                    path = path.partition("=")[2] or path
+                taken[os.path.realpath(path)] = flag.name
+    for name, path in _output_paths(args, cfg).items():
+        other = taken.setdefault(os.path.realpath(path), name)
+        if other != name:
+            raise ValidationError(f"{other} and {name} both name {path}")
 
 
 def _environment() -> dict:
@@ -184,24 +208,27 @@ def _environment() -> dict:
     return env
 
 
-def _write_manifest(command: str, argv: list[str], config: dict,
-                    inputs: dict, outputs: list[Path], seed: int,
-                    started: str, manifest_path: Path) -> None:
+def _write_manifest(args, argv: list[str], config: dict, inputs: dict,
+                    started: str) -> None:
+    """The run's manifest; `inputs` holds each input's (path, sha256),
+    hashed by the loader that read it, so no file is read again."""
+    *outputs, path = _output_paths(args, config).values()
     manifest = {
-        "command": command,
+        "command": args.command,
         "argv": argv,
         "config": config,
-        "config_sha256": _sha256_bytes(
-            json.dumps(config, sort_keys=True).encode("utf-8")),
+        "config_sha256": hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
         "environment": _environment(),
-        "inputs": _manifest_inputs(inputs),
+        "inputs": {name: {"path": str(p), "sha256": digest}
+                   for name, (p, digest) in inputs.items()},
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        "seed": config.get("seed", 0),
         "started_at": started,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
-    _atomic_write_text(manifest_path,
+    _atomic_write_text(path,
                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -254,8 +281,8 @@ def _subset_records(records, cfg: dict):
     return [r for r in records if r.id in keep]
 
 
-def _model_train_config(cfg: dict, input_dim: int, model_seed: int,
-                        train_seed: int):
+def _model_train_config(cfg: dict, input_dim: int):
+    """The TrainConfig that `cfg` asks for, seeded by its `seed`."""
     from .model import ModelConfig
     from .trainer import TrainConfig
 
@@ -265,13 +292,9 @@ def _model_train_config(cfg: dict, input_dim: int, model_seed: int,
             hidden_dim=cfg["hidden_dim"],
             dropout_rate=cfg["dropout_rate"],
             use_attention=cfg["pooling"] == "attention",
-            seed=model_seed),
+            seed=derive_seed(cfg["seed"], "model-init")),
         epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        grad_clip=cfg.get("grad_clip"), seed=train_seed)
-
-
-def _records_by_id(records) -> dict:
-    return {r.id: r for r in records}
+        grad_clip=cfg.get("grad_clip"), seed=derive_seed(cfg["seed"], "train"))
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +433,9 @@ def cmd_import(cfg):
         write_corpus(records, tmp)
         parse_corpus(tmp)  # round-trip validation before the rename
 
-    out = Path(cfg["output"])
-    _atomic_write(out, write_validated)
-    print(f"imported {len(records)} records -> {out}")
-    return {"input": (raw_path, rows.sha256)}, [out]
+    _atomic_write(cfg["output"], write_validated)
+    print(f"imported {len(records)} records -> {cfg['output']}")
+    return {"input": (raw_path, rows.sha256)}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +452,7 @@ def cmd_train(cfg):
     seed = cfg["seed"]
 
     sp = split(records, cfg["train_fraction"], seed)
-    by_id = _records_by_id(records)
+    by_id = {r.id: r for r in records}
     train_records = [by_id[i] for i in sp.train_ids]
     test_records = [by_id[i] for i in sp.test_ids]
 
@@ -449,9 +471,7 @@ def cmd_train(cfg):
     test_ex = examples_from_records(test_records, source,
                                     cfg["with_context"])
 
-    config = _model_train_config(
-        cfg, source.dim, model_seed=derive_seed(seed, "model-init"),
-        train_seed=derive_seed(seed, "train"))
+    config = _model_train_config(cfg, source.dim)
     try:
         params, curve = train(train_ex, valid_ex, config)
     except ContractError as exc:  # the split left no item to train on
@@ -459,20 +479,12 @@ def cmd_train(cfg):
     if curve.aborted:
         raise NumericError(f"training aborted: {curve.aborted}")
 
-    out = Path(cfg["out"])
-    _atomic_write(out, lambda tmp: save_checkpoint(params, config.model, tmp))
-    outputs = [out]
-
-    curve_path = Path(cfg.get("curve") or out.with_suffix(".curve.csv"))
-    _write_csv(curve_path, ["epoch", "train_mse", "valid_r"],
+    _atomic_write(cfg["out"],
+                  lambda tmp: save_checkpoint(params, config.model, tmp))
+    _write_csv(cfg["curve"], ["epoch", "train_mse", "valid_r"],
                [(i + 1, e.train_mse, e.valid_r)
                 for i, e in enumerate(curve.epochs)])
-    outputs.append(curve_path)
-
-    split_path = Path(cfg.get("split_manifest")
-                      or out.with_suffix(".split.json"))
-    _atomic_write_text(split_path, sp.to_json() + "\n")
-    outputs.append(split_path)
+    _atomic_write_text(cfg["split_manifest"], sp.to_json() + "\n")
 
     rows = [("train_items", len(train_ex)), ("valid_items", len(valid_ex)),
             ("test_items", len(test_ex)),
@@ -482,14 +494,12 @@ def cmd_train(cfg):
         targets = np.array([ex.target for ex in test_ex])
         rows.append(("test_mse", mse(scores, targets)))
         rows.append(("test_pearson_r", pearson_or_nan(scores, targets)))
-    metrics_path = Path(cfg.get("metrics") or out.with_suffix(".metrics.csv"))
-    _write_csv(metrics_path, ["metric", "value"], rows)
-    outputs.append(metrics_path)
+    _write_csv(cfg["metrics"], ["metric", "value"], rows)
 
     print(f"trained {config.model.hidden_dim}d model "
-          f"(best epoch {curve.best_epoch}) -> {out}")
+          f"(best epoch {curve.best_epoch}) -> {cfg['out']}")
     return {"corpus": (Path(cfg["corpus"]), records.sha256),
-            "embeddings": source_input}, outputs
+            "embeddings": source_input}
 
 
 # ---------------------------------------------------------------------------
@@ -521,23 +531,37 @@ def _grid_entry_problem(entry) -> str | None:
     return None
 
 
-def _parse_grid(obj, path=None) -> list:
-    """Grid points of a JSON grid; `path` names the file it came from."""
-    from .trainer import GridPoint
-
+def _parse_grid(obj, path=None) -> list[dict]:
+    """The entries of a JSON tune grid, each with its defaults filled in;
+    `path` names the file it came from."""
     if not isinstance(obj, list) or not obj:
         raise ValidationError("grid must be a nonempty JSON array", path=path)
-    points = []
+    entries = []
     for entry in obj:
         problem = _grid_entry_problem(entry)
         if problem:
             where = f" (grid file {path})" if path else ""
             raise ValidationError(
                 f"bad grid entry {entry!r}: {problem}{where}")
-        point = {key: flag.default for key, flag in _GRID_FLAGS.items()}
-        point.update(entry)
-        point["dropout_rate"] = float(point["dropout_rate"])
-        points.append(GridPoint(**point))
+        entries.append({key: flag.default
+                        for key, flag in _GRID_FLAGS.items()} | entry)
+        entries[-1]["dropout_rate"] = float(entry["dropout_rate"])
+    return entries
+
+
+def _grid_points(entries: list[dict], cfg: dict, sources: dict) -> list:
+    """The GridPoint of each parsed grid entry, training as `train` would
+    with `cfg` and the entry's keys (`tune` seeds each fold itself)."""
+    from .trainer import GridPoint
+
+    points = []
+    for entry in entries:
+        name = entry["embedding"]
+        if name not in sources:
+            raise ValidationError(f"grid references embedding {name!r} but "
+                                  f"no such source was given")
+        config = _model_train_config({**cfg, **entry}, sources[name].dim)
+        points.append(GridPoint(config, name, entry["with_context"]))
     return points
 
 
@@ -548,7 +572,7 @@ def cmd_tune(cfg):
     records = _read_corpus(cfg)
     seed = cfg["seed"]
     sp = split(records, cfg["train_fraction"], seed)
-    by_id = _records_by_id(records)
+    by_id = {r.id: r for r in records}
     train_records = [by_id[i] for i in sp.train_ids]
 
     inputs = {"corpus": (Path(cfg["corpus"]), records.sha256)}
@@ -562,7 +586,7 @@ def cmd_tune(cfg):
 
     sources = {}
     if cfg.get("glove"):
-        with_context = any(point.with_context for point in grid)
+        with_context = any(entry["with_context"] for entry in grid)
         table = load_glove(cfg["glove"], cfg["unk_policy"],
                            keep=_record_tokens(train_records, with_context))
         sources["glove"] = table
@@ -578,37 +602,30 @@ def cmd_tune(cfg):
     if not sources:
         raise ValidationError("tune needs --glove and/or --precomputed")
 
-    for point in grid:
-        if point.embedding not in sources:
-            raise ValidationError(
-                f"grid references embedding {point.embedding!r} but no such "
-                f"source was given")
-
+    points = _grid_points(grid, cfg, sources)
     folds = kfold(train_records, cfg["k"], derive_seed(seed, "cv-folds"))
-    results = tune(train_records, sources, grid, folds,
-                   epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                   lr=cfg["lr"], seed=derive_seed(seed, "tune"),
-                   workers=cfg["workers"])
+    results = tune(train_records, sources, points, folds,
+                   seed=derive_seed(seed, "tune"), workers=cfg["workers"])
 
-    out = Path(cfg["out"])
     k = cfg["k"]
     header = (["hidden_dim", "dropout_rate", "pooling", "with_context",
                "embedding"] + [f"fold_{i}_r" for i in range(k)]
               + ["mean_r", "error"])
     rows = []
     for res in results:
+        model = res.point.config.model
         fold_cells = list(res.fold_rs) + [""] * (k - len(res.fold_rs))
-        rows.append([res.point.hidden_dim, res.point.dropout_rate,
-                     res.point.pooling, int(res.point.with_context),
-                     res.point.embedding] + fold_cells
-                    + [res.mean_r, res.error or ""])
-    _write_csv(out, header, rows)
+        rows.append([model.hidden_dim, model.dropout_rate,
+                     "attention" if model.use_attention else "final_state",
+                     int(res.point.with_context), res.point.embedding]
+                    + fold_cells + [res.mean_r, res.error or ""])
+    _write_csv(cfg["out"], header, rows)
 
-    best = results[0]
-    print(f"best config: hidden={best.point.hidden_dim} "
-          f"dropout={best.point.dropout_rate} pooling={best.point.pooling} "
-          f"embedding={best.point.embedding} mean_r={best.mean_r:.4f}")
-    return inputs, [out]
+    hidden, dropout, pooling, _, embedding = rows[0][:5]
+    print(f"best config: hidden={hidden} dropout={dropout} "
+          f"pooling={pooling} embedding={embedding} "
+          f"mean_r={results[0].mean_r:.4f}")
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -636,26 +653,18 @@ def cmd_eval(cfg):
     targets = np.array([rescale_rating(p[3]) for p in preds])
     rows = [("n_items", len(preds)), ("mse", mse(scores, targets)),
             ("pearson_r", pearson_or_nan(scores, targets))]
-    out = Path(cfg["out"])
-    _write_csv(out, ["metric", "value"], rows)
-    outputs = [out]
-
-    pred_path = Path(cfg.get("predictions") or out.with_suffix(".predictions.csv"))
-    _write_csv(pred_path, ["id", "score", "attention"],
+    _write_csv(cfg["out"], ["metric", "value"], rows)
+    _write_csv(cfg["predictions"], ["id", "score", "attention"],
                [(rid, score, ";".join(repr(float(w)) for w in weights))
                 for rid, score, weights, _ in preds])
-    outputs.append(pred_path)
-
-    scatter_path = Path(cfg.get("scatter") or out.with_suffix(".scatter.csv"))
-    _write_csv(scatter_path, ["id", "empirical", "predicted"],
+    _write_csv(cfg["scatter"], ["id", "empirical", "predicted"],
                [(rid, empirical, unscale_rating(score))
                 for rid, score, _, empirical in preds])
-    outputs.append(scatter_path)
 
-    print(f"evaluated {len(preds)} items -> {out}")
+    print(f"evaluated {len(preds)} items -> {cfg['out']}")
     return {"corpus": (Path(cfg["corpus"]), corpus.sha256),
             "model": (Path(cfg["model"]), params.sha256),
-            "embeddings": source_input}, outputs
+            "embeddings": source_input}
 
 
 def cmd_cv_predict(cfg):
@@ -664,21 +673,18 @@ def cmd_cv_predict(cfg):
     records = _read_corpus(cfg)
     source, source_input = _load_source(cfg, records, cfg["with_context"])
     examples = examples_from_records(records, source, cfg["with_context"])
-    config = _model_train_config(
-        cfg, source.dim, model_seed=derive_seed(cfg["seed"], "model-init"),
-        train_seed=derive_seed(cfg["seed"], "train"))
+    config = _model_train_config(cfg, source.dim)
     try:
         scores = cv_predict(examples, config, cfg["k"],
                             derive_seed(cfg["seed"], "cv-predict"))
     except ContractError as exc:  # the corpus has fewer items than folds
         raise ValidationError(str(exc), path=cfg["corpus"]) from None
 
-    out = Path(cfg["out"])
-    _write_csv(out, ["id", "score"],
+    _write_csv(cfg["out"], ["id", "score"],
                [(ex.id, scores[ex.id]) for ex in examples])
-    print(f"wrote {len(scores)} out-of-fold predictions -> {out}")
+    print(f"wrote {len(scores)} out-of-fold predictions -> {cfg['out']}")
     return {"corpus": (Path(cfg["corpus"]), records.sha256),
-            "embeddings": source_input}, [out]
+            "embeddings": source_input}
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +706,7 @@ def cmd_minimal_pairs(cfg):
     groups = minimal_pair_report(variants, scores, B=cfg["bootstrap"],
                                  seed=derive_seed(cfg["seed"], "minimal-pairs"))
 
-    out = Path(cfg["out"])
-    _write_csv(out,
+    _write_csv(cfg["out"],
                ["variant_id", "frame_id", "some_subject", "passive",
                 "partitive", "prenominal_mod", "postnominal_mod", "text",
                 "score", "raw_rating"],
@@ -710,19 +715,15 @@ def cmd_minimal_pairs(cfg):
                  v.features["prenominal_mod"], v.features["postnominal_mod"],
                  v.text, float(s), unscale_rating(float(s)))
                 for v, s in zip(variants, scores)])
-    outputs = [out]
-
-    groups_path = Path(cfg.get("groups") or out.with_suffix(".groups.csv"))
-    _write_csv(groups_path, ["grouping", "level", "n", "mean", "lo", "hi"],
+    _write_csv(cfg["groups"], ["grouping", "level", "n", "mean", "lo", "hi"],
                _interval_rows(groups))
-    outputs.append(groups_path)
 
-    print(f"scored {len(variants)} variants -> {out}")
+    print(f"scored {len(variants)} variants -> {cfg['out']}")
     inputs = {"model": (Path(cfg["model"]), params.sha256),
               "glove": (Path(cfg["glove"]), table.sha256)}
     if cfg.get("frames"):
         inputs["frames"] = (Path(cfg["frames"]), frames.sha256)
-    return inputs, outputs
+    return inputs
 
 
 def cmd_attention(cfg):
@@ -742,33 +743,26 @@ def cmd_attention(cfg):
     of_report = partitive_of_analysis(records, weights, B=cfg["bootstrap"],
                                       seed=derive_seed(seed, "of-analysis"))
 
-    out = Path(cfg["out"])
-    _write_csv(out, ["analysis", "group", "position", "n", "mean", "lo", "hi"],
+    _write_csv(cfg["out"],
+               ["analysis", "group", "position", "n", "mean", "lo", "hi"],
                _interval_rows(report.position_curves, "some_vs_other")
                + _interval_rows(report.subjecthood_curves,
                                 "subjecthood_renormalized"))
-    outputs = [out]
-
-    of_path = Path(cfg.get("of_out") or out.with_suffix(".of.csv"))
-    _write_csv(of_path, ["mode", "kind", "n_tokens", "mean", "lo", "hi"],
+    _write_csv(cfg["of_out"], ["mode", "kind", "n_tokens", "mean", "lo", "hi"],
                _interval_rows(of_report.raw, "raw")
                + _interval_rows(of_report.normalized, "normalized"))
-    outputs.append(of_path)
-
-    summary_path = Path(cfg.get("summary") or out.with_suffix(".summary.csv"))
-    _write_csv(summary_path, ["metric", "value"],
+    _write_csv(cfg["summary"], ["metric", "value"],
                [("some_mean_weight", report.some_mean),
                 ("other_mean_weight", report.other_mean),
                 ("n_length_filtered", report.n_length_filtered),
                 ("n_multi_of", of_report.n_multi_of),
                 ("skipped_missing_some", report.skipped_missing_some)])
-    outputs.append(summary_path)
 
     print(f"attention analyses ({report.n_length_filtered} length-filtered, "
-          f"{of_report.n_multi_of} multi-of) -> {out}")
+          f"{of_report.n_multi_of} multi-of) -> {cfg['out']}")
     return {"corpus": (Path(cfg["corpus"]), records.sha256),
             "model": (Path(cfg["model"]), params.sha256),
-            "embeddings": source_input}, outputs
+            "embeddings": source_input}
 
 
 def cmd_regress(cfg):
@@ -789,11 +783,14 @@ def cmd_regress(cfg):
             raise ValidationError(f"duplicate id {rid!r}", row=row_num,
                                   path=path)
         try:
-            preds[rid] = float(cells.get("score"))
+            score = float(cells.get("score"))
         except (TypeError, ValueError):
+            score = math.nan  # reported as a non-finite score is
+        if not math.isfinite(score):
             raise ValidationError(
-                f"cannot read score from {cells.get('score')!r}",
-                row=row_num, path=path) from None
+                f"score {cells.get('score')!r} is not a finite number",
+                row=row_num, path=path)
+        preds[rid] = score
 
     interactions = []
     if cfg["interactions"]:
@@ -808,11 +805,11 @@ def cmd_regress(cfg):
             interactions.append((a.strip(), b.strip()))
 
     spec = RegressionSpec(interactions=interactions)
-    comparison = regression_compare(records, preds, spec,
-                                    B=cfg["bootstrap"],
-                                    seed=derive_seed(cfg["seed"], "regress"))
-    out = Path(cfg["out"])
-    _write_csv(out,
+    with in_file(path):  # scores too spread out to standardize name it
+        comparison = regression_compare(
+            records, preds, spec, B=cfg["bootstrap"],
+            seed=derive_seed(cfg["seed"], "regress"))
+    _write_csv(cfg["out"],
                ["predictor", "beta_original", "ci_orig_lo", "ci_orig_hi",
                 "beta_extended", "ci_ext_lo", "ci_ext_hi", "p_shrink",
                 "stars"],
@@ -821,9 +818,9 @@ def cmd_regress(cfg):
                  r.ci_extended[1], r.p_shrink, r.stars)
                 for r in comparison.rows])
     print(f"compared {comparison.n_items} items over "
-          f"{comparison.n_bootstrap} resamples -> {out}")
+          f"{comparison.n_bootstrap} resamples -> {cfg['out']}")
     return {"corpus": (Path(cfg["corpus"]), records.sha256),
-            "predictions": (Path(path), rows.sha256)}, [out]
+            "predictions": (Path(path), rows.sha256)}
 
 
 def cmd_ceiling(cfg):
@@ -844,10 +841,9 @@ def cmd_ceiling(cfg):
         y = np.array([p[1] for p in paired])
         rows.append(("context_vs_no_context_r", pearson_or_nan(x, y)))
 
-    out = Path(cfg["out"])
-    _write_csv(out, ["metric", "value"], rows)
-    print(f"agreement ceiling report -> {out}")
-    return {"corpus": (Path(cfg["corpus"]), records.sha256)}, [out]
+    _write_csv(cfg["out"], ["metric", "value"], rows)
+    print(f"agreement ceiling report -> {cfg['out']}")
+    return {"corpus": (Path(cfg["corpus"]), records.sha256)}
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +876,8 @@ _RULES = {
 @dataclass(frozen=True)
 class Flag:
     """A config key's flag (None: config file only), its value type, its
-    default (None: unset) and, for a number, its range."""
+    default (None: unset), for a number its range, and for a path whether
+    the command reads or writes the file."""
 
     name: str | None
     type: type = str  # bool: a switch that sets True
@@ -892,6 +889,10 @@ class Flag:
     repeatable: bool = False
     rule: str | None = None  # a key of _RULES
     default: object = None
+    reads: bool = False  # names a file the command reads
+    # names a file the command writes: True for the run's main output, or
+    # the suffix that the main output's path takes to give this default
+    writes: bool | str = False
     per_command: dict = field(default_factory=dict)  # {command: overrides}
 
     def problem(self, value) -> str | None:
@@ -922,17 +923,19 @@ class Flag:
 
 
 FLAGS = {
-    "input": Flag("--input"), "output": Flag("--output"),
+    "input": Flag("--input", reads=True), "model": Flag("--model", reads=True),
+    "corpus": Flag("--corpus", reads=True),
+    "glove": Flag("--glove", reads=True),
+    "output": Flag("--output", writes=True),
     "pretokenized": Flag("--pretokenized", bool, default=False, help=(
         "sentence/context cells are already space-tokenized")),
     "column_map": Flag(None, dict, items="strings", default={}),
-    "model": Flag("--model"), "corpus": Flag("--corpus"),
-    "frames": Flag("--frames", help="frame TSV (default: bundled)"),
-    "glove": Flag("--glove"),
-    "precomputed": Flag("--precomputed", per_command={"tune": {
+    "frames": Flag("--frames", reads=True,
+                   help="frame TSV (default: bundled)"),
+    "precomputed": Flag("--precomputed", reads=True, per_command={"tune": {
         "repeatable": True, "items": "strings",
         "help": "name=path, repeatable"}}),
-    "grid": Flag("--grid", items="objects",
+    "grid": Flag("--grid", reads=True, items="objects",
                  help="grid JSON file (default: built-in grid)"),
     "hidden_dim": Flag("--hidden-dim", int, rule=">= 1", default=100),
     "dropout_rate": Flag("--dropout", float, rule="in [0, 1)", default=0.2),
@@ -967,20 +970,23 @@ FLAGS = {
         "zero_vector", "unk_token", "mean_vector"), default="zero_vector"),
     "workers": Flag("--workers", int, rule=">= 1", default=1,
                     help="fold worker processes"),
-    "out": Flag("--out", per_command={
+    "out": Flag("--out", writes=True, per_command={
         "train": {"help": "checkpoint path"},
         "tune": {"help": "ranked report CSV"}, "eval": {"help": "report CSV"},
         "minimal-pairs": {"help": "per-variant CSV"},
         "attention": {"help": "position-curve CSV"}}),
-    "curve": Flag("--curve", help="learning-curve CSV path"),
-    "split_manifest": Flag("--split-manifest"), "metrics": Flag("--metrics"),
+    "curve": Flag("--curve", writes=".curve.csv", help="learning-curve CSV"),
+    "split_manifest": Flag("--split-manifest", writes=".split.json"),
+    "metrics": Flag("--metrics", writes=".metrics.csv"),
     "predictions": Flag("--predictions", per_command={
-        "eval": {"help": "per-item predictions CSV"},
-        "regress": {"help": "id,score CSV from cv-predict"}}),
-    "scatter": Flag("--scatter", help="id,empirical,predicted CSV"),
-    "groups": Flag("--groups", help="grouped-means CSV"),
-    "of_out": Flag("--of-out", help="of-token CSV"),
-    "summary": Flag("--summary", help="summary CSV"),
+        "eval": {"writes": ".predictions.csv",
+                 "help": "per-item predictions CSV"},
+        "regress": {"reads": True, "help": "id,score CSV from cv-predict"}}),
+    "scatter": Flag("--scatter", writes=".scatter.csv",
+                    help="id,empirical,predicted CSV"),
+    "groups": Flag("--groups", writes=".groups.csv", help="grouped-means CSV"),
+    "of_out": Flag("--of-out", writes=".of.csv", help="of-token CSV"),
+    "summary": Flag("--summary", writes=".summary.csv", help="summary CSV"),
 }
 
 # the rules and defaults of a tune grid entry's keys, taken from the flags
@@ -995,7 +1001,7 @@ _GRID_FLAGS = {
 @dataclass(frozen=True)
 class Command:
     help: str
-    fn: Callable[[dict], tuple[dict, list[Path]]]
+    fn: Callable[[dict], dict]  # returns the manifest's inputs
     flags: str  # config keys with a flag, in --help order
     required: tuple[str, ...]
     config_only: tuple[str, ...] = ()
@@ -1060,8 +1066,10 @@ def build_parser() -> _Parser:
             "run manifest path (default: <first output>.manifest.json)"))
         for dest, flag in command.flags_by_key(name).items():
             text = flag.help
-            if flag.default not in (None, ""):
-                shown = "off" if flag.default is False else flag.default
+            default = (f"--out with suffix {flag.writes}"
+                       if isinstance(flag.writes, str) else flag.default)
+            if default not in (None, ""):
+                shown = "off" if default is False else default
                 text = (f"{text} (default: {shown})" if text
                         else f"default: {shown}")
             if flag.type is bool:
@@ -1085,7 +1093,7 @@ def main(argv: list[str] | None = None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg = _effective_config(args)
-        inputs, outputs = COMMANDS[args.command].fn(cfg)
+        inputs = COMMANDS[args.command].fn(cfg)
     except USER_ERRORS as exc:
         print(f"sil {args.command}: error: {exc}", file=sys.stderr)
         return 1
@@ -1098,10 +1106,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
-    manifest_path = Path(args.manifest) if args.manifest else \
-        Path(str(outputs[0]) + ".manifest.json")
-    _write_manifest(args.command, argv, cfg, inputs, outputs,
-                    cfg.get("seed", 0), started, manifest_path)
+    _write_manifest(args, argv, cfg, inputs, started)
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, ValidationError
 from ..seeding import rng_for
 
 MAIN_EFFECTS = ("partitive", "strength", "mention", "subjecthood",
@@ -83,12 +83,15 @@ def _feature_value(record, name: str) -> float:
 
 
 def _standardize_column(col: np.ndarray, name: str) -> np.ndarray:
-    centered = col - col.mean()
-    if name in CONTINUOUS:
-        std = centered.std()
-        if std > 0:
-            centered = centered / std
-    return centered
+    """`col` centered and, for a continuous predictor, scaled to unit
+    variance; a spread that overflows raises ValidationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = col - col.mean()
+        std = centered.std() if name in CONTINUOUS else 0.0
+    if not math.isfinite(std):
+        raise ValidationError(
+            f"cannot standardize {name}: its spread is not finite")
+    return centered / std if std > 0 else centered
 
 
 def build_design(records, spec: RegressionSpec, nn_predictions: dict | None

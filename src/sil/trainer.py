@@ -47,16 +47,11 @@ class TrainConfig:
             raise ContractError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
-        _check_positive("--lr", self.lr)
-        if self.grad_clip is not None:
-            _check_positive("--grad-clip", self.grad_clip)
-
-
-def _check_positive(flag: str, value: float) -> None:
-    """ContractError naming `flag` unless `value` is finite and above 0."""
-    if not (math.isfinite(value) and value > 0):
-        raise ContractError(
-            f"{flag} must be a finite number above 0, got {value}")
+        for flag, value in (("--lr", self.lr),
+                            ("--grad-clip", self.grad_clip)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ContractError(
+                    f"{flag} must be a finite number above 0, got {value}")
 
 
 @dataclass
@@ -204,11 +199,13 @@ def train(train_examples: list[Example], valid_examples: list[Example],
 
 @dataclass
 class GridPoint:
-    hidden_dim: int
-    dropout_rate: float
-    pooling: str = "attention"
-    with_context: bool = False
+    """One grid configuration: the config its folds train with (`tune`
+    gives each fold its own seeds), the name of its vector source and
+    whether its inputs carry their contexts."""
+
+    config: TrainConfig
     embedding: str = "glove"
+    with_context: bool = False
 
 
 @dataclass
@@ -241,13 +238,13 @@ def _train_fold(args) -> tuple[int, int, float, str | None]:
 
 
 def tune(records, sources: dict, grid: list[GridPoint], folds,
-         *, epochs: int = 40, batch_size: int = 32, lr: float = 0.001,
-         seed: int = 0, workers: int = 1) -> list[TuneResult]:
+         *, seed: int = 0, workers: int = 1) -> list[TuneResult]:
     """Grid search scored by mean held-out Pearson r over the given folds.
 
     `records` must already be restricted to the training split (no test
     leakage). `sources` maps embedding names to lookup sources; `folds`
-    is the kfold output shared by every grid point. Failures are captured
+    is the kfold output shared by every grid point, and each point's folds
+    train with its config under `fold_config`. Failures are captured
     per configuration without stopping the sweep. Results are sorted by
     mean r descending, ties broken by smaller hidden_dim, lower dropout,
     then grid order. `workers` (--workers) processes run the fold tasks
@@ -255,7 +252,6 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
     """
     if not grid:
         raise ContractError("grid must be nonempty")
-    _check_positive("--lr", lr)
     if workers < 1:
         raise ContractError(f"--workers must be >= 1, got {workers}")
 
@@ -280,17 +276,11 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
         except ContractError as exc:
             errors[p_idx] = str(exc)
             continue
-        dim = sources[point.embedding].dim
         for f_idx, (train_ids, heldout_ids) in enumerate(folds):
-            config = fold_config(TrainConfig(
-                model=ModelConfig(
-                    input_dim=dim, hidden_dim=point.hidden_dim,
-                    dropout_rate=point.dropout_rate,
-                    use_attention=point.pooling == "attention"),
-                epochs=epochs, batch_size=batch_size, lr=lr), seed, f_idx)
             train_ex = [pool[i] for i in train_ids if i in pool]
             heldout_ex = [pool[i] for i in heldout_ids if i in pool]
-            tasks.append((p_idx, f_idx, train_ex, heldout_ex, config))
+            tasks.append((p_idx, f_idx, train_ex, heldout_ex,
+                          fold_config(point.config, seed, f_idx)))
 
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -320,8 +310,8 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
         key=lambda i: (
             -(results[i].mean_r if math.isfinite(results[i].mean_r)
               else -np.inf),
-            results[i].point.hidden_dim,
-            results[i].point.dropout_rate,
+            results[i].point.config.model.hidden_dim,
+            results[i].point.config.model.dropout_rate,
             i))
     return [results[i] for i in order]
 

@@ -19,6 +19,7 @@ from conftest import (ACCEPTANCE_LINES, make_records, make_table, vocab_of,
                       write_glove)
 
 from sil.autodiff import backward, constant
+from sil.cli import COMMANDS, PAPER_GRID, _grid_points, _parse_grid
 from sil.corpus import parse_corpus, rescale_rating, split
 from sil.embeddings import load_glove
 from sil.metrics import bootstrap_ceiling, mse, pearson
@@ -103,6 +104,22 @@ def released_glove():
     return None, f"no GloVe file in {d}"
 
 
+def tune_winner(train_records, table, grid: list[dict], **flags):
+    """The hidden_dim and dropout of the best entry of the JSON tune grid
+    `grid` over 5 folds of `train_records`, its points built as `sil tune`
+    builds them from its flag defaults with `flags` set."""
+    from sil.corpus import kfold
+    cfg = {key: flag.default for key, flag in
+           COMMANDS["tune"].flags_by_key("tune").items()} | flags
+    sources = {"glove": table}
+    points = _grid_points(_parse_grid(grid), cfg, sources)
+    ranked = tune(train_records, sources, points,
+                  kfold(train_records, 5, seed=0), seed=0,
+                  workers=cfg["workers"])
+    best = ranked[0].point.config.model
+    return best.hidden_dim, best.dropout_rate
+
+
 def released_model(tmp_root: Path):
     """Train (or fetch the cached) criterion-4 model on the released data."""
     if "model" in _cache:
@@ -124,14 +141,9 @@ def released_model(tmp_root: Path):
 
     hidden, dropout = 100, 0.2
     if os.environ.get("SIL_FULL_TUNE") == "1":
-        from sil.corpus import kfold
-        grid = [GridPoint(hidden_dim=h, dropout_rate=p)
-                for h in (100, 200, 400, 800) for p in (0.1, 0.2, 0.3, 0.4)]
-        folds = kfold(train_records, 5, seed=0)
-        ranked = tune(train_records, {"glove": table}, grid, folds, seed=0,
-                      workers=int(os.environ.get("SIL_WORKERS", "1")))
-        hidden = ranked[0].point.hidden_dim
-        dropout = ranked[0].point.dropout_rate
+        hidden, dropout = tune_winner(
+            train_records, table, PAPER_GRID, epochs=40,
+            workers=int(os.environ.get("SIL_WORKERS", "1")))
 
     carve = split(train_records, 0.9, seed=1)
     core = [by_id[i] for i in carve.train_ids]
@@ -147,6 +159,26 @@ def released_model(tmp_root: Path):
     _cache["model"] = ((params, config, table, records, test_ex,
                         hidden, dropout), None)
     return _cache["model"]
+
+
+def test_tune_winner_is_the_point_tune_ranks_first():
+    """SIL_FULL_TUNE's tuning step, on a 2-point grid: its winner is the
+    first point `tune` ranks when the same points are built by hand."""
+    from sil.corpus import kfold
+    records = make_records(20, seed=3)
+    table = make_table(sorted(vocab_of(records)))
+    grid = [{"hidden_dim": 2, "dropout_rate": 0.1},
+            {"hidden_dim": 3, "dropout_rate": 0}]
+    won = tune_winner(records, table, grid, epochs=2, batch_size=8, lr=0.01)
+    by_hand = [GridPoint(TrainConfig(
+        ModelConfig(input_dim=8, hidden_dim=e["hidden_dim"],
+                    dropout_rate=float(e["dropout_rate"])),
+        epochs=2, batch_size=8, lr=0.01)) for e in grid]
+    ranked = tune(records, {"glove": table}, by_hand,
+                  kfold(records, 5, seed=0), seed=0)
+    best = ranked[0].point.config.model
+    assert won == (best.hidden_dim, best.dropout_rate)
+    assert [r.error for r in ranked] == [None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +489,11 @@ def test_criterion_8_determinism():
     sources = {"glove": make_table(sorted(vocab_of(records)))}
     from sil.corpus import kfold
     folds = kfold(records, 2, seed=0)
-    grid = [GridPoint(hidden_dim=3, dropout_rate=0.1)]
-    t1 = tune(records, sources, grid, folds, epochs=2, batch_size=8,
-              lr=0.01, seed=5)
-    t2 = tune(records, sources, grid, folds, epochs=2, batch_size=8,
-              lr=0.01, seed=5)
+    grid = [GridPoint(TrainConfig(
+        ModelConfig(input_dim=8, hidden_dim=3, dropout_rate=0.1),
+        epochs=2, batch_size=8, lr=0.01))]
+    t1 = tune(records, sources, grid, folds, seed=5)
+    t2 = tune(records, sources, grid, folds, seed=5)
     tune_same = t1[0].fold_rs == t2[0].fold_rs \
         and t1[0].mean_r == t2[0].mean_r
     notes.append("tune rerun identical" if tune_same

@@ -16,6 +16,7 @@ import sys
 import warnings
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from conftest import corpus_records, make_records, vocab_of, write_glove
 
 import sil
 from sil.cli import (COMMANDS, FLAGS, PAPER_GRID, _grid_entry_problem,
-                     build_parser, main)
+                     _grid_points, _parse_grid, build_parser, main)
 from sil.corpus import COLUMNS, parse_corpus, write_corpus
 from sil.embeddings import PrecomputedEmbeddings, save_precomputed
 from sil.errors import ContractError, ValidationError
@@ -534,6 +535,217 @@ def test_manifest_path_flag(workspace, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# output paths: declared in the flag table, resolved before any input is read
+# ---------------------------------------------------------------------------
+
+def _command_line(command, workspace, trained, tmp_path) -> list[str]:
+    """A quick run of `command` on the workspace, without its --out."""
+    corpus, glove = str(workspace["corpus"]), str(workspace["glove"])
+    small = ["--hidden-dim", "2", "--epochs", "1", "--batch-size", "8"]
+    if command == "import":
+        raw = tmp_path / "raw.csv"
+        raw.write_text(RAW_HEADER + "\n" + "\n".join(RAW_ROWS) + "\n",
+                       encoding="utf-8")
+        return ["import", "--input", str(raw)]
+    if command == "tune":
+        grid = tmp_path / "grid.json"
+        grid.write_text('[{"hidden_dim": 2, "dropout_rate": 0}]',
+                        encoding="utf-8")
+        return ["tune", "--corpus", corpus, "--glove", glove, "--grid",
+                str(grid), "--k", "2", *small[2:]]
+    if command == "regress":
+        preds = tmp_path / "p.csv"
+        _write_predictions(workspace, preds)
+        return ["regress", "--corpus", corpus, "--predictions", str(preds),
+                "--bootstrap", "0"]
+    return {
+        "train": ["train", "--corpus", corpus, "--glove", glove, *small],
+        "eval": ["eval", "--model", str(trained), "--corpus", corpus,
+                 "--glove", glove],
+        "cv-predict": ["cv-predict", "--corpus", corpus, "--glove", glove,
+                       "--k", "2", *small],
+        "minimal-pairs": ["minimal-pairs", "--model", str(trained),
+                          "--glove", glove, "--bootstrap", "2"],
+        "attention": ["attention", "--corpus", corpus, "--model",
+                      str(trained), "--glove", glove, "--bootstrap", "2"],
+        "ceiling": ["ceiling", "--corpus", corpus, "--bootstrap", "2"],
+    }[command]
+
+
+# each command's main output, then each derived output's flag and suffix
+_OUTPUTS = {
+    "import": ("corpus.tsv", []),
+    "train": ("m.bin", [("curve", ".curve.csv"),
+                        ("split_manifest", ".split.json"),
+                        ("metrics", ".metrics.csv")]),
+    "tune": ("t.csv", []),
+    "eval": ("r.csv", [("predictions", ".predictions.csv"),
+                       ("scatter", ".scatter.csv")]),
+    "cv-predict": ("o.csv", []),
+    "minimal-pairs": ("v.csv", [("groups", ".groups.csv")]),
+    "attention": ("a.csv", [("of_out", ".of.csv"),
+                            ("summary", ".summary.csv")]),
+    "regress": ("g.csv", []),
+    "ceiling": ("c.csv", []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUTS))
+def test_manifest_lists_the_outputs_in_table_order(workspace, trained,
+                                                   tmp_path, command):
+    main_name, derived = _OUTPUTS[command]
+    out = tmp_path / main_name
+    out_flag = "--output" if command == "import" else "--out"
+    argv = _command_line(command, workspace, trained, tmp_path)
+    assert main(argv + [out_flag, str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json")
+                          .read_text(encoding="utf-8"))
+    expected = [str(out)] + [str(out.with_suffix(suffix))
+                             for _, suffix in derived]
+    assert manifest["outputs"] == expected
+    assert all(Path(path).is_file() for path in expected)
+    flags = COMMANDS[command].flags_by_key(command)
+    assert [key for key, flag in flags.items() if flag.writes] == \
+        ["output" if command == "import" else "out"] + [k for k, _ in derived]
+    for key, suffix in derived:
+        assert flags[key].writes == suffix
+        # the manifest's config records the resolved path
+        assert manifest["config"][key] == str(out.with_suffix(suffix))
+
+
+def test_an_output_flag_overrides_its_derived_default(workspace, tmp_path):
+    out, curve = tmp_path / "m.bin", tmp_path / "elsewhere" / "lc.csv"
+    rc = main(["train", "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]), "--hidden-dim", "2",
+               "--epochs", "1", "--curve", str(curve), "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "m.bin.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["outputs"] == [str(out), str(curve),
+                                   str(tmp_path / "m.split.json"),
+                                   str(tmp_path / "m.metrics.csv")]
+    assert curve.is_file() and not (tmp_path / "m.curve.csv").exists()
+
+
+def test_help_names_each_derived_default(capsys):
+    for name, command in COMMANDS.items():
+        assert main([name, "--help"]) == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        for key, flag in command.flags_by_key(name).items():
+            if isinstance(flag.writes, str):
+                assert f"default: --out with suffix {flag.writes}" in \
+                    shown, (name, key)
+
+
+def _assert_refused(capsys, command, said, *untouched):
+    err = capsys.readouterr().err
+    assert err == f"sil {command}: error: {said}\n"
+    for path, content in untouched:
+        assert (path.read_bytes() if path.exists() else None) == content
+
+
+def test_an_output_on_the_corpus_exits_one(workspace, tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_bytes(workspace["corpus"].read_bytes())
+    rc = main(["ceiling", "--corpus", str(corpus), "--out", str(corpus)])
+    assert rc == 1
+    _assert_refused(capsys, "ceiling", f"--corpus and --out both name {corpus}",
+                    (corpus, workspace["corpus"].read_bytes()),
+                    (tmp_path / "c.tsv.manifest.json", None))
+
+
+def test_two_outputs_on_one_path_exit_one(workspace, trained, tmp_path,
+                                          capsys):
+    report = tmp_path / "r.csv"
+    rc = main(["eval", "--model", str(trained),
+               "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]),
+               "--out", str(report), "--predictions", str(report)])
+    assert rc == 1
+    _assert_refused(capsys, "eval",
+                    f"--out and --predictions both name {report}",
+                    (report, None), (tmp_path / "r.scatter.csv", None))
+
+
+def test_the_manifest_on_an_output_exits_one(workspace, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["ceiling", "--corpus", str(workspace["corpus"]),
+               "--out", str(out), "--manifest", str(out)])
+    assert rc == 1
+    _assert_refused(capsys, "ceiling", f"--out and --manifest both name {out}",
+                    (out, None))
+
+
+@pytest.mark.parametrize("argv, said", [
+    # an output given on a derived default's path
+    (["--metrics", "m.curve.csv"], "--curve and --metrics both name {}"),
+    # the manifest on a derived default's path, spelled another way
+    (["--manifest", "sub/../m.split.json"],
+     "--split-manifest and --manifest both name {}"),
+])
+def test_an_output_on_a_derived_default_exits_one(workspace, tmp_path,
+                                                  capsys, monkeypatch,
+                                                  argv, said):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    rc = main(["train", "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]), "--out", "m.bin", *argv])
+    assert rc == 1
+    _assert_refused(capsys, "train", said.format(argv[1]),
+                    (tmp_path / "m.bin", None))
+
+
+# each input flag, with a command that reads it and any other flags that
+# command requires; every input names a file that does not exist, so the
+# error shows that nothing was read
+_INPUT_CASES = [
+    ("ceiling", "--corpus", []),
+    ("eval", "--model", ["--corpus", "absent.tsv"]),
+    ("train", "--glove", ["--corpus", "absent.tsv"]),
+    ("eval", "--precomputed", ["--corpus", "absent.tsv",
+                               "--model", "absent.bin"]),
+    ("minimal-pairs", "--frames", ["--model", "absent.bin",
+                                   "--glove", "absent.txt"]),
+    ("tune", "--grid", ["--corpus", "absent.tsv"]),
+    ("regress", "--predictions", ["--corpus", "absent.tsv"]),
+    ("import", "--input", []),
+    ("ceiling", "--config", ["--corpus", "absent.tsv"]),
+]
+
+
+@pytest.mark.parametrize("command, flag, others", _INPUT_CASES,
+                         ids=[f"{c}{f}" for c, f, _ in _INPUT_CASES])
+def test_an_output_on_an_input_exits_one(tmp_path, capsys, monkeypatch,
+                                         command, flag, others):
+    monkeypatch.chdir(tmp_path)
+    # a config file is read first, to learn the paths
+    config = b"{}" if flag == "--config" else None
+    if config:
+        (tmp_path / "in.csv").write_bytes(config)
+    out_flag = "--output" if command == "import" else "--out"
+    rc = main([command, *others, flag, "in.csv", out_flag, "in.csv"])
+    assert rc == 1
+    _assert_refused(capsys, command, f"{flag} and {out_flag} both name in.csv",
+                    (tmp_path / "in.csv", config))
+
+
+def test_tune_source_path_after_the_name_is_an_input(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["tune", "--corpus", "absent.tsv", "--precomputed",
+               "pc=vectors.jsonl", "--out", "t.csv",
+               "--manifest", "vectors.jsonl"])
+    assert rc == 1
+    _assert_refused(capsys, "tune",
+                    "--precomputed and --manifest both name vectors.jsonl")
+    # the name alone is not a path
+    rc = main(["tune", "--corpus", "absent.tsv", "--precomputed",
+               "pc=vectors.jsonl", "--out", "pc"])
+    assert rc == 1
+    assert "absent.tsv" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
@@ -838,6 +1050,24 @@ def test_help_names_the_default_beside_its_flag(capsys):
 def test_paper_grid_entries_are_valid():
     for entry in PAPER_GRID:
         assert _grid_entry_problem(entry) is None, entry
+
+
+def test_a_grid_entry_trains_as_the_train_flags_would():
+    entries = _parse_grid([{"hidden_dim": 3, "dropout_rate": 0,
+                            "pooling": "final_state", "with_context": True,
+                            "embedding": "pc"}])
+    cfg = {key: flag.default for key, flag in
+           COMMANDS["tune"].flags_by_key("tune").items()}
+    (point,) = _grid_points(entries, cfg, {"pc": SimpleNamespace(dim=5)})
+    model, config = point.config.model, point.config
+    assert (model.input_dim, model.hidden_dim, model.use_attention) == \
+        (5, 3, False)
+    assert repr(model.dropout_rate) == "0.0"
+    assert (config.epochs, config.batch_size, config.lr, config.grad_clip) \
+        == (15, 32, 0.001, None)
+    assert (point.embedding, point.with_context) == ("pc", True)
+    with pytest.raises(ValidationError, match="embedding 'pc' but no such"):
+        _grid_points(entries, cfg, {"glove": SimpleNamespace(dim=5)})
 
 
 @pytest.mark.parametrize("error, said", [
@@ -1281,6 +1511,47 @@ def test_regress_non_numeric_score_exits_one(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "p.csv" in err and "row 4" in err and "'high'" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_regress_non_finite_score_exits_one(workspace, tmp_path, capfd,
+                                            cell):
+    preds = tmp_path / "p.csv"
+    with open(preds, "w", encoding="utf-8", newline="") as fh:
+        fh.write("id,score\n")
+        for i, r in enumerate(workspace["records"]):
+            fh.write(f"{r.id},{cell if i == 2 else 0.5 + 0.01 * i}\n")
+    out = tmp_path / "c.csv"
+    rc = main(["regress", "--corpus", str(workspace["corpus"]),
+               "--predictions", str(preds), "--bootstrap", "20",
+               "--out", str(out)])
+    assert rc == 1
+    # capfd also holds what LAPACK would print from C
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"sil regress: error: {preds}: row 4: score "
+                            f"{cell!r} is not a finite number\n")
+    assert not out.exists()
+
+
+def test_regress_scores_too_spread_to_standardize_exit_one(
+        workspace, tmp_path, capfd):
+    preds = tmp_path / "p.csv"
+    with open(preds, "w", encoding="utf-8", newline="") as fh:
+        fh.write("id,score\n")
+        for i, r in enumerate(workspace["records"]):
+            fh.write(f"{r.id},{'1e308' if i == 2 else 0.5 + 0.01 * i}\n")
+    out = tmp_path / "c.csv"
+    rc = main(["regress", "--corpus", str(workspace["corpus"]),
+               "--predictions", str(preds), "--bootstrap", "20",
+               "--out", str(out)])
+    assert rc == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"sil regress: error: {preds}: cannot "
+                            f"standardize nn_prediction: its spread is not "
+                            f"finite\n")
+    assert not out.exists()
 
 
 def test_minimal_pairs_command(workspace, trained, tmp_path):

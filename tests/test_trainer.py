@@ -452,14 +452,20 @@ def grid_fixture(seed=3, n=16, k=2):
     return records, {"glove": table}, folds
 
 
+def grid_point(hidden_dim, dropout_rate, embedding="glove", **train_kw):
+    """A grid point training a model on grid_fixture's 8-d vectors."""
+    return GridPoint(tiny_train_config(
+        model_kw=dict(hidden_dim=hidden_dim, dropout_rate=dropout_rate),
+        **train_kw), embedding)
+
+
 def test_tune_reports_every_grid_point():
     records, sources, folds = grid_fixture()
-    grid = [GridPoint(hidden_dim=4, dropout_rate=0.0),
-            GridPoint(hidden_dim=3, dropout_rate=0.1)]
-    results = tune(records, sources, grid, folds, epochs=3, batch_size=8,
-                   lr=0.01, seed=0)
+    grid = [grid_point(4, 0.0), grid_point(3, 0.1)]
+    results = tune(records, sources, grid, folds, seed=0)
     assert len(results) == 2
-    assert {(r.point.hidden_dim, r.point.dropout_rate) for r in results} == \
+    assert {(r.point.config.model.hidden_dim,
+             r.point.config.model.dropout_rate) for r in results} == \
         {(4, 0.0), (3, 0.1)}
     for result in results:
         assert result.error is None
@@ -473,21 +479,18 @@ def test_tune_is_deterministic():
     outcomes = []
     for _ in range(2):
         records, sources, folds = grid_fixture()
-        grid = [GridPoint(hidden_dim=4, dropout_rate=0.2),
-                GridPoint(hidden_dim=2, dropout_rate=0.0)]
-        results = tune(records, sources, grid, folds, epochs=2,
-                       batch_size=8, lr=0.01, seed=9)
-        outcomes.append([(r.point.hidden_dim, r.fold_rs, r.mean_r)
-                         for r in results])
+        grid = [grid_point(4, 0.2, epochs=2), grid_point(2, 0.0, epochs=2)]
+        results = tune(records, sources, grid, folds, seed=9)
+        outcomes.append([(r.point.config.model.hidden_dim, r.fold_rs,
+                          r.mean_r) for r in results])
     assert outcomes[0] == outcomes[1]
 
 
 def test_tune_captures_bad_embedding_without_stopping():
     records, sources, folds = grid_fixture()
-    grid = [GridPoint(hidden_dim=9, dropout_rate=0.0, embedding="missing"),
-            GridPoint(hidden_dim=3, dropout_rate=0.0)]
-    results = tune(records, sources, grid, folds, epochs=2, batch_size=8,
-                   lr=0.01, seed=0)
+    grid = [grid_point(9, 0.0, "missing", epochs=2),
+            grid_point(3, 0.0, epochs=2)]
+    results = tune(records, sources, grid, folds, seed=0)
     good = [r for r in results if r.error is None]
     bad = [r for r in results if r.error is not None]
     assert len(good) == 1 and len(bad) == 1
@@ -501,11 +504,10 @@ def test_tune_captures_bad_embedding_without_stopping():
 def test_tune_tie_break_prefers_smaller_model():
     records, sources, folds = grid_fixture()
     # both fail, so both carry nan mean_r and tie; smaller hidden_dim wins
-    grid = [GridPoint(hidden_dim=9, dropout_rate=0.0, embedding="nope"),
-            GridPoint(hidden_dim=2, dropout_rate=0.0, embedding="nope")]
-    results = tune(records, sources, grid, folds, epochs=1, batch_size=8,
-                   lr=0.01, seed=0)
-    assert [r.point.hidden_dim for r in results] == [2, 9]
+    grid = [grid_point(9, 0.0, "nope", epochs=1),
+            grid_point(2, 0.0, "nope", epochs=1)]
+    results = tune(records, sources, grid, folds, seed=0)
+    assert [r.point.config.model.hidden_dim for r in results] == [2, 9]
 
 
 def test_tune_rejects_empty_grid():
@@ -516,19 +518,17 @@ def test_tune_rejects_empty_grid():
 
 def test_tune_rejects_a_nan_learning_rate():
     records, sources, folds = grid_fixture()
-    grid = [GridPoint(hidden_dim=2, dropout_rate=0.0)]
+    # a grid point's TrainConfig refuses the rate before any fold trains
     with pytest.raises(ContractError, match="--lr must be a finite number"):
-        tune(records, sources, grid, folds, lr=float("nan"))
+        tune(records, sources, [grid_point(2, 0.0, lr=float("nan"))], folds)
 
 
 def test_tune_fold_scores_do_not_depend_on_grid_position():
     records, sources, folds = grid_fixture()
-    point = GridPoint(hidden_dim=3, dropout_rate=0.0)
-    alone = tune(records, sources, [point], folds, epochs=2, batch_size=8,
-                 lr=0.01, seed=4)
-    paired = tune(records, sources,
-                  [GridPoint(hidden_dim=2, dropout_rate=0.1), point],
-                  folds, epochs=2, batch_size=8, lr=0.01, seed=4)
+    point = grid_point(3, 0.0, epochs=2)
+    alone = tune(records, sources, [point], folds, seed=4)
+    paired = tune(records, sources, [grid_point(2, 0.1, epochs=2), point],
+                  folds, seed=4)
     same = [r for r in paired if r.point == point]
     assert same[0].fold_rs == alone[0].fold_rs
 
