@@ -147,8 +147,9 @@ def _effective_config(args) -> dict:
         if not merged.get(key):
             raise ValidationError(
                 f"{args.command} requires {flags[key].name}")
-    main_output = next(merged[key] for key, flag in flags.items()
-                       if flag.writes is True)
+    main_key = next(key for key, flag in flags.items() if flag.writes is True)
+    main_output = merged[main_key]
+    _check_output(flags[main_key].name, main_output)
     for key, flag in flags.items():
         if isinstance(flag.writes, str) and not merged.get(key):
             merged[key] = str(Path(main_output).with_suffix(flag.writes))
@@ -156,20 +157,27 @@ def _effective_config(args) -> dict:
     return merged
 
 
-def _output_paths(args, cfg: dict) -> dict[str, Path]:
-    """{flag: path} of each file the run writes, in flag-table order, the
-    manifest last."""
+def _output_paths(args, cfg: dict) -> dict[str, str]:
+    """{flag: path, as given} of each file the run writes, in flag-table
+    order, the manifest last."""
     flags = COMMANDS[args.command].flags_by_key(args.command)
-    paths = {flag.name: Path(cfg[key])
-             for key, flag in flags.items() if flag.writes}
-    first = next(iter(paths.values()))
-    paths["--manifest"] = Path(args.manifest or f"{first}.manifest.json")
+    paths = {flag.name: cfg[key] for key, flag in flags.items() if flag.writes}
+    first = Path(next(iter(paths.values())))
+    paths["--manifest"] = args.manifest or f"{first}.manifest.json"
     return paths
 
 
+def _check_output(name: str, path) -> None:
+    """Reject output path `path` of flag `name` if it names a directory:
+    one that exists, or a path with no file name ("." or "dir/")."""
+    if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):
+        raise ValidationError(f"{name} names a directory, not a file: {path}")
+
+
 def _check_files(args, cfg: dict, flags: dict[str, Flag]) -> None:
-    """Reject a run that would write one file twice, or write a file it
-    reads, naming both flags, before any input but --config is read."""
+    """Reject a run that would write a directory, write one file twice,
+    or write a file it reads, naming the flags, before any input but
+    --config is read."""
     taken = {os.path.realpath(args.config): "--config"} if args.config else {}
     for key, flag in flags.items():
         value = cfg.get(key) if flag.reads else None
@@ -179,6 +187,7 @@ def _check_files(args, cfg: dict, flags: dict[str, Flag]) -> None:
                     path = path.partition("=")[2] or path
                 taken[os.path.realpath(path)] = flag.name
     for name, path in _output_paths(args, cfg).items():
+        _check_output(name, path)
         other = taken.setdefault(os.path.realpath(path), name)
         if other != name:
             raise ValidationError(f"{other} and {name} both name {path}")
@@ -222,7 +231,7 @@ def _write_manifest(args, argv: list[str], config: dict, inputs: dict,
         "environment": _environment(),
         "inputs": {name: {"path": str(p), "sha256": digest}
                    for name, (p, digest) in inputs.items()},
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(Path(p)) for p in outputs],
         "seed": config.get("seed", 0),
         "started_at": started,
         "finished_at": datetime.now(timezone.utc).isoformat(),
@@ -633,17 +642,20 @@ def cmd_tune(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_eval(cfg):
-    from .embeddings import embed_utterance
+    from .embeddings import embed_utterance, input_rows
     from .metrics import mse, pearson_or_nan
     from .model import load_checkpoint, predict_batch
 
     corpus = _read_corpus(cfg)
     params, mconfig = load_checkpoint(cfg["model"])
     records = _subset_records(corpus, cfg)
-    source, source_input = _load_source(cfg, records, cfg["with_context"])
-    embedded = [embed_utterance(record, source, cfg["with_context"])
-                for record in records]
-    scores, attention = predict_batch(embedded, params, mconfig)
+    with_context = cfg["with_context"]
+    source, source_input = _load_source(cfg, records, with_context)
+    # every record is checked, in order, before the first is scored
+    rows = [input_rows(record, source, with_context) for record in records]
+    scores, attention = predict_batch(
+        rows, lambda i: embed_utterance(records[i], source, with_context),
+        params, mconfig)
     if attention is None:
         attention = [[] for _ in records]
     preds = [(record.id, float(score), list(weights), record.mean_rating)

@@ -5,20 +5,23 @@ UTF-8). Fields are separated by runs of any whitespace `str.split` splits on,
 lines may end in LF, CRLF or CR, and blank lines are skipped. A value is a
 number as Python's `float` reads it, written in ASCII and without `_`: an
 optional sign, digits with an optional decimal point and exponent ("-0.5",
-"5.", ".5", "1e-3", "2.5E+10"), or "inf", "infinity" or "nan" in any case.
-Values beyond the float64 range read as +-inf; subnormals are kept exactly.
-Digit grouping ("1_0"), non-ASCII digits, hexadecimal floats and "1d5"
-exponents are rejected as non-numeric.
+"5.", ".5", "1e-3", "2.5E+10"); subnormals are kept exactly. A value must
+be finite: "inf", "infinity" and "nan" (in any case) and values beyond
+the float64 range ("1e400") are rejected as not finite. Digit grouping
+("1_0"), non-ASCII digits, hexadecimal floats and "1d5" exponents are
+rejected as non-numeric.
 
 A load reads the file once and hashes its bytes as it reads them (the
 table's `sha256`). Every row must have as many values as the first, but
 only the rows of the tokens a caller asks for (`keep`) are converted, so a
-non-numeric value on a row outside `keep` is not an error. A byte that is
-not UTF-8 is a ParseError naming its line, in either loader.
+non-numeric or non-finite value on a row outside `keep` is not an error. A
+byte that is not UTF-8 is a ParseError naming its line, in either loader.
 
 Contextual embeddings (e.g. transformer or language-model layers) are
 computed offline and ingested from a JSON-lines file with one object per
 utterance: {"id": str, "layer": int, "vectors": [[float, ...], ...]}.
+Their values must be finite too; JSON's `NaN` and `Infinity`, which
+Python's `json` reads, are rejected.
 
 Every ParseError from either loader names the file and the line.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,6 +141,7 @@ def load_glove(path, unk_policy: str = "zero_vector",
     if matrix is None:
         _raise_first_bad_row(path, scan.rests, scan.kept_lines, scan.dim,
                              scan.stop)
+    _check_finite(matrix, scan.rests, scan.kept_lines, path)
     return EmbeddingTable(dim=scan.dim, vocab=scan.vocab, matrix=matrix,
                           unk_policy=unk_policy,
                           sha256=reader.digest.hexdigest())
@@ -352,17 +357,40 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _check_finite(matrix, rests, kept_lines, path) -> None:
+    """Raise a ParseError naming the first kept line of `matrix` (parsed
+    from `rests`) that holds a value that is not finite.
+
+    NaN and +-inf reach the minimum or the maximum, and neither reduction
+    makes a temporary array the size of the matrix.
+    """
+    if matrix.size == 0 or (np.isfinite(matrix.min())
+                            and np.isfinite(matrix.max())):
+        return
+    row, col = np.argwhere(~np.isfinite(matrix))[0]
+    raise _not_finite(rests[row].split()[col], kept_lines[row], path)
+
+
+def _not_finite(value: str, line_num: int, path) -> ParseError:
+    return ParseError(f"vector value {value!r} is not a finite number",
+                      line=line_num, path=path)
+
+
 def _raise_first_bad_row(path, rests, kept_lines, dim, stop):
     """Raise the ParseError of the first bad line of a file that failed.
 
-    Blocks of kept rows that parse are skipped; the rows of the first
-    block that does not are checked one by one.
+    Blocks of kept rows that parse are checked for non-finite values and
+    then skipped; the rows of the first block that does not parse are
+    checked one by one.
     """
     for start in range(0, len(rests), _RESCAN_BLOCK):
         block = rests[start:start + _RESCAN_BLOCK]
-        if _parse_values(block, dim) is not None:
+        lines = kept_lines[start:start + _RESCAN_BLOCK]
+        matrix = _parse_values(block, dim)
+        if matrix is not None:
+            _check_finite(matrix, block, lines, path)
             continue
-        for rest, line_num in zip(block, kept_lines[start:]):
+        for rest, line_num in zip(block, lines):
             values = rest.split()
             if len(values) != dim:
                 raise ParseError(f"expected {dim} values, got {len(values)}",
@@ -370,6 +398,9 @@ def _raise_first_bad_row(path, rests, kept_lines, dim, stop):
             if not all(map(_is_number, values)):
                 raise ParseError("non-numeric vector value",
                                  line=line_num, path=path)
+            for value in values:
+                if not math.isfinite(float(value)):
+                    raise _not_finite(value, line_num, path)
     if stop is not None:
         raise ParseError(stop[1], line=stop[0], path=path)
     raise ParseError("vector values could not be parsed", path=path)
@@ -430,6 +461,9 @@ def _parse_precomputed(path: Path, lines) -> PrecomputedEmbeddings:
             raise ParseError(
                 "vectors must be a non-empty list of equal-length rows "
                 "of numbers", line=line_num, path=path)
+        if not np.isfinite(arr).all():
+            raise ParseError("vectors hold a value that is not a finite "
+                             "number", line=line_num, path=path)
         if dim is None:
             dim, layer_id = arr.shape[1], layer
         else:
@@ -456,15 +490,21 @@ def save_precomputed(embeddings: PrecomputedEmbeddings, path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
-    """Input matrix for one record, which `corpus.truncate` cuts first.
+def input_rows(record, source, with_context: bool = False) -> int:
+    """The row count of `embed_utterance(record, source, with_context)`.
 
-    Static tables look up context + target tokens (context prepended when
-    with_context is set). Precomputed sources hold one row per token of
-    the whole target, computed offline with whatever context the encoder
-    saw, so with_context is rejected for them. The rows must number the
-    untruncated target's tokens (`features.utterance_length`); a cut
-    target takes the rows of the tokens it kept.
+    Every check that `embed_utterance` makes is made here, with the same
+    error, but no matrix is built.
+    """
+    return _checked_record(record, source, with_context)[1]
+
+
+def _checked_record(record, source, with_context: bool):
+    """`record` as `corpus.truncate` cuts it, and its input's row count.
+
+    Raises ContractError for with_context on precomputed vectors, and
+    IntegrityError for an utterance they lack or hold a wrong row count
+    for.
     """
     record = truncate(record, with_context=with_context)
     if isinstance(source, PrecomputedEmbeddings):
@@ -481,7 +521,25 @@ def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
             raise IntegrityError(
                 f"utterance {record.id!r}: {vectors.shape[0]} precomputed "
                 f"vectors for {record.features.utterance_length} tokens")
-        return vectors[:len(record.tokens)]
+        return record, len(record.tokens)
+    return record, len(record.tokens) + (
+        len(record.context_tokens) if with_context else 0)
+
+
+def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
+    """Input matrix for one record, which `corpus.truncate` cuts first.
+
+    Static tables look up context + target tokens (context prepended when
+    with_context is set). Precomputed sources hold one row per token of
+    the whole target, computed offline with whatever context the encoder
+    saw, so with_context is rejected for them. The rows must number the
+    untruncated target's tokens (`features.utterance_length`); a cut
+    target takes the rows of the tokens it kept. `input_rows` gives the
+    row count, and makes the same checks.
+    """
+    record, rows = _checked_record(record, source, with_context)
+    if isinstance(source, PrecomputedEmbeddings):
+        return source.vectors_for(record.id)[:rows]
     tokens = list(record.tokens)
     if with_context:
         tokens = list(record.context_tokens) + tokens

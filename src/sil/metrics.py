@@ -55,9 +55,10 @@ def mse(predicted, target) -> float:
     return float(np.mean((predicted - target) ** 2))
 
 
-# bootstrap_ceiling draws the indices of about this many ratings at once; it
-# bounds the memory of one block of replicates and never changes the result
-CEILING_BLOCK_DRAWS = 1 << 18
+# bootstrap_ceiling and bootstrap_ci draw about this many resample indices
+# at once; it bounds the memory of one block of replicates and never
+# changes the result
+BOOTSTRAP_BLOCK_DRAWS = 1 << 18
 
 
 def bootstrap_ceiling(ratings_per_item: list, B: int, seed: int) -> float:
@@ -67,7 +68,7 @@ def bootstrap_ceiling(ratings_per_item: list, B: int, seed: int) -> float:
     with replacement, the resampled per-item means are correlated with the
     original means, and the B correlations are averaged.
 
-    The replicates run in blocks of about CEILING_BLOCK_DRAWS draws, so the
+    The replicates run in blocks of about BOOTSTRAP_BLOCK_DRAWS draws, so the
     memory of a block is bounded whatever B is. Each block draws its
     indices with one generator call, in the order of a loop over
     replicates, items and ratings, and averages each item's resampled
@@ -102,7 +103,7 @@ def bootstrap_ceiling(ratings_per_item: list, B: int, seed: int) -> float:
     base = np.repeat(starts, counts)[order]  # each rating's item offset
 
     rng = rng_for(seed, "bootstrap-ceiling")
-    block = max(1, CEILING_BLOCK_DRAWS // n)
+    block = max(1, BOOTSTRAP_BLOCK_DRAWS // n)
     highs = np.tile(np.repeat(counts, counts), min(block, B))
     rs = np.empty(B)
     for b0 in range(0, B, block):
@@ -147,6 +148,13 @@ def bootstrap_ci(groups: dict, B: int, seed: int = 0) -> list[Interval]:
     in the dict's order, so a group's bounds depend on the groups before
     it, not on the sort. A group of identical values v has
     mean = lo = hi = v.
+
+    A group of n values is resampled in blocks of about
+    BOOTSTRAP_BLOCK_DRAWS draws, so its memory is bounded whatever B is.
+    Consecutive `integers(0, n, (k, n))` calls draw what one
+    `integers(0, n, (B, n))` call does, and each replicate's mean is a
+    1-D mean of its own row, so the bounds equal, bit for bit, those of
+    drawing all B x n indices at once.
     """
     if B < 1:
         raise ContractError("bootstrap replicate count must be >= 1")
@@ -157,8 +165,12 @@ def bootstrap_ci(groups: dict, B: int, seed: int = 0) -> list[Interval]:
         if len(values) == 0:
             raise ContractError(f"group {key!r} is empty")
         n = len(values)
-        idx = rng.integers(0, n, size=(B, n))
-        means = values[idx].mean(axis=1)
+        block = max(1, BOOTSTRAP_BLOCK_DRAWS // n)
+        means = np.empty(B)
+        for b0 in range(0, B, block):
+            k = min(block, B - b0)
+            means[b0:b0 + k] = values[rng.integers(0, n, size=(k, n))].mean(
+                axis=1)
         lo, hi = np.quantile(means, [CI_ALPHA, 1.0 - CI_ALPHA])
         rows.append(Interval(key, n, float(values.mean()), float(lo),
                              float(hi)))

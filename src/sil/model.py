@@ -646,26 +646,42 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
                      grads=grads if on_grad is None else None)
 
 
-def predict_batch(inputs, params: ModelParams, config: ModelConfig
+def predict_batch(rows, build, params: ModelParams, config: ModelConfig
                   ) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Eval-mode scores and attention weights for any number of inputs.
 
-    Inputs are sorted by length and run `PREDICT_CHUNK` at a time, so
-    each chunk packs items of similar length; results come back in input
-    order. Attention is None for a model built without attention.
+    `rows[i]` is input i's row count, and `build(i)` makes input i. The
+    inputs are sorted by row count and run `PREDICT_CHUNK` at a time, so
+    each chunk packs items of similar length; an input is built only
+    when its chunk runs, so no more than one chunk of inputs is held at
+    once. Raises ContractError for a built input whose row count is not
+    the one given. Results come back in input order. Attention is None
+    for a model built without attention.
     """
-    inputs = list(inputs)
-    order = sorted(range(len(inputs)), key=lambda i: -len(inputs[i]))
-    scores = np.empty(len(inputs))
-    attention = [None] * len(inputs) if config.use_attention else None
+    rows = list(rows)
+    order = sorted(range(len(rows)), key=lambda i: -rows[i])
+    scores = np.empty(len(rows))
+    attention = [None] * len(rows) if config.use_attention else None
     for start in range(0, len(order), PREDICT_CHUNK):
         idx = order[start:start + PREDICT_CHUNK]
-        res = run_batch([inputs[i] for i in idx], params, config)
+        res = run_batch(_built(idx, rows, build), params, config)
         scores[idx] = res.scores
         if attention is not None:
             for i, w in zip(idx, res.attention):
                 attention[i] = w
     return scores, attention
+
+
+def _built(idx, rows, build) -> list:
+    """The inputs `build(i)` for i in `idx`, each checked against `rows[i]`."""
+    batch = []
+    for i in idx:
+        x = build(i)
+        if len(x) != rows[i]:
+            raise ContractError(
+                f"input {i} has {len(x)} rows, but {rows[i]} were given")
+        batch.append(x)
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +692,14 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path) -> None:
     """Write a versioned binary checkpoint; byte-identical for equal inputs.
 
     Each tensor goes to the file from its own buffer, not through a bytes
-    copy.
+    copy. Raises NumericError, and writes nothing, if a tensor holds a
+    value that is not finite.
     """
     names = params.names()
+    for n in names:
+        if not _all_finite(params.tensors[n]):
+            raise NumericError(f"tensor {n!r} holds a value that is not "
+                               "finite; the checkpoint is not written")
     header = {
         "config": config.to_dict(),
         "dtype": "<f8",
@@ -697,6 +718,12 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path) -> None:
                 params.tensors[n], dtype="<f8")))
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """True if no value is NaN or infinite. Either reaches the minimum or
+    the maximum, and neither reduction makes a temporary array."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     """Read a checkpoint; a malformed one raises IntegrityError naming it.
 
@@ -705,7 +732,8 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     before any tensor byte is read. The tensor bytes are then read straight
     into one aligned float64 buffer, and every tensor is a reshaped view of
     that shared buffer: C-contiguous, aligned and writable. Every byte read
-    also goes to sha256, whose digest is the params' `sha256`.
+    also goes to sha256, whose digest is the params' `sha256`. A tensor
+    that holds a value that is not finite is an IntegrityError naming it.
     """
     with open(path, "rb") as fh:
         try:
@@ -774,6 +802,11 @@ def _read_checkpoint(fh) -> tuple[ModelParams, ModelConfig]:
     if fh.readinto(values) != values.nbytes:
         raise IntegrityError("checkpoint changed while it was read")
     digest.update(values)
+    if not _all_finite(values):
+        name = next(name for name, span in layout.items()
+                    if not _all_finite(values[span]))
+        raise IntegrityError(
+            f"tensor {name!r} holds a value that is not finite")
     tensors = {name: values[span].reshape(expected[name])
                for name, span in layout.items()}
     return ModelParams(tensors, sha256=digest.hexdigest()), config

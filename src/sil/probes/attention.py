@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..embeddings import embed_utterance
+from ..embeddings import embed_utterance, input_rows
 from ..errors import ContractError
 from ..metrics import Interval, bootstrap_ci
 from ..model import predict_batch
@@ -26,8 +26,10 @@ def attention_for_records(records, params, config, source) -> dict[str, np.ndarr
         raise ContractError("the model was built without attention, so it "
                             "has no attention weights")
     records = list(records)
-    embedded = [embed_utterance(record, source) for record in records]
-    _, attention = predict_batch(embedded, params, config)
+    # every record is checked, in order, before the first is scored
+    rows = [input_rows(record, source) for record in records]
+    _, attention = predict_batch(
+        rows, lambda i: embed_utterance(records[i], source), params, config)
     return {record.id: w for record, w in zip(records, attention)}
 
 

@@ -11,7 +11,7 @@ belongs to the some-NP alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -55,6 +55,8 @@ class MinimalPairVariant:
     frame_id: str
     text: str
     features: dict[str, int]
+    _tokens: tuple[str, ...] | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @property
     def some_is_subject(self) -> bool:
@@ -64,7 +66,10 @@ class MinimalPairVariant:
         return bool(self.features["some_subject"])
 
     def tokens(self) -> list[str]:
-        return tokenize(self.text)
+        """The text's tokens; the text is tokenized on the first call only."""
+        if self._tokens is None:
+            self._tokens = tuple(tokenize(self.text))
+        return list(self._tokens)
 
 
 def load_frames(path=None) -> Parsed:
@@ -168,10 +173,11 @@ def score_variants(variants, params, config, table) -> np.ndarray:
     """Eval-mode model scores in [0, 1] for each variant's tokenization,
     cut to its first MAX_TARGET_TOKENS tokens as `embed_utterance` cuts a
     corpus target."""
-    embedded = [np.vstack([table.lookup(t) for t
-                           in variant.tokens()[:MAX_TARGET_TOKENS]])
-                for variant in variants]
-    scores, _ = predict_batch(embedded, params, config)
+    tokens = [variant.tokens()[:MAX_TARGET_TOKENS] for variant in variants]
+    scores, _ = predict_batch(
+        [len(t) for t in tokens],
+        lambda i: np.vstack([table.lookup(t) for t in tokens[i]]),
+        params, config)
     return scores
 
 

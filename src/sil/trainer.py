@@ -84,7 +84,8 @@ def examples_from_records(records, source, with_context: bool = False
 def evaluate(examples: list[Example], params: ModelParams,
              config: TrainConfig) -> np.ndarray:
     """Eval-mode scores for examples, in input order."""
-    scores, _ = predict_batch([ex.embedded for ex in examples], params,
+    scores, _ = predict_batch([len(ex.embedded) for ex in examples],
+                              lambda i: examples[i].embedded, params,
                               config.model)
     return scores
 

@@ -161,13 +161,14 @@ def test_unreadable_corpus_names_file(tmp_path, capsys, content, named):
 
 
 def test_unwritable_output_exits_two(workspace, tmp_path, capsys):
-    blocked = tmp_path / "report.csv"
-    blocked.mkdir()  # a directory where the output file should go
+    blocked = tmp_path / "blocker"
+    blocked.write_text("", encoding="utf-8")  # a file where a directory
+    # of the output's path should be: found only when the output is written
     rc = main(["ceiling", "--corpus", str(workspace["corpus"]),
-               "--bootstrap", "10", "--out", str(blocked)])
+               "--bootstrap", "10", "--out", str(blocked / "report.csv")])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]  # no temp
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]  # no temp
 
 
 def test_output_write_spares_existing_tmp_file(workspace, tmp_path):
@@ -743,6 +744,49 @@ def test_tune_source_path_after_the_name_is_an_input(tmp_path, capsys,
                "pc=vectors.jsonl", "--out", "pc"])
     assert rc == 1
     assert "absent.tsv" in capsys.readouterr().err
+
+
+# an output that names a directory: ".", a path ending in "/", or a
+# directory that exists; (command, argv, directories made first, the flag
+# and path named). Every input is absent, so the error shows that nothing
+# was read
+_DIRECTORY_CASES = {
+    "ceiling-dot": ("ceiling", ["--out", "."], [], "--out", "."),
+    "ceiling-dir": ("ceiling", ["--out", "sub"], ["sub"], "--out", "sub"),
+    "ceiling-dir-slash": ("ceiling", ["--out", "sub/"], ["sub"], "--out",
+                          "sub/"),
+    "ceiling-new-dir-slash": ("ceiling", ["--out", "new/"], [], "--out",
+                              "new/"),
+    "eval-dot": ("eval", ["--model", "absent.bin", "--out", "."], [],
+                 "--out", "."),
+    "eval-derived-default": ("eval", ["--model", "absent.bin", "--out",
+                                      "r.csv"], ["r.scatter.csv"],
+                             "--scatter", "r.scatter.csv"),
+    "eval-given": ("eval", ["--model", "absent.bin", "--out", "r.csv",
+                            "--predictions", "sub/"], ["sub"],
+                   "--predictions", "sub/"),
+    "manifest": ("ceiling", ["--out", "c.csv", "--manifest", ".."], [],
+                 "--manifest", ".."),
+    "manifest-default": ("ceiling", ["--out", "c.csv"],
+                         ["c.csv.manifest.json"], "--manifest",
+                         "c.csv.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIRECTORY_CASES))
+def test_an_output_that_names_a_directory_exits_one(tmp_path, capsys,
+                                                    monkeypatch, case):
+    command, argv, dirs, flag, path = _DIRECTORY_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    for name in dirs:
+        (tmp_path / name).mkdir()
+    rc = main([command, "--corpus", "absent.tsv", *argv])
+    assert rc == 1
+    _assert_refused(capsys, command,
+                    f"{flag} names a directory, not a file: {path}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(dirs)
+    for name in dirs:
+        assert not any((tmp_path / name).iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -1737,6 +1781,114 @@ def test_missing_precomputed_id_exits_one(workspace, trained, tmp_path,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert repr(records[-1].id) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "attention"])
+def test_first_missing_precomputed_id_is_named(workspace, trained, tmp_path,
+                                               capsys, command):
+    # two ids are missing, and the later one's target is the longer, so
+    # it would be scored first: the earlier one is still the one named
+    records = workspace["records"]
+    first, later = next((i, j) for i in range(len(records))
+                        for j in range(i + 1, len(records))
+                        if len(records[j].tokens) > len(records[i].tokens))
+    source = PrecomputedEmbeddings(
+        dim=8, layer_id=0,
+        table={r.id: np.ones((len(r.tokens), 8)) for k, r
+               in enumerate(records) if k not in (first, later)})
+    path = tmp_path / "pc.jsonl"
+    save_precomputed(source, path)
+    rc = main([command, "--model", str(trained),
+               "--corpus", str(workspace["corpus"]),
+               "--precomputed", str(path), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sil {command}: error: no precomputed vectors for utterance "
+        f"{records[first].id!r}\n")
+
+
+def _glove_with(workspace, path, token, value):
+    """The workspace vector file with `value` first on `token`'s row;
+    returns the row's line number."""
+    lines = workspace["glove"].read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines, start=1)
+                if text.split()[0] == token)
+    fields = lines[line - 1].split()
+    fields[1] = value
+    lines[line - 1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return line
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("command", ["eval", "minimal-pairs", "attention"])
+def test_non_finite_vector_value_exits_one(workspace, trained, tmp_path,
+                                           capsys, command, value):
+    glove = tmp_path / "bad.txt"
+    line = _glove_with(workspace, glove, "some", value)
+    argv, out, _ = _vector_commands(workspace, trained, tmp_path)[command]
+    argv[argv.index(str(workspace["glove"]))] = str(glove)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"sil {command}: error: {glove}: line {line}: vector value "
+        f"{value!r} is not a finite number\n")
+    assert not (tmp_path / out).exists()
+
+
+def test_non_finite_value_on_a_row_not_read_is_no_error(workspace, trained,
+                                                        tmp_path, capsys):
+    glove = tmp_path / "extra.txt"
+    glove.write_text(workspace["glove"].read_text(encoding="utf-8")
+                     + "unread nan nan 1 2 3 4 5 6\n", encoding="utf-8")
+    argv, out, _ = _vector_commands(workspace, trained, tmp_path)["eval"]
+    argv[argv.index(str(workspace["glove"]))] = str(glove)
+    assert main(argv) == 0
+    # mean_vector averages every row, so every row is read
+    assert main(argv + ["--unk-policy", "mean_vector"]) == 1
+    assert "vector value 'nan' is not a finite number" in \
+        capsys.readouterr().err
+
+
+def test_non_finite_precomputed_value_exits_one(workspace, trained, tmp_path,
+                                                capsys):
+    records = workspace["records"]
+    table = {r.id: np.ones((len(r.tokens), 8)) for r in records}
+    table[records[3].id][1, 2] = np.nan
+    path = tmp_path / "pc.jsonl"
+    save_precomputed(PrecomputedEmbeddings(dim=8, layer_id=0, table=table),
+                     path)
+    line = sorted(table).index(records[3].id) + 1
+    rc = main(["eval", "--model", str(trained),
+               "--corpus", str(workspace["corpus"]),
+               "--precomputed", str(path), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sil eval: error: {path}: line {line}: vectors hold a value that "
+        "is not a finite number\n")
+
+
+def test_non_finite_checkpoint_tensor_exits_one(workspace, trained,
+                                                tmp_path, capsys):
+    params, _ = load_checkpoint(trained)
+    blob = bytearray(trained.read_bytes())
+    (offset,) = struct.unpack("<I", blob[4:8])
+    offset += 8
+    for name in params.names():  # the file's tensor order
+        if name == "head.b":
+            break
+        offset += params.tensors[name].nbytes
+    blob[offset:offset + 8] = struct.pack("<d", float("nan"))
+    model = tmp_path / "nan.bin"
+    model.write_bytes(blob)
+    rc = main(["eval", "--model", str(model),
+               "--corpus", str(workspace["corpus"]),
+               "--glove", str(workspace["glove"]),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sil eval: error: {model}: tensor 'head.b' holds a value that is "
+        "not finite\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 # ---------------------------------------------------------------------------

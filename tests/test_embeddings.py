@@ -11,9 +11,9 @@ import pytest
 from sil import embeddings
 from sil.corpus import truncate
 from sil.embeddings import (EmbeddingTable, PrecomputedEmbeddings,
-                            UNK_TOKEN, embed_utterance, load_glove,
-                            load_precomputed, save_glove, save_precomputed,
-                            tokenize)
+                            UNK_TOKEN, embed_utterance, input_rows,
+                            load_glove, load_precomputed, save_glove,
+                            save_precomputed, tokenize)
 from sil.errors import ContractError, IntegrityError, ParseError
 
 from conftest import make_records, make_table
@@ -145,6 +145,41 @@ def test_embed_utterance_truncates_the_record():
                                   source.table[record.id][:30])
 
 
+def _row_count_outcome(fn, *args):
+    """`fn(*args)`'s row count, or its error's type and message."""
+    try:
+        result = fn(*args)
+    except (ContractError, IntegrityError) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, int) else len(result)
+
+
+def test_input_rows_makes_embed_utterances_checks():
+    record = make_records(1, seed=0, with_context=True)[0]
+    record.tokens = ["some"] + ["dogs"] * 44
+    record.context_tokens = ["a"] * 160
+    record.features.utterance_length = 45
+    table = make_table(["some", "dogs", "a"], dim=4)
+    rows = np.ones((45, 3))
+    sources = [
+        table,
+        PrecomputedEmbeddings(dim=3, layer_id=0, table={record.id: rows}),
+        PrecomputedEmbeddings(dim=3, layer_id=0, table={"other": rows}),
+        PrecomputedEmbeddings(dim=3, layer_id=0,
+                              table={record.id: rows[:44]}),
+    ]
+    outcomes = []
+    for source in sources:
+        for with_context in (False, True):
+            got = _row_count_outcome(input_rows, record, source, with_context)
+            assert got == _row_count_outcome(embed_utterance, record, source,
+                                             with_context)
+            outcomes.append(got)
+    assert outcomes[:3] == [30, 150 + 45, 30]
+    assert {o[0] for o in outcomes[3:] if isinstance(o, tuple)} == \
+        {ContractError, IntegrityError}
+
+
 def test_precomputed_count_must_match_tokens():
     record = make_records(1, seed=1)[0]
     n = len(record.tokens)
@@ -238,8 +273,17 @@ def test_tokenizer_keeps_internal_punctuation():
 # load_glove against the per-line loader it replaced
 # ---------------------------------------------------------------------------
 
+def reference_finite(values, vec, line_num):
+    """Raise the ParseError of the first value of a row that is not finite."""
+    for text, value in zip(values, vec):
+        if not np.isfinite(value):
+            raise ParseError(f"vector value {text!r} is not a finite number",
+                             line=line_num)
+
+
 def reference_load_glove(path, unk_policy: str = "zero_vector"):
-    """The per-value `float` loader that `load_glove` replaced, verbatim."""
+    """The per-value `float` loader that `load_glove` replaced, verbatim,
+    and the finite check that kept values have had since."""
     path = Path(path)
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -263,6 +307,7 @@ def reference_load_glove(path, unk_policy: str = "zero_vector"):
                 vec = np.array([float(v) for v in values])
             except ValueError:
                 raise ParseError("non-numeric vector value", line=line_num) from None
+            reference_finite(values, vec, line_num)
             vocab[token] = len(rows)
             rows.append(vec)
     if dim is None:
@@ -292,8 +337,9 @@ def test_round_trip_of_extreme_values_matches_reference(tmp_path):
     rng = np.random.default_rng(11)
     matrix = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(
         -300, 300, size=(40, 7))
+    # inf and nan are rejected (test_non_finite_kept_value_names_its_line)
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
-               1.7976931348623157e308, np.inf, -np.inf, np.nan]
+               1.7976931348623157e308, -1.7976931348623157e308]
     matrix.flat[:len(special)] = special
     table = EmbeddingTable(dim=7, vocab={f"w{i}": i for i in range(40)},
                            matrix=matrix)
@@ -309,7 +355,6 @@ VALID_LAYOUTS = {
     "crlf_and_blank_lines": "\r\n a 1 2\r\n\r\n   \r\nb 3 4\r\nc 5 6",
     "duplicates_keep_first": "a 1 2\nb 3 4\na 9 9\nb x y\na 7 8\n",
     "unicode_whitespace": "a 1　2\nb\xa03 4\nc 5\x0b6\n",
-    "inf_nan_spellings": "a inf -Infinity\nb NaN +nan\nc 1E400 -1e-400\n",
     "single_row_single_value": "only 42\n",
 }
 
@@ -324,6 +369,9 @@ BAD_LAYOUTS = {
     "ragged_duplicate_before_non_numeric": "a 1 2\na 1\nb 3 x\n",
     "comment_and_quote_chars": "a 1 2\nb #3 4\n",
     "hex_float": "a 0x1p3 2\n",
+    # each spelling parses, and each row but the last is not finite
+    "inf_nan_spellings": "a inf -Infinity\nb NaN +nan\nc 1E400 -1e-400\n"
+                         "d 1e-400 -1e-400\n",
     "empty_file": "",
     "blank_lines_only": "\n  \n\t\n",
 }
@@ -379,6 +427,9 @@ def test_glove_error_names_file_and_line(tmp_path):
 
 
 @pytest.mark.parametrize("body, message", [
+    ('{"id": "a", "layer": 1, "vectors": [[1.0], [NaN]]}', "not a finite"),
+    ('{"id": "a", "layer": 1, "vectors": [[-Infinity]]}', "not a finite"),
+    ('{"id": "a", "layer": 1, "vectors": [[1e400]]}', "not a finite"),
     ('{"id": "a", "layer": "x", "vectors": [[1.0]]}', "layer"),
     ('{"id": "a", "layer": 1, "vectors": [[1.0, 2.0], [3.0]]}',
      "equal-length rows"),
@@ -410,8 +461,8 @@ def test_precomputed_missing_id_is_integrity_error():
 def reference_load_kept(path, keep):
     """`reference_load_glove`, converting only the rows of tokens in `keep`.
 
-    Every row's value count is still checked; a non-numeric value on a
-    row that is not converted is not an error.
+    Every row's value count is still checked; a non-numeric or non-finite
+    value on a row that is not converted is not an error.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
@@ -436,6 +487,7 @@ def reference_load_kept(path, keep):
                 vec = np.array([float(v) for v in values])
             except ValueError:
                 raise ParseError("non-numeric vector value", line=line_num) from None
+            reference_finite(values, vec, line_num)
             vocab[token] = len(rows)
             rows.append(vec)
     if dim is None:
@@ -491,12 +543,44 @@ def test_count_errors_do_not_depend_on_keep(tmp_path, name):
     path.write_bytes(BAD_LAYOUTS[name].encode("utf-8"))
     with pytest.raises(ParseError) as full:
         load_glove(path)
-    if full.value.message.startswith("non-numeric"):
-        return
+    if full.value.message.startswith(("non-numeric", "vector value")):
+        return  # a value error, found only on a kept row
     for keep in (set(), set(file_tokens(BAD_LAYOUTS[name]))):
         with pytest.raises(ParseError) as kept:
             load_glove(path, keep=keep)
         assert str(kept.value) == str(full.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e400"])
+def test_non_finite_kept_value_names_its_line(tmp_path, value):
+    path = tmp_path / "v.txt"
+    path.write_text(f"a 1 2\nb 3 {value}\nc 4 5\n", encoding="utf-8")
+    for keep in (None, {"b"}, {"a", "b", "c"}):
+        with pytest.raises(ParseError) as exc:
+            load_glove(path, keep=keep)
+        assert str(exc.value) == \
+            f"{path}: line 2: vector value {value!r} is not a finite number"
+    # a row that is not kept is not parsed
+    table = load_glove(path, keep={"a", "c"})
+    assert table.vocab == {"a": 0, "c": 1}
+    # mean_vector's mean is over every row, so it keeps them all
+    with pytest.raises(ParseError, match="line 2: vector value"):
+        load_glove(path, unk_policy="mean_vector", keep={"a"})
+
+
+def test_non_finite_value_before_a_bad_row_is_named_first(tmp_path):
+    lines = [f"w{i} {i}.5 1" for i in range(3000)]
+    lines[1500] = "w1500 nan 1"
+    lines[2500] = "w2500 x 1"
+    path = tmp_path / "v.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_glove(path)
+    assert (exc.value.line, exc.value.message) == \
+        (1501, "vector value 'nan' is not a finite number")
+    lines[1500] = "w1500 x 1 nan"  # a bad count comes first in its line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_same_as_reference(path)
 
 
 def test_non_numeric_value_on_unread_row_loads(tmp_path):

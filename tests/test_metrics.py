@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from sil import metrics
 from sil.errors import ContractError, UndefinedCorrelationError
 from sil.metrics import (Interval, bootstrap_ceiling, bootstrap_ci, mse,
                          pearson, pearson_or_nan)
-from sil.seeding import rng_for
+from sil.seeding import derive_seed, rng_for
 
 
 def test_identity_series_correlate_perfectly():
@@ -172,7 +173,7 @@ def test_ceiling_matches_loop_with_one_replicate():
 @pytest.mark.parametrize("block_draws", [1, 40, 97, 1000])
 def test_ceiling_matches_loop_across_blocks(monkeypatch, block_draws):
     items = ragged_items(30, 13, seed=3, integer=False)
-    monkeypatch.setattr(metrics, "CEILING_BLOCK_DRAWS", block_draws)
+    monkeypatch.setattr(metrics, "BOOTSTRAP_BLOCK_DRAWS", block_draws)
     # 23 replicates never fill a whole number of these blocks
     assert bootstrap_ceiling(items, 23, seed=9) == \
         reference_bootstrap_ceiling(items, 23, seed=9)
@@ -212,12 +213,12 @@ def test_ceiling_matches_loop_property():
                       seed=st.integers(0, 2 ** 32 - 1),
                       block_draws=st.sampled_from([1, 16, 100, 1 << 18]))
     def check(items, B, seed, block_draws):
-        saved = metrics.CEILING_BLOCK_DRAWS
-        metrics.CEILING_BLOCK_DRAWS = block_draws
+        saved = metrics.BOOTSTRAP_BLOCK_DRAWS
+        metrics.BOOTSTRAP_BLOCK_DRAWS = block_draws
         try:
             got = outcome(bootstrap_ceiling, items, B, seed)
         finally:
-            metrics.CEILING_BLOCK_DRAWS = saved
+            metrics.BOOTSTRAP_BLOCK_DRAWS = saved
         assert got == outcome(reference_bootstrap_ceiling, items, B, seed)
 
     check()
@@ -290,3 +291,92 @@ def test_ci_bounds_are_quantiles_of_one_shared_stream():
     assert bootstrap_ci(groups, B=B, seed=seed) == \
         [expected[key] for key in sorted(groups)]
 
+
+
+def one_call_bootstrap_ci(groups, B, seed):
+    """`bootstrap_ci` as it was before it drew in blocks: all B x n
+    indices of a group in one call, then row means and the quantiles."""
+    stream = _stream(seed, "bootstrap-ci")
+    alpha = (1.0 - 0.95) / 2.0
+    rows = []
+    for key, values in groups.items():
+        values = np.asarray(values, dtype=np.float64)
+        n = len(values)
+        means = values[stream.integers(0, n, size=(B, n))].mean(axis=1)
+        lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
+        rows.append(Interval(key, n, float(values.mean()), float(lo),
+                             float(hi)))
+    return sorted(rows, key=lambda row: row.key)
+
+
+@pytest.mark.parametrize("sizes, B", [
+    ((1,), 50),             # one value: every index is 0
+    ((101, 7, 33), 257),    # odd sizes, and B not a multiple of a block
+    ((600, 200, 400), 1000),  # the minimal-pair groups: B x 600 > a block
+    ((3, 600), 1),          # one replicate
+])
+def test_ci_equals_the_one_call_draw(sizes, B):
+    rng = np.random.default_rng(len(sizes) * B)
+    groups = {(f"g{i}",): rng.uniform(1.0, 7.0, size=n)
+              for i, n in enumerate(sizes)}
+    assert bootstrap_ci(groups, B=B, seed=3) == \
+        one_call_bootstrap_ci(groups, B, 3)
+
+
+@pytest.mark.parametrize("block_draws", [1, 100, 601, 6000])
+def test_ci_equals_the_one_call_draw_across_blocks(monkeypatch, block_draws):
+    monkeypatch.setattr(metrics, "BOOTSTRAP_BLOCK_DRAWS", block_draws)
+    rng = np.random.default_rng(5)
+    groups = {("a",): rng.normal(size=600), ("b",): rng.normal(size=13),
+              ("c",): rng.normal(size=1)}
+    assert bootstrap_ci(groups, B=101, seed=8) == \
+        one_call_bootstrap_ci(groups, 101, 8)
+
+
+def test_ci_memory_does_not_grow_with_replicates():
+    values = {("g",): np.random.default_rng(0).uniform(1.0, 7.0, size=600)}
+
+    def peak_of(B):
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            bootstrap_ci(values, B=B, seed=0)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    # beyond the B means, 10 000 replicates hold what 1000 do; drawn at
+    # once they would hold 2 x 8 x 10 000 x 600 bytes
+    assert peak_of(10_000) - peak_of(1000) < 1 << 20
+
+
+# Coverage of the percentile interval. Each group size gets R groups drawn
+# from a population whose mean is known, and the share of intervals that
+# cover that mean must lie within 3 binomial standard errors of 95%:
+# R = 400 gives [0.917, 0.983]. R, B, the seed and the band were fixed
+# before the test was first run.
+COVERAGE_R = 400
+COVERAGE_BAND = (0.95 - 3 * math.sqrt(0.95 * 0.05 / COVERAGE_R),
+                 0.95 + 3 * math.sqrt(0.95 * 0.05 / COVERAGE_R))
+
+
+@pytest.mark.parametrize("n, population", [
+    # the minimal-pair groups: raw ratings, uniform on [1, 7], mean 4
+    (200, "ratings"), (400, "ratings"), (600, "ratings"),
+    # attention-sized groups: weights in (0, 1), skewed, Beta(2, 5),
+    # mean 2/7
+    (30, "weights"), (80, "weights"), (136, "weights"),
+])
+def test_ci_covers_the_population_mean(n, population):
+    rng = np.random.default_rng(derive_seed(n, population))
+    if population == "ratings":
+        draws, mean = rng.uniform(1.0, 7.0, size=(COVERAGE_R, n)), 4.0
+    else:
+        draws, mean = rng.beta(2.0, 5.0, size=(COVERAGE_R, n)), 2.0 / 7.0
+    rows = bootstrap_ci({(r,): draws[r] for r in range(COVERAGE_R)},
+                        B=1000, seed=n)
+    covered = sum(row.lo <= mean <= row.hi for row in rows) / COVERAGE_R
+    assert COVERAGE_BAND[0] <= covered <= COVERAGE_BAND[1], covered

@@ -380,7 +380,8 @@ def test_predict_report_shapes():
     config = small_config()
     params = init_params(config)
     x = np.random.default_rng(11).standard_normal((4, 3))
-    scores, attention = predict_batch([x], params, config)
+    scores, attention = predict_batch([len(x)], [x].__getitem__, params,
+                                      config)
     assert scores.shape == (1,)
     assert 0.0 < scores[0] < 1.0
     assert len(attention[0]) == 4
@@ -446,7 +447,8 @@ def test_kernel_eval_is_the_tape_forward(pooling):
                           use_attention=pooling == "attention", seed=3)
     params = init_params(config)
     inputs, _ = _ragged_batch(1)
-    scores, attention = predict_batch(inputs, params, config)
+    scores, attention = predict_batch([len(x) for x in inputs],
+                                      inputs.__getitem__, params, config)
     for i, x in enumerate(inputs):
         fp = forward(x, params, config)
         assert abs(scores[i] - float(fp.score.value)) <= 1e-12
@@ -510,7 +512,8 @@ def test_kernel_eval_is_batch_invariant():
     # more items than one chunk, so some share a chunk and some do not
     lengths = rng.integers(1, 25, size=PREDICT_CHUNK + 9)
     inputs = [rng.standard_normal((int(T), 3)) for T in lengths]
-    scores, attention = predict_batch(inputs, params, config)
+    scores, attention = predict_batch([len(x) for x in inputs],
+                                      inputs.__getitem__, params, config)
     for i in (0, 5, len(inputs) - 1):
         alone = run_batch([inputs[i]], params, config)
         pair = run_batch([inputs[i - 1], inputs[i]], params, config)
@@ -519,8 +522,71 @@ def test_kernel_eval_is_batch_invariant():
             assert abs(score - alone.scores[0]) <= 1e-12
             np.testing.assert_allclose(weights, alone.attention[0], rtol=0,
                                        atol=1e-12)
-    reordered, _ = predict_batch(inputs[::-1], params, config)
+    reordered, _ = predict_batch([len(x) for x in inputs[::-1]],
+                                 inputs[::-1].__getitem__, params, config)
     np.testing.assert_allclose(reordered[::-1], scores, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pooling", ["attention", "final_state"])
+def test_predict_batch_is_run_batch_over_sorted_chunks(pooling):
+    config = small_config(hidden_dim=5, use_attention=pooling == "attention",
+                          seed=8)
+    params = init_params(config)
+    rng = np.random.default_rng(13)
+    # ragged, with ties, and not a whole number of chunks
+    lengths = rng.integers(1, 40, size=2 * PREDICT_CHUNK + 11)
+    inputs = [rng.standard_normal((int(T), 3)) for T in lengths]
+    built = []
+
+    def build(i):
+        built.append(i)
+        return inputs[i]
+
+    scores, attention = predict_batch(lengths, build, params, config)
+    # the chunks by hand: a stable sort by decreasing length, cut every 32
+    order = sorted(range(len(inputs)), key=lambda i: -len(inputs[i]))
+    assert built == order  # each input built once, in the chunks' order
+    for start in range(0, len(order), PREDICT_CHUNK):
+        idx = order[start:start + PREDICT_CHUNK]
+        res = run_batch([inputs[i] for i in idx], params, config)
+        assert scores[idx].tobytes() == res.scores.tobytes()
+        if pooling == "attention":
+            for i, w in zip(idx, res.attention):
+                assert attention[i].tobytes() == w.tobytes()
+    assert (attention is None) == (pooling == "final_state")
+
+
+def test_predict_batch_holds_one_chunk_of_inputs():
+    config = small_config(input_dim=100, hidden_dim=4, seed=2)
+    params = init_params(config)
+    T = 10
+
+    def peak_of(n):
+        def build(i):
+            return np.full((T, 100), i / n)
+
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            predict_batch([T] * n, build, params, config)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    extra = (640 - 64) * T * 100 * 8  # the extra inputs, all embedded
+    assert peak_of(640) - peak_of(64) < 0.1 * extra
+
+
+def test_predict_batch_rejects_a_wrong_row_count():
+    config = small_config()
+    params = init_params(config)
+    inputs = [np.zeros((3, 3)), np.zeros((2, 3))]
+    with pytest.raises(ContractError,
+                       match="input 1 has 2 rows, but 4 were given"):
+        predict_batch([3, 4], inputs.__getitem__, params, config)
 
 
 def test_kernel_rejects_bad_batches():
@@ -822,6 +888,11 @@ def reference_parse_checkpoint(blob: bytes) -> tuple[ModelParams, ModelConfig]:
     missing = [n for n in expected if n not in tensors]
     if missing:
         raise IntegrityError(f"checkpoint lacks tensors: {', '.join(missing)}")
+    # the finite check, which the loader has had since
+    for name, tensor in tensors.items():
+        if not np.isfinite(tensor).all():
+            raise IntegrityError(
+                f"tensor {name!r} holds a value that is not finite")
     return ModelParams(tensors), config
 
 
@@ -870,6 +941,43 @@ def test_checkpoint_load_matches_reference_parser(tmp_path, kw):
             if other != name:
                 assert value.tobytes() == params.tensors[other].tobytes()
         tensor[...] = params.tensors[name]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["lstm.0.fw.W", "attn.v", "head.b"])
+def test_checkpoint_non_finite_tensor_names_file_and_tensor(tmp_path, name,
+                                                            bad):
+    config = small_config()
+    params = init_params(config)
+    path = tmp_path / "m.bin"
+    save_checkpoint(params, config, path)
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    offset = 8 + header_len
+    for n in params.names():
+        if n == name:
+            break
+        offset += params.tensors[n].nbytes
+    last = offset + params.tensors[name].nbytes - 8  # the tensor's last value
+    blob[last:last + 8] = struct.pack("<d", bad)
+    path.write_bytes(blob)
+    with pytest.raises(IntegrityError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == \
+        f"{path}: tensor {name!r} holds a value that is not finite"
+    assert_loads_as_reference(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_with_non_finite_tensor_is_not_written(tmp_path, bad):
+    config = small_config()
+    params = init_params(config)
+    params.tensors["head.b"][...] = bad
+    path = tmp_path / "m.bin"
+    with pytest.raises(NumericError, match="tensor 'head.b' holds a value "
+                                           "that is not finite"):
+        save_checkpoint(params, config, path)
+    assert not path.exists()
 
 
 def test_checkpoint_infinite_shape_is_a_bad_entry(tmp_path):

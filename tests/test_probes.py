@@ -182,10 +182,11 @@ def test_score_variants_cuts_long_variants_as_embedding_does():
     config = ModelConfig(input_dim=8, hidden_dim=3, dropout_rate=0.0, seed=1)
     params = init_params(config)
     scores = score_variants(subset, params, config, table)
-    cut, _ = predict_batch(
-        [np.vstack([table.lookup(t)
-                    for t in v.tokens()[:MAX_TARGET_TOKENS]])
-         for v in subset], params, config)
+    embedded = [np.vstack([table.lookup(t)
+                           for t in v.tokens()[:MAX_TARGET_TOKENS]])
+                for v in subset]
+    cut, _ = predict_batch([len(x) for x in embedded], embedded.__getitem__,
+                           params, config)
     np.testing.assert_allclose(scores, cut, rtol=0, atol=1e-12)
 
 

@@ -82,7 +82,8 @@ def test_evaluate_preserves_input_order(tiny_records, tiny_table):
     params = init_params(config.model)
     scores = evaluate(examples, params, config)
     assert scores.shape == (5,)
-    batch, _ = predict_batch([ex.embedded for ex in examples], params,
+    batch, _ = predict_batch([len(ex.embedded) for ex in examples],
+                             lambda i: examples[i].embedded, params,
                              config.model)
     assert scores.tobytes() == batch.tobytes()
     for ex, score in zip(examples, scores):
