@@ -54,14 +54,17 @@ _READ_CHUNK = 96 << 10
 
 @dataclass
 class EmbeddingTable:
-    """Immutable static token-vector table with a total lookup."""
+    """Static token-vector table; `row_ids` maps tokens to row ids, and
+    indexing the table with an id array gives their vectors. The id
+    `len(matrix)` is the zero or mean vector of an unknown token, held
+    beside the matrix so that the matrix is never copied to add it."""
 
     dim: int
     vocab: dict[str, int]
     matrix: np.ndarray
     unk_policy: str = "zero_vector"
     sha256: str | None = None  # of the file the table was loaded from
-    _mean: np.ndarray | None = field(default=None, repr=False)
+    _fill: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.unk_policy not in UNK_POLICIES:
@@ -74,19 +77,31 @@ class EmbeddingTable:
             raise ContractError(
                 f"unk_token policy requires {UNK_TOKEN!r} in the vocabulary")
 
+    def row_ids(self, tokens) -> np.ndarray:
+        """The row id of each token; unknowns follow unk_policy."""
+        unknown = (self.vocab[UNK_TOKEN] if self.unk_policy == "unk_token"
+                   else len(self.matrix))
+        return np.array([self.vocab.get(t, unknown) for t in tokens],
+                        dtype=np.intp)
+
+    def __getitem__(self, ids) -> np.ndarray:
+        """The (len(ids), dim) vectors of row ids `ids`, in their order."""
+        ids = np.asarray(ids, dtype=np.intp)
+        fill = ids == len(self.matrix)
+        if not fill.any():
+            return self.matrix[ids]
+        if self._fill is None:  # the mean is over every row of the matrix
+            self._fill = (self.matrix.mean(axis=0)
+                          if self.unk_policy == "mean_vector"
+                          else np.zeros(self.dim))
+        out = np.empty((len(ids), self.dim))
+        out[~fill] = self.matrix[ids[~fill]]
+        out[fill] = self._fill
+        return out
+
     def lookup(self, token: str) -> np.ndarray:
         """Vector for `token`; never fails (unknowns follow unk_policy)."""
-        row = self.vocab.get(token)
-        if row is not None:
-            return self.matrix[row]
-        if self.unk_policy == "zero_vector":
-            return np.zeros(self.dim)
-        if self.unk_policy == "unk_token":
-            return self.matrix[self.vocab[UNK_TOKEN]]
-        if self._mean is None:
-            # cache; cheap relative to load and keeps lookup deterministic
-            object.__setattr__(self, "_mean", self.matrix.mean(axis=0))
-        return self._mean
+        return self[self.row_ids([token])][0]
 
     def __contains__(self, token: str) -> bool:
         return token in self.vocab
@@ -94,18 +109,18 @@ class EmbeddingTable:
 
 @dataclass
 class PrecomputedEmbeddings:
-    """Offline-computed contextual vectors, one row per target token."""
+    """Offline-computed contextual vectors, one row per target token:
+    `matrix` stacks every utterance's rows, `rows` maps an utterance id
+    to its range of them, and indexing the source gives matrix rows."""
 
     dim: int
     layer_id: int
-    table: dict[str, np.ndarray]
+    matrix: np.ndarray
+    rows: dict[str, range]
     sha256: str | None = None  # of the file the vectors were loaded from
 
-    def vectors_for(self, utterance_id: str) -> np.ndarray:
-        if utterance_id not in self.table:
-            raise KeyError(
-                f"no precomputed vectors for utterance {utterance_id!r}")
-        return self.table[utterance_id]
+    def __getitem__(self, ids) -> np.ndarray:
+        return self.matrix[ids]
 
 
 def load_glove(path, unk_policy: str = "zero_vector",
@@ -430,7 +445,11 @@ def load_precomputed(path) -> PrecomputedEmbeddings:
 
 
 def _parse_precomputed(path: Path, lines) -> PrecomputedEmbeddings:
-    table: dict[str, np.ndarray] = {}
+    """Each utterance's vectors go into one buffer as they are parsed, and
+    the matrix is a view of it, so the vectors are never held twice."""
+    buffer = bytearray()
+    rows: dict[str, range] = {}
+    total = 0  # rows in the buffer
     dim = None
     layer_id = None
     for line_num, line in enumerate(lines, start=1):
@@ -454,7 +473,7 @@ def _parse_precomputed(path: Path, lines) -> PrecomputedEmbeddings:
             raise ParseError("utterance id must be a string",
                              line=line_num, path=path)
         try:
-            arr = np.array(vectors, dtype=float)
+            arr = np.array(vectors, dtype=np.float64)
         except (TypeError, ValueError):
             arr = None  # ragged rows or non-numeric values
         if arr is None or arr.ndim != 2:
@@ -473,38 +492,39 @@ def _parse_precomputed(path: Path, lines) -> PrecomputedEmbeddings:
             if layer != layer_id:
                 raise ParseError(f"layer {layer} != file layer {layer_id}",
                                  line=line_num, path=path)
-        if rid in table:
+        if rid in rows:
             raise ParseError(f"duplicate utterance id {rid!r}",
                              line=line_num, path=path)
-        table[rid] = arr
+        rows[rid] = range(total, total + len(arr))
+        total += len(arr)
+        buffer += arr.data
     if dim is None:
         raise ParseError("empty precomputed-embedding file", line=1, path=path)
-    return PrecomputedEmbeddings(dim=dim, layer_id=layer_id, table=table)
+    matrix = np.frombuffer(buffer, dtype=np.float64).reshape(total, dim)
+    return PrecomputedEmbeddings(dim=dim, layer_id=layer_id, matrix=matrix,
+                                 rows=rows)
 
 
 def save_precomputed(embeddings: PrecomputedEmbeddings, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for rid in sorted(embeddings.table):
+        for rid in sorted(embeddings.rows):
+            span = embeddings.rows[rid]
             obj = {"id": rid, "layer": embeddings.layer_id,
-                   "vectors": embeddings.table[rid].tolist()}
+                   "vectors": embeddings.matrix[span.start:span.stop].tolist()}
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def input_rows(record, source, with_context: bool = False) -> int:
-    """The row count of `embed_utterance(record, source, with_context)`.
+def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
+    """Row ids of one record's input in `source`; `corpus.truncate` cuts
+    the record first.
 
-    Every check that `embed_utterance` makes is made here, with the same
-    error, but no matrix is built.
-    """
-    return _checked_record(record, source, with_context)[1]
-
-
-def _checked_record(record, source, with_context: bool):
-    """`record` as `corpus.truncate` cuts it, and its input's row count.
-
-    Raises ContractError for with_context on precomputed vectors, and
-    IntegrityError for an utterance they lack or hold a wrong row count
-    for.
+    Static tables give the ids of the context + target tokens (context
+    prepended when with_context is set). Precomputed sources hold one row
+    per token of the whole target, computed offline with whatever context
+    the encoder saw, so with_context is rejected for them (ContractError).
+    An utterance they lack, or whose rows do not number the untruncated
+    target's tokens (`features.utterance_length`), is an IntegrityError;
+    a cut target takes the rows of the tokens it kept.
     """
     record = truncate(record, with_context=with_context)
     if isinstance(source, PrecomputedEmbeddings):
@@ -512,38 +532,20 @@ def _checked_record(record, source, with_context: bool):
             raise ContractError(
                 "precomputed vectors already reflect their context; "
                 "with_context applies to GloVe tables only")
-        try:
-            vectors = source.vectors_for(record.id)
-        except KeyError:
+        span = source.rows.get(record.id)
+        if span is None:
             raise IntegrityError(
-                f"no precomputed vectors for utterance {record.id!r}") from None
-        if vectors.shape[0] != record.features.utterance_length:
+                f"no precomputed vectors for utterance {record.id!r}")
+        if len(span) != record.features.utterance_length:
             raise IntegrityError(
-                f"utterance {record.id!r}: {vectors.shape[0]} precomputed "
+                f"utterance {record.id!r}: {len(span)} precomputed "
                 f"vectors for {record.features.utterance_length} tokens")
-        return record, len(record.tokens)
-    return record, len(record.tokens) + (
-        len(record.context_tokens) if with_context else 0)
-
-
-def embed_utterance(record, source, with_context: bool = False) -> np.ndarray:
-    """Input matrix for one record, which `corpus.truncate` cuts first.
-
-    Static tables look up context + target tokens (context prepended when
-    with_context is set). Precomputed sources hold one row per token of
-    the whole target, computed offline with whatever context the encoder
-    saw, so with_context is rejected for them. The rows must number the
-    untruncated target's tokens (`features.utterance_length`); a cut
-    target takes the rows of the tokens it kept. `input_rows` gives the
-    row count, and makes the same checks.
-    """
-    record, rows = _checked_record(record, source, with_context)
-    if isinstance(source, PrecomputedEmbeddings):
-        return source.vectors_for(record.id)[:rows]
-    tokens = list(record.tokens)
+        return np.arange(span.start, span.start + len(record.tokens),
+                         dtype=np.intp)
+    tokens = record.tokens
     if with_context:
-        tokens = list(record.context_tokens) + tokens
-    return np.vstack([source.lookup(t) for t in tokens])
+        tokens = [*record.context_tokens, *tokens]
+    return source.row_ids(tokens)
 
 
 _PUNCT = set(string.punctuation)

@@ -7,12 +7,15 @@ two directions' final states; an affine head with a logistic sigmoid maps
 the pooled vector to a score in (0, 1). `ModelConfig.use_attention`
 alone decides the pooling, so a loaded model pools as it was trained.
 
-`run_batch` is the production path: one call packs a batch of ragged
-sequences and runs forward and, in train mode, hand-written backward
+`run_batch` is the production path. Its inputs are arrays of row ids
+into one vector matrix (`embeddings.embed_utterance` makes them), and
+one call gathers a batch's rows straight into a packed layout of ragged
+sequences, then runs forward and, in train mode, hand-written backward
 code over whole sequences, with the same products in both modes.
-`forward` builds the same model per item on the autodiff tape and is
-kept as the reference that tests compare the kernel against (to 1e-12:
-a product over a batch rounds differently from one over a single item).
+`forward` builds the same model per item on the autodiff tape from a
+T x input_dim matrix, and is kept as the reference that tests compare
+the kernel against (to 1e-12: a product over a batch rounds differently
+from one over a single item).
 The tape is imported only inside `forward` and `lstm_cell`, so no
 command that scores or trains loads it.
 """
@@ -243,17 +246,6 @@ def _attention_nodes(h_mat: Node, attn_w: Node, attn_v: Node):
     return weights, pooled
 
 
-def _checked_input(embedded, config: ModelConfig) -> np.ndarray:
-    embedded = np.asarray(embedded, dtype=np.float64)
-    if embedded.ndim != 2 or embedded.shape[0] < 1:
-        raise ContractError("embedded input must be a nonempty T x D matrix")
-    if embedded.shape[1] != config.input_dim:
-        raise ContractError(
-            f"embedding width {embedded.shape[1]} != input_dim "
-            f"{config.input_dim}")
-    return embedded
-
-
 def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
             train: bool = False, rng=None) -> ForwardPass:
     """Run the encoder on one utterance's embedding matrix (T x input_dim).
@@ -266,7 +258,13 @@ def forward(embedded: np.ndarray, params: ModelParams, config: ModelConfig,
     """
     from .autodiff import concat, constant, parameter, stack
 
-    embedded = _checked_input(embedded, config)
+    embedded = np.asarray(embedded, dtype=np.float64)
+    if embedded.ndim != 2 or embedded.shape[0] < 1:
+        raise ContractError("embedded input must be a nonempty T x D matrix")
+    if embedded.shape[1] != config.input_dim:
+        raise ContractError(
+            f"embedding width {embedded.shape[1]} != input_dim "
+            f"{config.input_dim}")
     if train and config.dropout_rate > 0.0 and rng is None:
         raise ContractError("train-mode forward needs an rng for dropout")
 
@@ -377,12 +375,13 @@ class _Packing:
         self.steps = {"fw": [prev(t, t - 1) for t in range(T)],
                       "bw": [prev(t, t + 1) for t in reversed(range(T))]}
 
-    def pack(self, items: list[np.ndarray]) -> np.ndarray:
-        """Stack per-item (T_i x d) arrays, given in input order."""
-        out = np.empty((self.total, items[0].shape[1]))
+    def gather(self, matrix, ids: list[np.ndarray]) -> np.ndarray:
+        """The packed input: `matrix` indexed once by every input's row
+        ids (`ids[i]`, in input order), each at its packed rows."""
+        packed = np.empty(self.total, dtype=np.intp)
         for k, i in enumerate(self.order):
-            out[self.item_rows[k]] = items[i]
-        return out
+            packed[self.item_rows[k]] = ids[i]
+        return np.asarray(matrix[packed], dtype=np.float64)
 
     def predecessor(self, direction: str, values: np.ndarray) -> np.ndarray:
         """Each row's value at its sequence's previous step, zero at the first."""
@@ -464,9 +463,13 @@ def _lstm_backward(dH, G, C, TC, U, packing, direction) -> np.ndarray:
     return G
 
 
-def run_batch(inputs, params: ModelParams, config: ModelConfig,
-              targets=None, rng=None, ids=None, on_grad=None) -> BatchPass:
-    """Score a batch of ragged (T_i x input_dim) inputs in one pass.
+def run_batch(matrix, ids, params: ModelParams, config: ModelConfig,
+              targets=None, rng=None, names=None, on_grad=None) -> BatchPass:
+    """Score a batch of ragged inputs in one pass.
+
+    Input i is `matrix[ids[i]]`, the rows at its nonempty array of row ids
+    of a (V x input_dim) float64 matrix or of a vector source indexed the
+    same way; one indexing gathers them straight into the packed batch.
 
     With `targets` the call runs in train mode: inverted dropout on every
     non-final biLSTM layer (masks drawn item by item in batch order, one
@@ -474,7 +477,7 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     squared-error losses, and the gradients of their sum w.r.t. every
     parameter. `config.use_attention` selects the pooling. Raises
     NumericError for a non-finite loss, naming the item, or gradient,
-    naming the parameter and every item of the batch; `ids` name the
+    naming the parameter and every item of the batch; `names` name the
     inputs there (default: their batch positions).
 
     Gradients go out in a fixed order: head.w and head.b, attn.v and
@@ -493,20 +496,23 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
 
     Train mode keeps each layer's packed input and output and each
     direction's gates, cells and tanh(cells) until that layer's backward
-    has run, then frees them; the dropout masks are kept packed only.
-    `_lstm_backward` writes its gradients over the gates, so a direction's
-    backward allocates no (rows x 4H) array.
+    has run, then frees them; each dropout mask is written straight into
+    its packed rows as it is drawn. `_lstm_backward` writes its gradients
+    over the gates, so a direction's backward allocates no (rows x 4H)
+    array.
     """
-    inputs = [_checked_input(x, config) for x in inputs]
-    if not inputs:
+    ids = [np.asarray(item, dtype=np.intp) for item in ids]
+    if not ids:
         raise ContractError("run_batch needs at least one input")
-    names = list(range(len(inputs)) if ids is None else ids)
-    if len(names) != len(inputs):
-        raise ContractError("need exactly one id per input")
+    if any(item.ndim != 1 or len(item) == 0 for item in ids):
+        raise ContractError("each input needs a nonempty 1-D array of row ids")
+    names = list(range(len(ids)) if names is None else names)
+    if len(names) != len(ids):
+        raise ContractError("need exactly one name per input")
     train = targets is not None
     if train:
         targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != (len(inputs),):
+        if targets.shape != (len(ids),):
             raise ContractError("need exactly one target per input")
     p = config.dropout_rate
     use_dropout = train and p > 0.0 and config.num_layers > 1
@@ -516,17 +522,21 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
     P = params.tensors
     H = config.hidden_dim
     L = config.num_layers
-    packing = _Packing(np.array([x.shape[0] for x in inputs]))
+    lengths = [len(item) for item in ids]
+    packing = _Packing(np.array(lengths))
     order, item_rows = packing.order, packing.item_rows
-    masks = []
+    X = packing.gather(matrix, ids)
+    if X.shape[1] != config.input_dim:
+        raise ContractError(
+            f"embedding width {X.shape[1]} != input_dim {config.input_dim}")
     if use_dropout:
-        drawn = [[(rng.random((x.shape[0], 2 * H)) >= p) / (1.0 - p)
-                  for _ in range(L - 1)] for x in inputs]
-        masks = [packing.pack([d[layer] for d in drawn])
-                 for layer in range(L - 1)]
-        del drawn
+        masks = np.empty((L - 1, packing.total, 2 * H))
+        rank = np.argsort(order)  # each input's place in the packing order
+        for i, T in enumerate(lengths):
+            for mask in masks:
+                mask[item_rows[rank[i]]] = (
+                    (rng.random((T, 2 * H)) >= p) / (1.0 - p))
 
-    X = packing.pack(inputs)
     # train mode keeps, per layer, the input, the output and each
     # direction's (G, C, TC) until that layer's backward has run; eval
     # keeps nothing
@@ -545,10 +555,10 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
                 states[d] = (G, C, TC)
         if train:
             layers.append((X, out, states))
-        X = out * masks[layer] if layer < L - 1 and masks else out
+        X = out * masks[layer] if use_dropout and layer < L - 1 else out
     top = X
 
-    N = len(inputs)
+    N = len(ids)
     attend = config.use_attention
     if attend:
         # scores over all packed rows at once; an item's rows are strided,
@@ -638,7 +648,7 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
             emit(f"{prefix}.b", dZ.sum(axis=0))
             del dZ
         if layer > 0:
-            if masks:
+            if use_dropout:
                 dX *= masks[layer - 1]
             dH = dX
 
@@ -646,42 +656,27 @@ def run_batch(inputs, params: ModelParams, config: ModelConfig,
                      grads=grads if on_grad is None else None)
 
 
-def predict_batch(rows, build, params: ModelParams, config: ModelConfig
+def predict_batch(matrix, ids, params: ModelParams, config: ModelConfig
                   ) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Eval-mode scores and attention weights for any number of inputs.
 
-    `rows[i]` is input i's row count, and `build(i)` makes input i. The
-    inputs are sorted by row count and run `PREDICT_CHUNK` at a time, so
-    each chunk packs items of similar length; an input is built only
-    when its chunk runs, so no more than one chunk of inputs is held at
-    once. Raises ContractError for a built input whose row count is not
-    the one given. Results come back in input order. Attention is None
-    for a model built without attention.
+    Input i is `matrix[ids[i]]`, as in `run_batch`. The inputs are sorted
+    by row count and run `PREDICT_CHUNK` at a time, so each chunk packs
+    items of similar length, and only one chunk's rows are gathered at
+    once. Results come back in input order. Attention is None for a model
+    built without attention.
     """
-    rows = list(rows)
-    order = sorted(range(len(rows)), key=lambda i: -rows[i])
-    scores = np.empty(len(rows))
-    attention = [None] * len(rows) if config.use_attention else None
+    order = sorted(range(len(ids)), key=lambda i: -len(ids[i]))
+    scores = np.empty(len(ids))
+    attention = [None] * len(ids) if config.use_attention else None
     for start in range(0, len(order), PREDICT_CHUNK):
         idx = order[start:start + PREDICT_CHUNK]
-        res = run_batch(_built(idx, rows, build), params, config)
+        res = run_batch(matrix, [ids[i] for i in idx], params, config)
         scores[idx] = res.scores
         if attention is not None:
             for i, w in zip(idx, res.attention):
                 attention[i] = w
     return scores, attention
-
-
-def _built(idx, rows, build) -> list:
-    """The inputs `build(i)` for i in `idx`, each checked against `rows[i]`."""
-    batch = []
-    for i in idx:
-        x = build(i)
-        if len(x) != rows[i]:
-            raise ContractError(
-                f"input {i} has {len(x)} rows, but {rows[i]} were given")
-        batch.append(x)
-    return batch
 
 
 # ---------------------------------------------------------------------------

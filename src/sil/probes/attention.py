@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..embeddings import embed_utterance, input_rows
+from ..embeddings import embed_utterance
 from ..errors import ContractError
 from ..metrics import Interval, bootstrap_ci
 from ..model import predict_batch
@@ -27,9 +27,8 @@ def attention_for_records(records, params, config, source) -> dict[str, np.ndarr
                             "has no attention weights")
     records = list(records)
     # every record is checked, in order, before the first is scored
-    rows = [input_rows(record, source) for record in records]
-    _, attention = predict_batch(
-        rows, lambda i: embed_utterance(records[i], source), params, config)
+    ids = [embed_utterance(record, source) for record in records]
+    _, attention = predict_batch(source, ids, params, config)
     return {record.id: w for record, w in zip(records, attention)}
 
 

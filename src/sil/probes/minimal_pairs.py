@@ -173,11 +173,9 @@ def score_variants(variants, params, config, table) -> np.ndarray:
     """Eval-mode model scores in [0, 1] for each variant's tokenization,
     cut to its first MAX_TARGET_TOKENS tokens as `embed_utterance` cuts a
     corpus target."""
-    tokens = [variant.tokens()[:MAX_TARGET_TOKENS] for variant in variants]
-    scores, _ = predict_batch(
-        [len(t) for t in tokens],
-        lambda i: np.vstack([table.lookup(t) for t in tokens[i]]),
-        params, config)
+    ids = [table.row_ids(variant.tokens()[:MAX_TARGET_TOKENS])
+           for variant in variants]
+    scores, _ = predict_batch(table, ids, params, config)
     return scores
 
 

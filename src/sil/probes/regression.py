@@ -154,13 +154,11 @@ def _lstsq_stacked(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     from numpy.linalg import _umath_linalg
 
     n, p = X.shape[-2:]
-    gufunc = getattr(_umath_linalg, "lstsq", None)
-    if gufunc is None:  # numpy 1.x names the two output shapes apart
-        gufunc = _umath_linalg.lstsq_m if n <= p else _umath_linalg.lstsq_n
     rcond = np.finfo(np.float64).eps * max(n, p)
     with np.errstate(call=_raise_lstsq_failure, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        beta, *_ = gufunc(X, y[..., None], rcond, signature="ddd->ddid")
+        beta, *_ = _umath_linalg.lstsq(X, y[..., None], rcond,
+                                       signature="ddd->ddid")
     return beta[..., 0]
 
 

@@ -1,10 +1,12 @@
 """Training loop (Adam on MSE), 5-fold grid search, out-of-fold prediction.
 
-Each minibatch is one call of the batched kernel `model.run_batch`: it
-packs the batch's ragged sequences by length (no padding), runs the biLSTM
-over whole sequences and hands out the gradients summed over the batch,
-which are averaged before each tensor's Adam update. Evaluation scores
-examples in fixed-size chunks through `model.predict_batch`.
+An example holds its input as row ids into its source's vector matrix,
+so a run holds each distinct vector once. Each minibatch is one call of
+the batched kernel `model.run_batch`: it gathers and packs the batch's
+ragged sequences by length (no padding), runs the biLSTM over whole
+sequences and hands out the gradients summed over the batch, which are
+averaged before each tensor's Adam update. Evaluation scores examples in
+fixed-size chunks through `model.predict_batch`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .seeding import derive_seed, rng_for
 
 @dataclass
 class Example:
-    """One training item: embedded tokens plus rescaled target."""
+    """One training item: its input's row ids plus rescaled target."""
 
     id: str
-    embedded: np.ndarray
+    rows: np.ndarray
     target: float
 
 
@@ -73,19 +75,18 @@ class LearningCurve:
 
 def examples_from_records(records, source, with_context: bool = False
                           ) -> list[Example]:
-    """Embed each record (`embed_utterance` truncates it) and rescale its
-    mean rating into a trainer-ready example, in record order."""
+    """Each record's row ids in `source` (`embed_utterance` truncates and
+    checks it) and rescaled mean rating as an example, in record order."""
     return [Example(id=record.id,
-                    embedded=embed_utterance(record, source, with_context),
+                    rows=embed_utterance(record, source, with_context),
                     target=rescale_rating(record.mean_rating))
             for record in records]
 
 
-def evaluate(examples: list[Example], params: ModelParams,
+def evaluate(matrix, examples: list[Example], params: ModelParams,
              config: TrainConfig) -> np.ndarray:
-    """Eval-mode scores for examples, in input order."""
-    scores, _ = predict_batch([len(ex.embedded) for ex in examples],
-                              lambda i: examples[i].embedded, params,
+    """Eval-mode scores for examples with rows in `matrix`, in order."""
+    scores, _ = predict_batch(matrix, [ex.rows for ex in examples], params,
                               config.model)
     return scores
 
@@ -98,9 +99,11 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
-def train(train_examples: list[Example], valid_examples: list[Example],
-          config: TrainConfig) -> tuple[ModelParams, LearningCurve]:
-    """Minibatch Adam on MSE over rescaled ratings.
+def train(matrix, train_examples: list[Example],
+          valid_examples: list[Example], config: TrainConfig
+          ) -> tuple[ModelParams, LearningCurve]:
+    """Minibatch Adam on MSE over rescaled ratings of examples with rows
+    in `matrix` (a width other than input_dim is a ContractError).
 
     Shuffles per epoch with a seeded stream, records train MSE and
     validation Pearson r per epoch, and returns the parameters from the
@@ -122,11 +125,6 @@ def train(train_examples: list[Example], valid_examples: list[Example],
     """
     if not train_examples:
         raise ContractError("train set must be nonempty")
-    width = train_examples[0].embedded.shape[1]
-    if width != config.model.input_dim:
-        raise ContractError(
-            f"examples have width {width}, model expects "
-            f"{config.model.input_dim}")
 
     params = init_params(config.model)
     state = AdamState.for_params(params.tensors, lr=config.lr)
@@ -156,9 +154,9 @@ def train(train_examples: list[Example], valid_examples: list[Example],
                          for i in order[start:start + config.batch_size]]
                 size = len(batch)
                 result = run_batch(
-                    [ex.embedded for ex in batch], params, config.model,
+                    matrix, [ex.rows for ex in batch], params, config.model,
                     targets=[ex.target for ex in batch], rng=dropout_rng,
-                    ids=[ex.id for ex in batch], on_grad=on_grad)
+                    names=[ex.id for ex in batch], on_grad=on_grad)
                 sq_errors.extend(result.losses.tolist())
                 if on_grad is None:
                     grads = result.grads
@@ -178,7 +176,7 @@ def train(train_examples: list[Example], valid_examples: list[Example],
             break
         valid_r = float("nan")
         if valid_examples:
-            scores = evaluate(valid_examples, params, config)
+            scores = evaluate(matrix, valid_examples, params, config)
             targets = np.array([ex.target for ex in valid_examples])
             valid_r = pearson_or_nan(scores, targets)
         curve.epochs.append(EpochStats(train_mse=train_mse, valid_r=valid_r))
@@ -228,9 +226,9 @@ def fold_config(config: TrainConfig, seed: int, fold: int) -> TrainConfig:
 
 def _train_fold(args) -> tuple[int, int, float, str | None]:
     """Worker task: train one (grid point, fold) pair, return its best r."""
-    point_idx, fold_idx, train_ex, heldout_ex, config = args
+    point_idx, fold_idx, matrix, train_ex, heldout_ex, config = args
     try:
-        _, curve = train(train_ex, heldout_ex, config)
+        _, curve = train(matrix, train_ex, heldout_ex, config)
         if curve.aborted:
             return point_idx, fold_idx, float("nan"), curve.aborted
         return point_idx, fold_idx, curve.best_valid_r(), None
@@ -243,9 +241,10 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
     """Grid search scored by mean held-out Pearson r over the given folds.
 
     `records` must already be restricted to the training split (no test
-    leakage). `sources` maps embedding names to lookup sources; `folds`
+    leakage). `sources` maps embedding names to vector sources; `folds`
     is the kfold output shared by every grid point, and each point's folds
-    train with its config under `fold_config`. Failures are captured
+    train with its config under `fold_config`; a fold task carries its
+    point's source and the examples' row ids. Failures are captured
     per configuration without stopping the sweep. Results are sorted by
     mean r descending, ties broken by smaller hidden_dim, lower dropout,
     then grid order. `workers` (--workers) processes run the fold tasks
@@ -280,8 +279,8 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
         for f_idx, (train_ids, heldout_ids) in enumerate(folds):
             train_ex = [pool[i] for i in train_ids if i in pool]
             heldout_ex = [pool[i] for i in heldout_ids if i in pool]
-            tasks.append((p_idx, f_idx, train_ex, heldout_ex,
-                          fold_config(point.config, seed, f_idx)))
+            tasks.append((p_idx, f_idx, sources[point.embedding], train_ex,
+                          heldout_ex, fold_config(point.config, seed, f_idx)))
 
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -317,9 +316,10 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
     return [results[i] for i in order]
 
 
-def cv_predict(examples: list[Example], config: TrainConfig, k: int = 6,
-               seed: int = 0) -> dict[str, float]:
-    """One out-of-fold score per example id, for a fixed configuration.
+def cv_predict(matrix, examples: list[Example], config: TrainConfig,
+               k: int = 6, seed: int = 0) -> dict[str, float]:
+    """One out-of-fold score per example id (rows in `matrix`), for a
+    fixed configuration.
 
     Each fold's model trains on the other folds with no validation set,
     so the final epoch's parameters are used (no held-out peeking).
@@ -330,11 +330,13 @@ def cv_predict(examples: list[Example], config: TrainConfig, k: int = 6,
     scores: dict[str, float] = {}
     for f_idx, (train_ids, heldout_ids) in enumerate(kfold(examples, k, seed)):
         fold_cfg = fold_config(config, seed, f_idx)
-        params, curve = train([by_id[i] for i in train_ids], [], fold_cfg)
+        params, curve = train(matrix, [by_id[i] for i in train_ids], [],
+                              fold_cfg)
         if curve.aborted:
             raise NumericError(
                 f"fold {f_idx} aborted: {curve.aborted}")
         heldout = [by_id[i] for i in heldout_ids]
-        for ex, score in zip(heldout, evaluate(heldout, params, fold_cfg)):
+        for ex, score in zip(heldout,
+                             evaluate(matrix, heldout, params, fold_cfg)):
             scores[ex.id] = float(score)
     return scores

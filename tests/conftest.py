@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sil.corpus import FeatureVector, UtteranceRecord
-from sil.embeddings import EmbeddingTable
+from sil.embeddings import EmbeddingTable, PrecomputedEmbeddings
 from sil.seeding import derive_seed
 
 try:
@@ -52,6 +52,30 @@ def make_table(tokens, dim: int = 8,
             rows.append(token_vector(t, dim))
     return EmbeddingTable(dim=dim, vocab=vocab, matrix=np.vstack(rows),
                           unk_policy=unk_policy)
+
+
+def make_precomputed(table: dict,
+                     layer_id: int = 0) -> PrecomputedEmbeddings:
+    """A precomputed source holding `table`'s {utterance id: (T, d) rows}."""
+    matrix = np.vstack(list(table.values()))
+    ends = np.cumsum([len(x) for x in table.values()]).tolist()
+    return PrecomputedEmbeddings(
+        dim=matrix.shape[1], layer_id=layer_id, matrix=matrix,
+        rows={rid: range(end - len(x), end)
+              for (rid, x), end in zip(table.items(), ends)})
+
+
+def vectors_of(source: PrecomputedEmbeddings, rid: str) -> np.ndarray:
+    """The rows that precomputed `source` holds for utterance `rid`."""
+    span = source.rows[rid]
+    return source.matrix[span.start:span.stop]
+
+
+def stacked(inputs) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ragged (T_i x d) inputs as one matrix, and each input's row ids."""
+    ends = np.cumsum([len(x) for x in inputs]).tolist()
+    return (np.vstack(inputs),
+            [np.arange(end - len(x), end) for x, end in zip(inputs, ends)])
 
 
 def make_records(n: int = 24, seed: int = 0, with_context: bool = False,

@@ -20,13 +20,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import corpus_records, make_records, vocab_of, write_glove
+from conftest import (corpus_records, make_precomputed, make_records,
+                      vocab_of, write_glove)
 
 import sil
 from sil.cli import (COMMANDS, FLAGS, PAPER_GRID, _grid_entry_problem,
                      _grid_points, _parse_grid, build_parser, main)
 from sil.corpus import COLUMNS, parse_corpus, write_corpus
-from sil.embeddings import PrecomputedEmbeddings, save_precomputed
+from sil.embeddings import save_precomputed
 from sil.errors import ContractError, ValidationError
 from sil.model import load_checkpoint
 
@@ -1401,10 +1402,9 @@ def test_bad_grid_entry_exits_one(workspace, tmp_path, capsys, bad, named):
 
 def _tune_precomputed(workspace, tmp_path):
     rng = np.random.default_rng(3)
-    source = PrecomputedEmbeddings(
-        dim=8, layer_id=0,
-        table={r.id: rng.standard_normal((len(r.tokens), 8))
-               for r in workspace["records"]})
+    source = make_precomputed(
+        {r.id: rng.standard_normal((len(r.tokens), 8))
+         for r in workspace["records"]})
     path = tmp_path / "pc.jsonl"
     save_precomputed(source, path)
     grid = tmp_path / "grid.json"
@@ -1769,9 +1769,8 @@ def test_checkpoint_tensors_must_fit_config(workspace, trained, tmp_path,
 def test_missing_precomputed_id_exits_one(workspace, trained, tmp_path,
                                           capsys):
     records = workspace["records"]
-    source = PrecomputedEmbeddings(
-        dim=8, layer_id=0,
-        table={r.id: np.ones((len(r.tokens), 8)) for r in records[:-1]})
+    source = make_precomputed(
+        {r.id: np.ones((len(r.tokens), 8)) for r in records[:-1]})
     path = tmp_path / "pc.jsonl"
     save_precomputed(source, path)
     rc = main(["eval", "--model", str(trained),
@@ -1792,10 +1791,9 @@ def test_first_missing_precomputed_id_is_named(workspace, trained, tmp_path,
     first, later = next((i, j) for i in range(len(records))
                         for j in range(i + 1, len(records))
                         if len(records[j].tokens) > len(records[i].tokens))
-    source = PrecomputedEmbeddings(
-        dim=8, layer_id=0,
-        table={r.id: np.ones((len(r.tokens), 8)) for k, r
-               in enumerate(records) if k not in (first, later)})
+    source = make_precomputed(
+        {r.id: np.ones((len(r.tokens), 8)) for k, r in enumerate(records)
+         if k not in (first, later)})
     path = tmp_path / "pc.jsonl"
     save_precomputed(source, path)
     rc = main([command, "--model", str(trained),
@@ -1855,8 +1853,7 @@ def test_non_finite_precomputed_value_exits_one(workspace, trained, tmp_path,
     table = {r.id: np.ones((len(r.tokens), 8)) for r in records}
     table[records[3].id][1, 2] = np.nan
     path = tmp_path / "pc.jsonl"
-    save_precomputed(PrecomputedEmbeddings(dim=8, layer_id=0, table=table),
-                     path)
+    save_precomputed(make_precomputed(table), path)
     line = sorted(table).index(records[3].id) + 1
     rc = main(["eval", "--model", str(trained),
                "--corpus", str(workspace["corpus"]),
@@ -1983,33 +1980,30 @@ def test_grid_entry_out_of_range_exits_one(workspace, tmp_path, capsys, bad,
 
 def _long_target_corpus(workspace, tmp_path, n_tokens):
     """The workspace corpus with its first record's target n_tokens long,
-    and a precomputed file with one row per token of every full target."""
+    a precomputed file with one row per token of every full target, and
+    the {id: rows} it holds."""
     records = [dataclasses.replace(r) for r in workspace["records"]]
     records[0].tokens = (records[0].tokens * n_tokens)[:n_tokens]
     corpus = tmp_path / "long.tsv"
     write_corpus(records, corpus)
     rng = np.random.default_rng(4)
-    source = PrecomputedEmbeddings(
-        dim=8, layer_id=0,
-        table={r.id: rng.standard_normal((len(r.tokens), 8))
-               for r in records})
+    table = {r.id: rng.standard_normal((len(r.tokens), 8)) for r in records}
     path = tmp_path / "pc.jsonl"
-    save_precomputed(source, path)
-    return corpus, path, source
+    save_precomputed(make_precomputed(table), path)
+    return corpus, path, table
 
 
 def test_precomputed_rows_sliced_to_truncated_target(workspace, trained,
                                                      tmp_path):
-    corpus, path, source = _long_target_corpus(workspace, tmp_path, 45)
+    corpus, path, table = _long_target_corpus(workspace, tmp_path, 45)
     out = tmp_path / "r.csv"
     assert main(["eval", "--model", str(trained), "--corpus", str(corpus),
                  "--precomputed", str(path), "--out", str(out)]) == 0
     # the 45-token target scores as its first 30 rows alone
     first = workspace["records"][0].id
     sliced = tmp_path / "sliced.jsonl"
-    save_precomputed(PrecomputedEmbeddings(
-        dim=8, layer_id=0,
-        table={**source.table, first: source.table[first][:30]}), sliced)
+    save_precomputed(make_precomputed(
+        {**table, first: table[first][:30]}), sliced)
     records = parse_corpus(corpus)
     records[0].tokens = records[0].tokens[:30]
     cut = tmp_path / "cut.tsv"
@@ -2024,12 +2018,11 @@ def test_precomputed_rows_sliced_to_truncated_target(workspace, trained,
 @pytest.mark.parametrize("n_tokens", [29, 31])
 def test_precomputed_row_count_still_checked(workspace, trained, tmp_path,
                                              capsys, n_tokens):
-    corpus, path, source = _long_target_corpus(workspace, tmp_path, n_tokens)
+    corpus, path, table = _long_target_corpus(workspace, tmp_path, n_tokens)
     first = workspace["records"][0].id
     short = tmp_path / "short.jsonl"
-    save_precomputed(PrecomputedEmbeddings(
-        dim=8, layer_id=0,
-        table={**source.table, first: source.table[first][:-1]}), short)
+    save_precomputed(make_precomputed(
+        {**table, first: table[first][:-1]}), short)
     rc = main(["eval", "--model", str(trained), "--corpus", str(corpus),
                "--precomputed", str(short), "--out", str(tmp_path / "r.csv")])
     assert rc == 1
@@ -2053,6 +2046,76 @@ def test_precomputed_with_context_exits_one(workspace, trained, tmp_path,
     assert "precomputed vectors already reflect their context" in err
 
 
+def test_empty_precomputed_file_exits_one(workspace, trained, tmp_path,
+                                          capsys):
+    path = tmp_path / "pc.jsonl"
+    path.write_text("\n", encoding="utf-8")
+    rc = main(["eval", "--model", str(trained),
+               "--corpus", str(workspace["corpus"]),
+               "--precomputed", str(path), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sil eval: error: {path}: line 1: empty precomputed-embedding "
+        "file\n")
+
+
+def test_cv_predict_k_above_the_corpus_size_exits_one(workspace, tmp_path,
+                                                      capsys):
+    corpus = workspace["corpus"]
+    n = len(workspace["records"])
+    out = tmp_path / "cv.csv"
+    rc = main(["cv-predict", "--corpus", str(corpus),
+               "--glove", str(workspace["glove"]), "--k", str(n + 1),
+               "--hidden-dim", "2", "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sil cv-predict: error: {corpus}: k must be in [2, {n}], "
+        f"got {n + 1}\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the paper's headline configuration: GloVe inputs read with their contexts
+# ---------------------------------------------------------------------------
+
+def test_with_context_train_then_eval_scores_the_context_and_target(
+        tmp_path):
+    from sil.embeddings import load_glove
+    from sil.model import forward
+
+    records = make_records(12, seed=8, with_context=True)
+    # a context past the 150-token cap, a target past the 30-token cap
+    # (kept whole with context), and a token only a context holds
+    records[0].context_tokens = [f"c{i}" for i in range(160)]
+    records[1].tokens = records[1].tokens + ["again"] * 30
+    records[2].context_tokens = records[2].context_tokens + ["contextonly"]
+    assert all(r.context_tokens for r in records)
+    corpus = tmp_path / "corpus.tsv"
+    write_corpus(records, corpus)
+    glove = tmp_path / "vectors.txt"
+    write_glove(glove, sorted(vocab_of(records)), dim=8)
+    model = tmp_path / "model.bin"
+    assert main(["train", "--corpus", str(corpus), "--glove", str(glove),
+                 "--with-context", "--hidden-dim", "3", "--epochs", "2",
+                 "--batch-size", "4", "--out", str(model)]) == 0
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--model", str(model), "--corpus", str(corpus),
+                 "--glove", str(glove), "--with-context", "--subset", "all",
+                 "--out", str(out)]) == 0
+
+    # the oracle: each input built token by token from the whole table
+    table = load_glove(glove)
+    params, config = load_checkpoint(model)
+    rows = read_dicts(out.with_suffix(".predictions.csv"))
+    assert [row["id"] for row in rows] == [r.id for r in records]
+    for record, row in zip(records, rows):
+        tokens = record.context_tokens[-150:] + record.tokens
+        embedded = np.vstack([table.lookup(t) for t in tokens])
+        want = float(forward(embedded, params, config).score.value)
+        assert abs(float(row["score"]) - want) <= 1e-12, record.id
+        assert len(row["attention"].split(";")) == len(tokens)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints and precomputed files are read once too
 # ---------------------------------------------------------------------------
@@ -2072,10 +2135,9 @@ def test_manifest_hashes_checkpoint_from_the_load(workspace, trained, tmp_path,
 def _precomputed_file(workspace, tmp_path):
     rng = np.random.default_rng(6)
     path = tmp_path / "pc.jsonl"
-    save_precomputed(PrecomputedEmbeddings(
-        dim=8, layer_id=0,
-        table={r.id: rng.standard_normal((len(r.tokens), 8))
-               for r in workspace["records"]}), path)
+    save_precomputed(make_precomputed(
+        {r.id: rng.standard_normal((len(r.tokens), 8))
+         for r in workspace["records"]}), path)
     return path
 
 

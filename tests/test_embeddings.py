@@ -10,13 +10,12 @@ import pytest
 
 from sil import embeddings
 from sil.corpus import truncate
-from sil.embeddings import (EmbeddingTable, PrecomputedEmbeddings,
-                            UNK_TOKEN, embed_utterance, input_rows,
+from sil.embeddings import (EmbeddingTable, UNK_TOKEN, embed_utterance,
                             load_glove, load_precomputed, save_glove,
                             save_precomputed, tokenize)
 from sil.errors import ContractError, IntegrityError, ParseError
 
-from conftest import make_records, make_table
+from conftest import make_precomputed, make_records, make_table, vectors_of
 
 
 def test_parse_simple_line(tmp_path):
@@ -118,10 +117,14 @@ def test_embed_shapes_without_and_with_context():
                        dim=100)
     no_ctx = embed_utterance(record, table, with_context=False)
     with_ctx = embed_utterance(record, table, with_context=True)
-    assert no_ctx.shape == (5, 100)
-    assert with_ctx.shape == (12, 100)
+    assert no_ctx.shape == (5,)
+    assert with_ctx.shape == (12,)
+    assert table[with_ctx].shape == (12, 100)
     # context rows come first
     np.testing.assert_array_equal(with_ctx[7:], no_ctx)
+    np.testing.assert_array_equal(
+        table[with_ctx], np.vstack([table.lookup(t) for t in
+                                    record.context_tokens + record.tokens]))
 
 
 def test_embed_utterance_truncates_the_record():
@@ -134,27 +137,28 @@ def test_embed_utterance_truncates_the_record():
     # the target whole; a record cut before the call is cut the same
     for with_context, rows in ((False, 30), (True, 150 + 45)):
         full = embed_utterance(record, table, with_context)
-        assert full.shape == (rows, 4)
+        assert full.shape == (rows,)
         cut = embed_utterance(truncate(record, with_context=with_context),
                               table, with_context)
         assert cut.tobytes() == full.tobytes()
-    source = PrecomputedEmbeddings(
-        dim=3, layer_id=0,
-        table={record.id: np.arange(45 * 3.0).reshape(45, 3)})
-    np.testing.assert_array_equal(embed_utterance(record, source),
-                                  source.table[record.id][:30])
+    source = make_precomputed(
+        {"other": np.ones((2, 3)),
+         record.id: np.arange(45 * 3.0).reshape(45, 3)})
+    ids = embed_utterance(record, source)
+    np.testing.assert_array_equal(ids, np.arange(2, 32))
+    np.testing.assert_array_equal(source[ids],
+                                  vectors_of(source, record.id)[:30])
 
 
-def _row_count_outcome(fn, *args):
-    """`fn(*args)`'s row count, or its error's type and message."""
+def _row_count_outcome(record, source, with_context):
+    """The row count of `record`'s ids in `source`, or the error's type."""
     try:
-        result = fn(*args)
+        return len(embed_utterance(record, source, with_context))
     except (ContractError, IntegrityError) as exc:
-        return type(exc), str(exc)
-    return result if isinstance(result, int) else len(result)
+        return type(exc)
 
 
-def test_input_rows_makes_embed_utterances_checks():
+def test_embed_utterance_checks_every_source():
     record = make_records(1, seed=0, with_context=True)[0]
     record.tokens = ["some"] + ["dogs"] * 44
     record.context_tokens = ["a"] * 160
@@ -163,54 +167,41 @@ def test_input_rows_makes_embed_utterances_checks():
     rows = np.ones((45, 3))
     sources = [
         table,
-        PrecomputedEmbeddings(dim=3, layer_id=0, table={record.id: rows}),
-        PrecomputedEmbeddings(dim=3, layer_id=0, table={"other": rows}),
-        PrecomputedEmbeddings(dim=3, layer_id=0,
-                              table={record.id: rows[:44]}),
+        make_precomputed({record.id: rows}),
+        make_precomputed({"other": rows}),
+        make_precomputed({record.id: rows[:44]}),
     ]
-    outcomes = []
-    for source in sources:
-        for with_context in (False, True):
-            got = _row_count_outcome(input_rows, record, source, with_context)
-            assert got == _row_count_outcome(embed_utterance, record, source,
-                                             with_context)
-            outcomes.append(got)
-    assert outcomes[:3] == [30, 150 + 45, 30]
-    assert {o[0] for o in outcomes[3:] if isinstance(o, tuple)} == \
-        {ContractError, IntegrityError}
+    outcomes = [_row_count_outcome(record, source, with_context)
+                for source in sources for with_context in (False, True)]
+    assert outcomes == [30, 150 + 45, 30, ContractError,
+                        IntegrityError, ContractError,
+                        IntegrityError, ContractError]
 
 
 def test_precomputed_count_must_match_tokens():
     record = make_records(1, seed=1)[0]
     n = len(record.tokens)
-    good = PrecomputedEmbeddings(
-        dim=6, layer_id=2, table={record.id: np.ones((n, 6))})
-    assert embed_utterance(record, good).shape == (n, 6)
-    bad = PrecomputedEmbeddings(
-        dim=6, layer_id=2, table={record.id: np.ones((n - 1, 6))})
+    good = make_precomputed({record.id: np.ones((n, 6))}, layer_id=2)
+    assert good[embed_utterance(record, good)].shape == (n, 6)
+    bad = make_precomputed({record.id: np.ones((n - 1, 6))}, layer_id=2)
     with pytest.raises(IntegrityError):
         embed_utterance(record, bad)
 
 
-def test_precomputed_missing_id_is_lookup_error():
-    source = PrecomputedEmbeddings(dim=2, layer_id=0,
-                                   table={"u0": np.ones((1, 2))})
-    with pytest.raises(KeyError):
-        source.vectors_for("absent")
-
-
 def test_precomputed_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    source = PrecomputedEmbeddings(
-        dim=4, layer_id=9,
-        table={"a": rng.standard_normal((3, 4)),
-               "b": rng.standard_normal((5, 4))})
+    source = make_precomputed({"b": rng.standard_normal((5, 4)),
+                               "a": rng.standard_normal((3, 4))},
+                              layer_id=9)
     path = tmp_path / "pc.jsonl"
     save_precomputed(source, path)
     again = load_precomputed(path)
     assert again.dim == 4 and again.layer_id == 9
-    for rid in source.table:
-        np.testing.assert_array_equal(again.table[rid], source.table[rid])
+    # the file, and so the loaded matrix, holds the ids in sorted order
+    assert again.rows == {"a": range(0, 3), "b": range(3, 8)}
+    for rid in source.rows:
+        np.testing.assert_array_equal(vectors_of(again, rid),
+                                      vectors_of(source, rid))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
@@ -222,8 +213,8 @@ def test_precomputed_load_hashes_the_bytes_it_reads(tmp_path, chunk):
     with mock.patch.object(embeddings, "_READ_CHUNK", chunk):
         source = load_precomputed(path)
     assert source.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert sorted(source.table) == ["b", "é"]
-    np.testing.assert_array_equal(source.table["é"], [[1.5, 2.0]])
+    assert source.rows == {"é": range(0, 1), "b": range(1, 2)}
+    np.testing.assert_array_equal(source.matrix, [[1.5, 2.0], [3.0, 4.0]])
 
 
 def test_precomputed_file_validates_uniformity(tmp_path):
@@ -448,8 +439,7 @@ def test_precomputed_errors_name_file_and_line(tmp_path, body, message):
 
 def test_precomputed_missing_id_is_integrity_error():
     record = make_records(1, seed=1)[0]
-    source = PrecomputedEmbeddings(dim=2, layer_id=0,
-                                   table={"other": np.ones((1, 2))})
+    source = make_precomputed({"other": np.ones((1, 2))})
     with pytest.raises(IntegrityError, match=repr(record.id)):
         embed_utterance(record, source)
 

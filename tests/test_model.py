@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_records, vocab_of, write_glove
+from conftest import make_records, stacked, vocab_of, write_glove
 
 from sil.autodiff import backward, constant, finite_diff_check, parameter
 from sil.cli import main
@@ -380,8 +380,7 @@ def test_predict_report_shapes():
     config = small_config()
     params = init_params(config)
     x = np.random.default_rng(11).standard_normal((4, 3))
-    scores, attention = predict_batch([len(x)], [x].__getitem__, params,
-                                      config)
+    scores, attention = predict_batch(x, [np.arange(4)], params, config)
     assert scores.shape == (1,)
     assert 0.0 < scores[0] < 1.0
     assert len(attention[0]) == 4
@@ -395,9 +394,10 @@ RAGGED_LENGTHS = (1, 2, 7, 30)
 
 
 def _ragged_batch(seed, dim=3, lengths=RAGGED_LENGTHS):
+    """Ragged inputs, as one matrix and each input's row ids, and targets."""
     rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal((T, dim)) for T in lengths]
-    return inputs, rng.uniform(0.1, 0.9, size=len(lengths))
+    matrix, ids = stacked([rng.standard_normal((T, dim)) for T in lengths])
+    return matrix, ids, rng.uniform(0.1, 0.9, size=len(lengths))
 
 
 def _tape_batch(inputs, targets, params, config, rng):
@@ -419,11 +419,12 @@ def test_kernel_matches_tape_on_ragged_batch(pooling, dropout):
     config = small_config(hidden_dim=5, dropout_rate=dropout,
                           use_attention=pooling == "attention", seed=2)
     params = init_params(config)
-    inputs, targets = _ragged_batch(0)
+    matrix, ids, targets = _ragged_batch(0)
     # equal seeds give equal masks: the kernel draws in the tape's order
     ref_scores, ref_attn, ref_grads = _tape_batch(
-        inputs, targets, params, config, np.random.default_rng(5))
-    res = run_batch(inputs, params, config, targets=targets,
+        [matrix[i] for i in ids], targets, params, config,
+        np.random.default_rng(5))
+    res = run_batch(matrix, ids, params, config, targets=targets,
                     rng=np.random.default_rng(5))
 
     np.testing.assert_allclose(res.scores, ref_scores, rtol=0, atol=1e-12)
@@ -446,11 +447,10 @@ def test_kernel_eval_is_the_tape_forward(pooling):
     config = small_config(hidden_dim=5, dropout_rate=0.3,
                           use_attention=pooling == "attention", seed=3)
     params = init_params(config)
-    inputs, _ = _ragged_batch(1)
-    scores, attention = predict_batch([len(x) for x in inputs],
-                                      inputs.__getitem__, params, config)
-    for i, x in enumerate(inputs):
-        fp = forward(x, params, config)
+    matrix, ids, _ = _ragged_batch(1)
+    scores, attention = predict_batch(matrix, ids, params, config)
+    for i, rows in enumerate(ids):
+        fp = forward(matrix[rows], params, config)
         assert abs(scores[i] - float(fp.score.value)) <= 1e-12
         if pooling == "attention":
             np.testing.assert_allclose(attention[i], fp.attention, rtol=0,
@@ -464,10 +464,10 @@ def test_kernel_gradients_match_finite_differences(pooling, dropout):
     config = small_config(hidden_dim=3, dropout_rate=dropout,
                           use_attention=pooling == "attention", seed=4)
     params = init_params(config)
-    inputs, targets = _ragged_batch(2, lengths=(1, 2, 5))
+    matrix, ids, targets = _ragged_batch(2, lengths=(1, 2, 5))
 
     def run():
-        return run_batch(inputs, params, config, targets=targets,
+        return run_batch(matrix, ids, params, config, targets=targets,
                          rng=np.random.default_rng(9))
 
     grads = run().grads
@@ -496,9 +496,9 @@ def test_kernel_train_and_eval_share_arithmetic(pooling):
     config = small_config(hidden_dim=5, dropout_rate=0.0,
                           use_attention=pooling == "attention", seed=6)
     params = init_params(config)
-    inputs, targets = _ragged_batch(3)
-    trained = run_batch(inputs, params, config, targets=targets)
-    scored = run_batch(inputs, params, config)
+    matrix, ids, targets = _ragged_batch(3)
+    trained = run_batch(matrix, ids, params, config, targets=targets)
+    scored = run_batch(matrix, ids, params, config)
     assert trained.scores.tobytes() == scored.scores.tobytes()
     if pooling == "attention":
         for got, want in zip(trained.attention, scored.attention):
@@ -511,19 +511,18 @@ def test_kernel_eval_is_batch_invariant():
     rng = np.random.default_rng(7)
     # more items than one chunk, so some share a chunk and some do not
     lengths = rng.integers(1, 25, size=PREDICT_CHUNK + 9)
-    inputs = [rng.standard_normal((int(T), 3)) for T in lengths]
-    scores, attention = predict_batch([len(x) for x in inputs],
-                                      inputs.__getitem__, params, config)
-    for i in (0, 5, len(inputs) - 1):
-        alone = run_batch([inputs[i]], params, config)
-        pair = run_batch([inputs[i - 1], inputs[i]], params, config)
+    matrix, ids = stacked([rng.standard_normal((int(T), 3))
+                           for T in lengths])
+    scores, attention = predict_batch(matrix, ids, params, config)
+    for i in (0, 5, len(ids) - 1):
+        alone = run_batch(matrix, [ids[i]], params, config)
+        pair = run_batch(matrix, [ids[i - 1], ids[i]], params, config)
         for score, weights in ((pair.scores[1], pair.attention[1]),
                                (scores[i], attention[i])):
             assert abs(score - alone.scores[0]) <= 1e-12
             np.testing.assert_allclose(weights, alone.attention[0], rtol=0,
                                        atol=1e-12)
-    reordered, _ = predict_batch([len(x) for x in inputs[::-1]],
-                                 inputs[::-1].__getitem__, params, config)
+    reordered, _ = predict_batch(matrix, ids[::-1], params, config)
     np.testing.assert_allclose(reordered[::-1], scores, rtol=0, atol=1e-12)
 
 
@@ -535,20 +534,14 @@ def test_predict_batch_is_run_batch_over_sorted_chunks(pooling):
     rng = np.random.default_rng(13)
     # ragged, with ties, and not a whole number of chunks
     lengths = rng.integers(1, 40, size=2 * PREDICT_CHUNK + 11)
-    inputs = [rng.standard_normal((int(T), 3)) for T in lengths]
-    built = []
-
-    def build(i):
-        built.append(i)
-        return inputs[i]
-
-    scores, attention = predict_batch(lengths, build, params, config)
+    matrix, ids = stacked([rng.standard_normal((int(T), 3))
+                           for T in lengths])
+    scores, attention = predict_batch(matrix, ids, params, config)
     # the chunks by hand: a stable sort by decreasing length, cut every 32
-    order = sorted(range(len(inputs)), key=lambda i: -len(inputs[i]))
-    assert built == order  # each input built once, in the chunks' order
+    order = sorted(range(len(ids)), key=lambda i: -len(ids[i]))
     for start in range(0, len(order), PREDICT_CHUNK):
         idx = order[start:start + PREDICT_CHUNK]
-        res = run_batch([inputs[i] for i in idx], params, config)
+        res = run_batch(matrix, [ids[i] for i in idx], params, config)
         assert scores[idx].tobytes() == res.scores.tobytes()
         if pooling == "attention":
             for i, w in zip(idx, res.attention):
@@ -562,15 +555,15 @@ def test_predict_batch_holds_one_chunk_of_inputs():
     T = 10
 
     def peak_of(n):
-        def build(i):
-            return np.full((T, 100), i / n)
-
+        # input i is T copies of row i
+        matrix = np.arange(n)[:, None] / n + np.zeros(100)
+        ids = [np.full(T, i) for i in range(n)]
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            predict_batch([T] * n, build, params, config)
+            predict_batch(matrix, ids, params, config)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -580,45 +573,40 @@ def test_predict_batch_holds_one_chunk_of_inputs():
     assert peak_of(640) - peak_of(64) < 0.1 * extra
 
 
-def test_predict_batch_rejects_a_wrong_row_count():
-    config = small_config()
-    params = init_params(config)
-    inputs = [np.zeros((3, 3)), np.zeros((2, 3))]
-    with pytest.raises(ContractError,
-                       match="input 1 has 2 rows, but 4 were given"):
-        predict_batch([3, 4], inputs.__getitem__, params, config)
-
-
 def test_kernel_rejects_bad_batches():
     config = small_config(dropout_rate=0.5)
     params = init_params(config)
     x = np.zeros((2, 3))
+    rows = np.arange(2)
     with pytest.raises(ContractError):
-        run_batch([], params, config)
+        run_batch(x, [], params, config)
     with pytest.raises(ContractError, match="input_dim"):
-        run_batch([x, np.zeros((2, 4))], params, config)
-    with pytest.raises(ContractError):
-        run_batch([x, np.zeros((0, 3))], params, config)
+        run_batch(np.zeros((2, 4)), [rows, rows], params, config)
+    with pytest.raises(ContractError, match="nonempty"):
+        run_batch(x, [rows, np.arange(0)], params, config)
     with pytest.raises(ContractError, match="rng"):
-        run_batch([x], params, config, targets=[0.5])
+        run_batch(x, [rows], params, config, targets=[0.5])
     with pytest.raises(ContractError, match="target"):
-        run_batch([x], params, config, targets=[0.5, 0.5],
+        run_batch(x, [rows], params, config, targets=[0.5, 0.5],
                   rng=np.random.default_rng(0))
 
 
 def test_kernel_nonfinite_values_raise_numeric_error():
     config = small_config()
     params = init_params(config)
-    x = np.random.default_rng(0).standard_normal((3, 3))
+    # rows 0-2 are one item's input; the NaN row 3 is the other's alone
+    matrix = np.vstack([np.random.default_rng(0).standard_normal((3, 3)),
+                        np.full((1, 3), np.nan)])
+    x = np.arange(3)
     with pytest.raises(NumericError, match="loss"):
-        run_batch([x, np.full((2, 3), np.nan)], params, config,
+        run_batch(matrix, [x, np.array([3, 3])], params, config,
                   targets=[0.5, 0.5])
     # a saturated head keeps the loss finite while 0 * inf poisons the
     # gradients below it
     params.tensors["head.w"][0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(
             NumericError, match="non-finite gradient for parameter 'attn"):
-        run_batch([x], params, config, targets=[0.5])
+        run_batch(matrix, [x], params, config, targets=[0.5])
 
 
 @pytest.mark.parametrize("use_attention", [True, False])
@@ -626,12 +614,12 @@ def test_streamed_gradients_equal_the_collected_ones(use_attention):
     config = small_config(dropout_rate=0.3, use_attention=use_attention)
     params = init_params(config)
     rng = np.random.default_rng(2)
-    inputs = [rng.standard_normal((T, 3)) for T in (4, 1, 6)]
+    matrix, ids = stacked([rng.standard_normal((T, 3)) for T in (4, 1, 6)])
     targets = rng.random(3)
-    collected = run_batch(inputs, params, config, targets=targets,
+    collected = run_batch(matrix, ids, params, config, targets=targets,
                           rng=np.random.default_rng(3))
     streamed = []
-    res = run_batch(inputs, params, config, targets=targets,
+    res = run_batch(matrix, ids, params, config, targets=targets,
                     rng=np.random.default_rng(3),
                     on_grad=lambda name, g: streamed.append((name, g)))
     assert res.grads is None
@@ -659,15 +647,15 @@ def test_train_mode_run_batch_peak_memory():
                          seed=0)
     params = init_params(config)
     rng = np.random.default_rng(5)
-    inputs = [rng.standard_normal((T, 16))
-              for T in (20, 34, 48, 62, 77, 91, 105, 120)]
-    targets = rng.random(len(inputs))
+    matrix, ids = stacked([rng.standard_normal((T, 16))
+                           for T in (20, 34, 48, 62, 77, 91, 105, 120)])
+    targets = rng.random(len(ids))
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        run_batch(inputs, params, config, targets=targets,
+        run_batch(matrix, ids, params, config, targets=targets,
                   rng=np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:

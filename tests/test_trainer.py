@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_records, make_table, vocab_of
+from conftest import make_records, make_table, stacked, vocab_of
 
 from sil.corpus import (FeatureVector, UtteranceRecord, kfold,
                         rescale_rating, split)
@@ -54,14 +54,16 @@ def test_examples_carry_rescaled_targets(tiny_records, tiny_table):
     for record, ex in zip(tiny_records, examples):
         assert ex.id == record.id
         assert ex.target == rescale_rating(record.mean_rating)
-        assert ex.embedded.shape == (len(record.tokens), 8)
+        assert ex.rows.shape == (len(record.tokens),)
+        assert tiny_table[ex.rows].tobytes() == np.vstack(
+            [tiny_table.lookup(t) for t in record.tokens]).tobytes()
 
 
 def test_examples_truncate_long_targets():
     record = long_record(42)
     table = make_table(["some", "word", "ctx"], dim=6)
     examples = examples_from_records([record], table)
-    assert examples[0].embedded.shape == (30, 6)
+    assert examples[0].rows.shape == (30,)
 
 
 def test_examples_keep_whole_target_with_context():
@@ -69,7 +71,7 @@ def test_examples_keep_whole_target_with_context():
     table = make_table(["some", "word", "ctx"], dim=6)
     examples = examples_from_records([record], table, with_context=True)
     # context capped at its last 150 tokens, target left whole
-    assert examples[0].embedded.shape == (150 + 42, 6)
+    assert examples[0].rows.shape == (150 + 42,)
 
 
 # ---------------------------------------------------------------------------
@@ -80,24 +82,24 @@ def test_evaluate_preserves_input_order(tiny_records, tiny_table):
     config = tiny_train_config()
     examples = examples_from_records(tiny_records[:5], tiny_table)
     params = init_params(config.model)
-    scores = evaluate(examples, params, config)
+    scores = evaluate(tiny_table, examples, params, config)
     assert scores.shape == (5,)
-    batch, _ = predict_batch([len(ex.embedded) for ex in examples],
-                             lambda i: examples[i].embedded, params,
-                             config.model)
+    batch, _ = predict_batch(tiny_table, [ex.rows for ex in examples],
+                             params, config.model)
     assert scores.tobytes() == batch.tobytes()
     for ex, score in zip(examples, scores):
-        direct = forward(ex.embedded, params, config.model).score.value
+        direct = forward(tiny_table[ex.rows], params,
+                         config.model).score.value
         assert abs(float(direct) - float(score)) <= 1e-12
 
 
 def test_memorizes_a_handful_of_items(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:8], tiny_table)
     config = tiny_train_config(model_kw=dict(hidden_dim=16), epochs=200)
-    params, curve = train(examples, [], config)
+    params, curve = train(tiny_table, examples, [], config)
     assert curve.aborted is None
     assert curve.epochs[-1].train_mse < 1e-3
-    scores = evaluate(examples, params, config)
+    scores = evaluate(tiny_table, examples, params, config)
     targets = np.array([ex.target for ex in examples])
     assert float(np.mean((scores - targets) ** 2)) < 1e-3
 
@@ -107,7 +109,8 @@ def test_training_is_bit_deterministic(tiny_records, tiny_table):
     runs = []
     for _ in range(2):
         config = tiny_train_config(model_kw=dict(dropout_rate=0.2), seed=11)
-        params, curve = train(examples[:10], examples[10:14], config)
+        params, curve = train(tiny_table, examples[:10], examples[10:14],
+                              config)
         runs.append((params, curve))
     a, b = runs
     assert [e.train_mse for e in a[1].epochs] == \
@@ -120,7 +123,8 @@ def test_training_is_bit_deterministic(tiny_records, tiny_table):
 
 def test_curve_length_matches_epochs(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:6], tiny_table)
-    params, curve = train(examples, [], tiny_train_config(epochs=1))
+    params, curve = train(tiny_table, examples, [],
+                          tiny_train_config(epochs=1))
     assert len(curve.epochs) == 1
     assert curve.best_epoch == 1
 
@@ -128,7 +132,8 @@ def test_curve_length_matches_epochs(tiny_records, tiny_table):
 def test_best_epoch_tracks_peak_validation_r(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records, tiny_table)
     config = tiny_train_config(epochs=6, seed=2)
-    params, curve = train(examples[:16], examples[16:], config)
+    params, curve = train(tiny_table, examples[:16], examples[16:],
+                          config)
     rs = [e.valid_r for e in curve.epochs]
     assert all(math.isfinite(r) for r in rs)
     assert curve.best_epoch == rs.index(max(rs)) + 1
@@ -136,7 +141,8 @@ def test_best_epoch_tracks_peak_validation_r(tiny_records, tiny_table):
 
 def test_no_validation_signal_keeps_final_epoch(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:6], tiny_table)
-    params, curve = train(examples, [], tiny_train_config(epochs=4))
+    params, curve = train(tiny_table, examples, [],
+                          tiny_train_config(epochs=4))
     assert curve.best_epoch == 4
     assert all(math.isnan(e.valid_r) for e in curve.epochs)
 
@@ -150,14 +156,15 @@ def test_best_epoch_parameters_are_that_epochs_snapshot(tiny_records,
     snapshots = []
     real = sil.trainer.evaluate
 
-    def snapshot_then_evaluate(examples, params, config):
+    def snapshot_then_evaluate(matrix, examples, params, config):
         snapshots.append(params.clone())
-        return real(examples, params, config)
+        return real(matrix, examples, params, config)
 
     monkeypatch.setattr(sil.trainer, "evaluate", snapshot_then_evaluate)
     examples = examples_from_records(tiny_records, tiny_table)
     config = tiny_train_config(epochs=epochs, lr=0.05, seed=1)
-    params, curve = train(examples[:16], examples[16:], config)
+    params, curve = train(tiny_table, examples[:16], examples[16:],
+                          config)
     assert curve.best_epoch == 2
     best, last = snapshots[1], snapshots[-1]
     for name in best.names():
@@ -181,26 +188,38 @@ def test_no_validation_returns_the_final_parameters(tiny_records, tiny_table,
 
     monkeypatch.setattr(sil.trainer, "adam_step", step_then_snapshot)
     examples = examples_from_records(tiny_records, tiny_table)
-    params, curve = train(examples[:16], [], tiny_train_config(epochs=2))
+    params, curve = train(tiny_table, examples[:16], [],
+                          tiny_train_config(epochs=2))
     assert curve.best_epoch == 2
     assert {n: a.tobytes() for n, a in params.tensors.items()} == after_step
 
 
 def test_empty_train_set_rejected(tiny_table):
     with pytest.raises(ContractError):
-        train([], [], tiny_train_config())
+        train(tiny_table, [], [], tiny_train_config())
 
 
 def test_width_mismatch_rejected(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:4], tiny_table)
     config = tiny_train_config(model_kw=dict(input_dim=9))
     with pytest.raises(ContractError, match="width"):
-        train(examples, [], config)
+        train(tiny_table, examples, [], config)
+
+
+def _poisoned(table, example, t, value):
+    """`table`'s matrix and one more row, `example`'s row t with its first
+    value set to `value`; example's row t alone now points to it."""
+    row = table[example.rows[t:t + 1]]
+    row[0, 0] = value
+    example.rows = example.rows.copy()
+    example.rows[t] = len(table.matrix)
+    return np.vstack([table.matrix, row])
 
 
 def test_nonfinite_input_aborts_with_diagnostic():
-    bad = Example(id="x", embedded=np.full((3, 8), np.nan), target=0.5)
-    params, curve = train([bad], [], tiny_train_config())
+    bad = Example(id="x", rows=np.zeros(3, dtype=np.intp), target=0.5)
+    params, curve = train(np.full((1, 8), np.nan), [bad], [],
+                          tiny_train_config())
     assert curve.aborted is not None
     assert "epoch 1" in curve.aborted
     assert curve.epochs == []
@@ -208,8 +227,8 @@ def test_nonfinite_input_aborts_with_diagnostic():
 
 def test_nonfinite_loss_names_the_example(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records, tiny_table)
-    examples[5].embedded[2, 0] = np.nan
-    _, curve = train(examples, [], tiny_train_config())
+    matrix = _poisoned(tiny_table, examples[5], 2, np.nan)
+    _, curve = train(matrix, examples, [], tiny_train_config())
     assert curve.aborted == ("epoch 1: loss value is non-finite for item "
                              f"{examples[5].id!r}")
 
@@ -220,9 +239,9 @@ def test_nonfinite_gradient_names_parameter_and_batch(tiny_records,
     # and losses stay finite while 0 * inf poisons the input weights'
     # gradients
     examples = examples_from_records(tiny_records, tiny_table)
-    examples[5].embedded[2, 0] = np.inf
+    matrix = _poisoned(tiny_table, examples[5], 2, np.inf)
     with np.errstate(invalid="ignore"):
-        _, curve = train(examples, [], tiny_train_config(
+        _, curve = train(matrix, examples, [], tiny_train_config(
             batch_size=len(examples)))
     head, named = curve.aborted.split(" in a batch of items ")
     assert head == "epoch 1: non-finite gradient for parameter 'lstm.0.fw.W'"
@@ -250,8 +269,9 @@ def test_only_one_gradient_set_is_alive_as_each_step_starts(monkeypatch):
     config = tiny_train_config(model_kw=dict(input_dim=16, hidden_dim=64),
                                epochs=1, batch_size=4)
     rng = np.random.default_rng(0)
-    examples = [Example(id=f"e{k}", embedded=rng.standard_normal((6, 16)),
-                        target=0.5) for k in range(12)]
+    matrix, ids = stacked([rng.standard_normal((6, 16)) for _ in range(12)])
+    examples = [Example(id=f"e{k}", rows=rows, target=0.5)
+                for k, rows in enumerate(ids)]
     param_bytes = sum(a.nbytes
                       for a in init_params(config.model).tensors.values())
     alive = []
@@ -265,7 +285,7 @@ def test_only_one_gradient_set_is_alive_as_each_step_starts(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        train(examples, [], config)
+        train(matrix, examples, [], config)
     finally:
         if started:
             tracemalloc.stop()
@@ -286,8 +306,8 @@ def test_streamed_updates_equal_one_update_over_all_tensors(pooling):
         model_kw=dict(hidden_dim=5, dropout_rate=0.2,
                       use_attention=pooling == "attention"),
         epochs=3, batch_size=4, seed=3)
-    runs = [train(examples[:10], examples[10:], replace(config,
-                                                        grad_clip=clip))
+    runs = [train(table, examples[:10], examples[10:],
+                  replace(config, grad_clip=clip))
             for clip in (None, 1e300)]
     (streamed, s_curve), (collected, c_curve) = runs
     assert s_curve == c_curve
@@ -306,8 +326,9 @@ def test_a_step_never_holds_every_gradient(monkeypatch):
     config = tiny_train_config(model_kw=dict(input_dim=16, hidden_dim=64),
                                epochs=1, batch_size=4)
     rng = np.random.default_rng(0)
-    examples = [Example(id=f"e{k}", embedded=rng.standard_normal((6, 16)),
-                        target=0.5) for k in range(12)]
+    matrix, ids = stacked([rng.standard_normal((6, 16)) for _ in range(12)])
+    examples = [Example(id=f"e{k}", rows=rows, target=0.5)
+                for k, rows in enumerate(ids)]
     param_bytes = sum(a.nbytes
                       for a in init_params(config.model).tensors.values())
     peaks = []
@@ -323,7 +344,7 @@ def test_a_step_never_holds_every_gradient(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        train(examples, [], config)
+        train(matrix, examples, [], config)
         peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         if started:
@@ -334,7 +355,36 @@ def test_a_step_never_holds_every_gradient(monkeypatch):
         assert alive < peak < alive + param_bytes
 
 
-def _tape_train(train_examples, valid_examples, config):
+def test_training_holds_row_ids_not_embedded_inputs():
+    # numpy's and Python's traced peak of embedding and training n
+    # with-context items, one epoch in batches of 32: the vectors are held
+    # once, in the table, and each item only as its row ids, so 576 more
+    # items add less than a tenth of their embedded bytes
+    config = tiny_train_config(
+        model_kw=dict(input_dim=100, hidden_dim=2), epochs=1, batch_size=32)
+    records = make_records(640, seed=4, with_context=True)
+    table = make_table(sorted(vocab_of(records)), dim=100)
+
+    def peak_of(n):
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            examples = examples_from_records(records[:n], table,
+                                             with_context=True)
+            train(table, examples, [], config)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    extra = sum(len(r.context_tokens) + len(r.tokens)
+                for r in records[64:]) * 100 * 8
+    assert peak_of(640) - peak_of(64) < 0.1 * extra
+
+
+def _tape_train(matrix, train_examples, valid_examples, config):
     """The per-item tape training loop `train` replaced, as a reference."""
     params = init_params(config.model)
     state = AdamState(lr=config.lr)
@@ -350,8 +400,8 @@ def _tape_train(train_examples, valid_examples, config):
                      for i in order[start:start + config.batch_size]]
             summed = {}
             for ex in batch:
-                fp = forward(ex.embedded, params, config.model, train=True,
-                             rng=dropout_rng)
+                fp = forward(matrix[ex.rows], params, config.model,
+                             train=True, rng=dropout_rng)
                 err = fp.score - ex.target
                 loss = err * err
                 sq_errors.append(float(loss.value))
@@ -363,7 +413,8 @@ def _tape_train(train_examples, valid_examples, config):
         valid_r = float("nan")
         if valid_examples:
             scores = np.array([
-                float(forward(ex.embedded, params, config.model).score.value)
+                float(forward(matrix[ex.rows], params,
+                              config.model).score.value)
                 for ex in valid_examples])
             valid_r = pearson(scores, np.array([ex.target
                                                 for ex in valid_examples]))
@@ -383,16 +434,17 @@ def test_train_matches_tape_reference_loop(pooling):
                       use_attention=pooling == "attention"),
         epochs=5, batch_size=4, seed=3)
     # with validation: the curve and the best epoch's parameters
-    params, curve = train(examples[:10], examples[10:], config)
-    ref_params, ref_curve = _tape_train(examples[:10], examples[10:], config)
+    params, curve = train(table, examples[:10], examples[10:], config)
+    ref_params, ref_curve = _tape_train(table, examples[:10], examples[10:],
+                                        config)
     assert curve.aborted is None
     assert len(curve.epochs) == len(ref_curve) == 5
     for stats, (mse, r) in zip(curve.epochs, ref_curve):
         assert abs(stats.train_mse - mse) <= 1e-9
         assert abs(stats.valid_r - r) <= 1e-9
     # without: the parameters after the fifth epoch
-    final, _ = train(examples[:10], [], config)
-    ref_final, _ = _tape_train(examples[:10], [], config)
+    final, _ = train(table, examples[:10], [], config)
+    ref_final, _ = _tape_train(table, examples[:10], [], config)
     for got, want in ((params, ref_params), (final, ref_final)):
         for name in want.names():
             np.testing.assert_allclose(got.tensors[name], want.tensors[name],
@@ -401,8 +453,9 @@ def test_train_matches_tape_reference_loop(pooling):
 
 def test_inactive_grad_clip_changes_nothing(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:8], tiny_table)
-    plain, _ = train(examples, [], tiny_train_config())
-    clipped, _ = train(examples, [], tiny_train_config(grad_clip=1e9))
+    plain, _ = train(tiny_table, examples, [], tiny_train_config())
+    clipped, _ = train(tiny_table, examples, [],
+                       tiny_train_config(grad_clip=1e9))
     for name in plain.names():
         assert plain.tensors[name].tobytes() == clipped.tensors[name].tobytes()
 
@@ -420,8 +473,8 @@ def test_label_shuffle_control_ranks_true_labels_first():
             model=ModelConfig(input_dim=8, hidden_dim=8, dropout_rate=0.0,
                               seed=0),
             epochs=30, batch_size=8, lr=0.01, seed=0)
-        params, _ = train(train_set, [], config)
-        return pearson(evaluate(valid_ex, params, config), targets)
+        params, _ = train(table, train_set, [], config)
+        return pearson(evaluate(table, valid_ex, params, config), targets)
 
     perm = np.random.default_rng(0).permutation(len(train_ex))
     shuffled = [replace(ex, target=train_ex[j].target)
@@ -434,9 +487,9 @@ def test_label_shuffle_control_ranks_true_labels_first():
 
 def test_active_grad_clip_alters_updates(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:8], tiny_table)
-    plain, plain_curve = train(examples, [], tiny_train_config())
+    plain, plain_curve = train(tiny_table, examples, [], tiny_train_config())
     clipped, clipped_curve = train(
-        examples, [], tiny_train_config(grad_clip=1e-4))
+        tiny_table, examples, [], tiny_train_config(grad_clip=1e-4))
     assert clipped_curve.aborted is None
     assert any(plain.tensors[n].tobytes() != clipped.tensors[n].tobytes()
                for n in plain.names())
@@ -524,6 +577,23 @@ def test_tune_rejects_a_nan_learning_rate():
         tune(records, sources, [grid_point(2, 0.0, lr=float("nan"))], folds)
 
 
+def test_tune_records_a_fold_abort_in_its_points_error():
+    records, sources, folds = grid_fixture()
+    # a NaN vector for a token that one record alone holds: the fold that
+    # trains on that record aborts with a non-finite loss
+    owner = records[3]
+    owner.tokens = owner.tokens + ["poison"]
+    owner.features.utterance_length += 1
+    table = make_table(sorted(vocab_of(records)))
+    table.matrix[table.vocab["poison"]] = np.nan
+    [result] = tune(records, {"glove": table}, [grid_point(2, 0.0, epochs=1)],
+                    folds, seed=0)
+    assert result.error == ("epoch 1: loss value is non-finite for item "
+                            f"{owner.id!r}")
+    assert math.isnan(result.mean_r)
+    assert len(result.fold_rs) == 2
+
+
 def test_tune_fold_scores_do_not_depend_on_grid_position():
     records, sources, folds = grid_fixture()
     point = grid_point(3, 0.0, epochs=2)
@@ -541,7 +611,7 @@ def test_tune_fold_scores_do_not_depend_on_grid_position():
 def test_cv_predict_scores_every_item_once(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:12], tiny_table)
     config = tiny_train_config(model_kw=dict(hidden_dim=3), epochs=2)
-    scores = cv_predict(examples, config, k=6, seed=0)
+    scores = cv_predict(tiny_table, examples, config, k=6, seed=0)
     assert sorted(scores) == sorted(ex.id for ex in examples)
     assert all(0.0 < s < 1.0 for s in scores.values())
 
@@ -549,8 +619,8 @@ def test_cv_predict_scores_every_item_once(tiny_records, tiny_table):
 def test_cv_predict_deterministic(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:12], tiny_table)
     config = tiny_train_config(model_kw=dict(hidden_dim=3), epochs=2)
-    a = cv_predict(examples, config, k=4, seed=1)
-    b = cv_predict(examples, config, k=4, seed=1)
+    a = cv_predict(tiny_table, examples, config, k=4, seed=1)
+    b = cv_predict(tiny_table, examples, config, k=4, seed=1)
     assert a == b
 
 
@@ -558,7 +628,7 @@ def test_cv_predict_rejects_duplicate_ids(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:4], tiny_table)
     examples.append(examples[0])
     with pytest.raises(ContractError, match="duplicate"):
-        cv_predict(examples, tiny_train_config(), k=2)
+        cv_predict(tiny_table, examples, tiny_train_config(), k=2)
 
 
 def test_cv_predict_holds_out_each_fold(tiny_records, tiny_table):
@@ -567,9 +637,9 @@ def test_cv_predict_holds_out_each_fold(tiny_records, tiny_table):
     # so held-out scores should miss by more than train scores do
     examples = examples_from_records(tiny_records[:12], tiny_table)
     config = tiny_train_config(model_kw=dict(hidden_dim=16), epochs=150)
-    heldout = cv_predict(examples, config, k=2, seed=0)
-    params, _ = train(examples, [], config)
-    fit = evaluate(examples, params, config)
+    heldout = cv_predict(tiny_table, examples, config, k=2, seed=0)
+    params, _ = train(tiny_table, examples, [], config)
+    fit = evaluate(tiny_table, examples, params, config)
     targets = {ex.id: ex.target for ex in examples}
     fit_mse = float(np.mean(
         [(s - ex.target) ** 2 for ex, s in zip(examples, fit)]))
