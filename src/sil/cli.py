@@ -482,7 +482,7 @@ def cmd_train(cfg):
 
     config = _model_train_config(cfg, source.dim)
     try:
-        params, curve = train(source, train_ex, valid_ex, config)
+        params, curve = train(source.matrix, train_ex, valid_ex, config)
     except ContractError as exc:  # the split left no item to train on
         raise ValidationError(str(exc), path=cfg["corpus"]) from None
     if curve.aborted:
@@ -499,7 +499,7 @@ def cmd_train(cfg):
             ("test_items", len(test_ex)),
             ("best_epoch", curve.best_epoch or 0)]
     if test_ex:
-        scores = evaluate(source, test_ex, params, config)
+        scores = evaluate(source.matrix, test_ex, params, config)
         targets = np.array([ex.target for ex in test_ex])
         rows.append(("test_mse", mse(scores, targets)))
         rows.append(("test_pearson_r", pearson_or_nan(scores, targets)))
@@ -653,7 +653,7 @@ def cmd_eval(cfg):
     source, source_input = _load_source(cfg, records, with_context)
     # every record is checked, in order, before the first is scored
     ids = [embed_utterance(record, source, with_context) for record in records]
-    scores, attention = predict_batch(source, ids, params, mconfig)
+    scores, attention = predict_batch(source.matrix, ids, params, mconfig)
     if attention is None:
         attention = [[] for _ in records]
     preds = [(record.id, float(score), list(weights), record.mean_rating)
@@ -685,7 +685,7 @@ def cmd_cv_predict(cfg):
     examples = examples_from_records(records, source, cfg["with_context"])
     config = _model_train_config(cfg, source.dim)
     try:
-        scores = cv_predict(source, examples, config, cfg["k"],
+        scores = cv_predict(source.matrix, examples, config, cfg["k"],
                             derive_seed(cfg["seed"], "cv-predict"))
     except ContractError as exc:  # the corpus has fewer items than folds
         raise ValidationError(str(exc), path=cfg["corpus"]) from None

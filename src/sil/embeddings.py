@@ -13,9 +13,12 @@ rejected as non-numeric.
 
 A load reads the file once and hashes its bytes as it reads them (the
 table's `sha256`). Every row must have as many values as the first, but
-only the rows of the tokens a caller asks for (`keep`) are converted, so a
-non-numeric or non-finite value on a row outside `keep` is not an error. A
-byte that is not UTF-8 is a ParseError naming its line, in either loader.
+only the rows of the tokens a caller asks for (`keep`) are converted
+(every row under `mean_vector`, whose unknown-token row is their mean), so
+a non-numeric or non-finite value on a row outside `keep` is not an error.
+A byte that is not UTF-8 is a ParseError naming its line, in either loader.
+Each source is one float64 matrix of every row a run reads, a table's
+unknown-token row included, indexed by `embed_utterance`'s row ids.
 
 Contextual embeddings (e.g. transformer or language-model layers) are
 computed offline and ingested from a JSON-lines file with one object per
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import string
@@ -54,25 +58,25 @@ _READ_CHUNK = 96 << 10
 
 @dataclass
 class EmbeddingTable:
-    """Static token-vector table; `row_ids` maps tokens to row ids, and
-    indexing the table with an id array gives their vectors. The id
-    `len(matrix)` is the zero or mean vector of an unknown token, held
-    beside the matrix so that the matrix is never copied to add it."""
+    """Static token-vector table; `row_ids` maps tokens to rows of
+    `matrix`. An unknown token reads one row, fixed at load: `<unk>`'s
+    under `unk_token`, else the last row, which no token names (zeros, or
+    under `mean_vector` the mean of every row of the file)."""
 
     dim: int
     vocab: dict[str, int]
     matrix: np.ndarray
     unk_policy: str = "zero_vector"
     sha256: str | None = None  # of the file the table was loaded from
-    _fill: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.unk_policy not in UNK_POLICIES:
             raise ContractError(f"unknown unk_policy {self.unk_policy!r}")
         if self.matrix.ndim != 2 or self.matrix.shape[1] != self.dim:
             raise ContractError("matrix width does not match dim")
-        if self.vocab and max(self.vocab.values()) >= self.matrix.shape[0]:
-            raise ContractError("vocab index outside matrix")
+        last = len(self.matrix) - (self.unk_policy != "unk_token")
+        if max(self.vocab.values(), default=-1) >= last:
+            raise ContractError("matrix lacks a vocab or unknown-token row")
         if self.unk_policy == "unk_token" and UNK_TOKEN not in self.vocab:
             raise ContractError(
                 f"unk_token policy requires {UNK_TOKEN!r} in the vocabulary")
@@ -80,28 +84,13 @@ class EmbeddingTable:
     def row_ids(self, tokens) -> np.ndarray:
         """The row id of each token; unknowns follow unk_policy."""
         unknown = (self.vocab[UNK_TOKEN] if self.unk_policy == "unk_token"
-                   else len(self.matrix))
+                   else len(self.matrix) - 1)
         return np.array([self.vocab.get(t, unknown) for t in tokens],
                         dtype=np.intp)
 
-    def __getitem__(self, ids) -> np.ndarray:
-        """The (len(ids), dim) vectors of row ids `ids`, in their order."""
-        ids = np.asarray(ids, dtype=np.intp)
-        fill = ids == len(self.matrix)
-        if not fill.any():
-            return self.matrix[ids]
-        if self._fill is None:  # the mean is over every row of the matrix
-            self._fill = (self.matrix.mean(axis=0)
-                          if self.unk_policy == "mean_vector"
-                          else np.zeros(self.dim))
-        out = np.empty((len(ids), self.dim))
-        out[~fill] = self.matrix[ids[~fill]]
-        out[fill] = self._fill
-        return out
-
     def lookup(self, token: str) -> np.ndarray:
         """Vector for `token`; never fails (unknowns follow unk_policy)."""
-        return self[self.row_ids([token])][0]
+        return self.matrix[self.row_ids([token])][0]
 
     def __contains__(self, token: str) -> bool:
         return token in self.vocab
@@ -110,17 +99,14 @@ class EmbeddingTable:
 @dataclass
 class PrecomputedEmbeddings:
     """Offline-computed contextual vectors, one row per target token:
-    `matrix` stacks every utterance's rows, `rows` maps an utterance id
-    to its range of them, and indexing the source gives matrix rows."""
+    `matrix` stacks every utterance's rows, and `rows` maps an utterance
+    id to its range of them."""
 
     dim: int
     layer_id: int
     matrix: np.ndarray
     rows: dict[str, range]
     sha256: str | None = None  # of the file the vectors were loaded from
-
-    def __getitem__(self, ids) -> np.ndarray:
-        return self.matrix[ids]
 
 
 def load_glove(path, unk_policy: str = "zero_vector",
@@ -131,33 +117,40 @@ def load_glove(path, unk_policy: str = "zero_vector",
     table's `sha256`) and keeps the value text of the first row of each
     token in `keep` (every token if None). One `np.loadtxt` call then
     parses all of it in C, with the same correctly rounded conversion as
-    `float`; only when that fails are the kept rows re-scanned, to name
-    the first bad line. Every row's value count is checked, in the pass
-    or by `np.loadtxt`.
+    `float`, and (except under `unk_token`) a last row of zeros for unknown
+    tokens, so the matrix is never copied to add it; only when that fails
+    are the kept rows re-scanned, to name the first bad line. Every row's
+    value count is checked, in the pass or by `np.loadtxt`.
 
     `keep` may be any superset of the tokens the caller looks up. The
-    `unk_token` policy also keeps UNK_TOKEN; `mean_vector`, whose mean
-    is over every row, ignores `keep`.
+    `unk_token` policy also keeps UNK_TOKEN; `mean_vector` parses every
+    row, sets the unknown row to their mean, then cuts the table to `keep`.
     """
     path = Path(path)
-    if unk_policy == "mean_vector":
-        keep = None
-    elif keep is not None:
-        keep = {token.encode("utf-8") for token in keep}
-        if unk_policy == "unk_token":
-            keep.add(UNK_TOKEN.encode("utf-8"))
+    if keep is not None and unk_policy == "unk_token":
+        keep = {*keep, UNK_TOKEN}
     with open(path, "rb", buffering=0) as fh:
         reader = _Sha256Reader(fh)
-        scan = (_token_pass(_text_lines(path, reader), path) if keep is None
-                else _count_pass(_blocks(reader), path, keep))
+        scan = (_token_pass(_text_lines(path, reader), path)
+                if keep is None or unk_policy == "mean_vector"
+                else _count_pass(_blocks(reader), path,
+                                 {token.encode("utf-8") for token in keep}))
     if scan.dim is None:
         raise ParseError("empty embedding file", line=1, path=path)
-    matrix = _parse_values(scan.rests, scan.dim) if scan.stop is None else None
+    matrix = None if scan.stop else _parse_values(
+        scan.rests, scan.dim, unk_row=unk_policy != "unk_token")
     if matrix is None:
         _raise_first_bad_row(path, scan.rests, scan.kept_lines, scan.dim,
                              scan.stop)
     _check_finite(matrix, scan.rests, scan.kept_lines, path)
-    return EmbeddingTable(dim=scan.dim, vocab=scan.vocab, matrix=matrix,
+    vocab = scan.vocab
+    if unk_policy == "mean_vector":
+        matrix[-1] = matrix[:-1].mean(axis=0)
+        if keep is not None:
+            kept = [token for token in vocab if token in keep]
+            matrix = matrix[[*map(vocab.get, kept), -1]]
+            vocab = {token: row for row, token in enumerate(kept)}
+    return EmbeddingTable(dim=scan.dim, vocab=vocab, matrix=matrix,
                           unk_policy=unk_policy,
                           sha256=reader.digest.hexdigest())
 
@@ -349,16 +342,19 @@ def _text_lines(path: Path, raw=None):
     read_text(path)  # raises the ParseError naming the bad byte's line
 
 
-def _parse_values(rests: list[str], dim: int) -> np.ndarray | None:
-    """The (len(rests), dim) matrix of the value texts, or None if invalid."""
-    if not rests:
+def _parse_values(rests: list[str], dim: int,
+                  unk_row: bool = False) -> np.ndarray | None:
+    """The matrix of the value texts, then a row of zeros if `unk_row`;
+    None if a text is invalid."""
+    if not rests and not unk_row:
         return np.empty((0, dim))
     try:
-        matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2,
-                            quotechar=None)
+        matrix = np.loadtxt(
+            itertools.chain(rests, [" ".join(["0"] * dim)] if unk_row else []),
+            dtype=np.float64, comments=None, ndmin=2, quotechar=None)
     except ValueError:
         return None
-    return matrix if matrix.shape == (len(rests), dim) else None
+    return matrix if matrix.shape == (len(rests) + unk_row, dim) else None
 
 
 def _is_number(text: str) -> bool:

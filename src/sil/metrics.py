@@ -94,11 +94,11 @@ def bootstrap_ceiling(ratings_per_item: list, B: int, seed: int) -> float:
     # group by group, item by item, so that each group's resampled values
     # fill a contiguous column range [lo, hi) of a block.
     groups, order, lo = [], [], 0
-    for L in np.unique(counts):
+    for L in sorted(set(counts.tolist())):
         items = np.flatnonzero(counts == L)
         order.append((starts[items][:, None] + np.arange(L)).ravel())
-        groups.append((int(L), items, lo, lo + len(items) * int(L)))
-        lo += len(items) * int(L)
+        groups.append((L, items, lo, lo + len(items) * L))
+        lo += len(items) * L
     order = np.concatenate(order)
     base = np.repeat(starts, counts)[order]  # each rating's item offset
 

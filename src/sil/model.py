@@ -468,8 +468,8 @@ def run_batch(matrix, ids, params: ModelParams, config: ModelConfig,
     """Score a batch of ragged inputs in one pass.
 
     Input i is `matrix[ids[i]]`, the rows at its nonempty array of row ids
-    of a (V x input_dim) float64 matrix or of a vector source indexed the
-    same way; one indexing gathers them straight into the packed batch.
+    of a (V x input_dim) float64 matrix, such as a vector source's
+    `matrix`; one indexing gathers them straight into the packed batch.
 
     With `targets` the call runs in train mode: inverted dropout on every
     non-final biLSTM layer (masks drawn item by item in batch order, one

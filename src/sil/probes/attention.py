@@ -28,7 +28,7 @@ def attention_for_records(records, params, config, source) -> dict[str, np.ndarr
     records = list(records)
     # every record is checked, in order, before the first is scored
     ids = [embed_utterance(record, source) for record in records]
-    _, attention = predict_batch(source, ids, params, config)
+    _, attention = predict_batch(source.matrix, ids, params, config)
     return {record.id: w for record, w in zip(records, attention)}
 
 

@@ -92,6 +92,7 @@ def load_frames(path=None) -> Parsed:
         if missing:
             raise ValidationError(f"frames file missing columns: {missing}")
         col = {name: header.index(name) for name in FRAME_COLUMNS}
+        seen = set()
         for i, row in enumerate(rows[1:], start=2):
             if not any(cell.strip() for cell in row):
                 continue
@@ -101,14 +102,13 @@ def load_frames(path=None) -> Parsed:
             for name, value in values.items():
                 if name != "complement" and not value:
                     raise ValidationError(f"empty {name}", row=i)
-            frames.append(SentenceFrame(**values))
-        seen = set()
-        for frame in frames:
-            key = (frame.verb_active, frame.subj_head, frame.obj_head)
+            key = tuple(values[name] for name in
+                        ("verb_active", "subj_head", "obj_head"))
             if key in seen:
-                raise ValidationError(
-                    f"duplicate verb/NP combination in frame {frame.frame_id}")
+                raise ValidationError("duplicate verb/NP combination in "
+                                      f"frame {values['frame_id']}", row=i)
             seen.add(key)
+            frames.append(SentenceFrame(**values))
     return frames
 
 
@@ -175,7 +175,7 @@ def score_variants(variants, params, config, table) -> np.ndarray:
     corpus target."""
     ids = [table.row_ids(variant.tokens()[:MAX_TARGET_TOKENS])
            for variant in variants]
-    scores, _ = predict_batch(table, ids, params, config)
+    scores, _ = predict_batch(table.matrix, ids, params, config)
     return scores
 
 

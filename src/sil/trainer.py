@@ -244,7 +244,7 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
     leakage). `sources` maps embedding names to vector sources; `folds`
     is the kfold output shared by every grid point, and each point's folds
     train with its config under `fold_config`; a fold task carries its
-    point's source and the examples' row ids. Failures are captured
+    point's source's matrix and the examples' row ids. Failures are captured
     per configuration without stopping the sweep. Results are sorted by
     mean r descending, ties broken by smaller hidden_dim, lower dropout,
     then grid order. `workers` (--workers) processes run the fold tasks
@@ -279,8 +279,9 @@ def tune(records, sources: dict, grid: list[GridPoint], folds,
         for f_idx, (train_ids, heldout_ids) in enumerate(folds):
             train_ex = [pool[i] for i in train_ids if i in pool]
             heldout_ex = [pool[i] for i in heldout_ids if i in pool]
-            tasks.append((p_idx, f_idx, sources[point.embedding], train_ex,
-                          heldout_ex, fold_config(point.config, seed, f_idx)))
+            tasks.append((p_idx, f_idx, sources[point.embedding].matrix,
+                          train_ex, heldout_ex,
+                          fold_config(point.config, seed, f_idx)))
 
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor

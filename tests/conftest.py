@@ -42,16 +42,16 @@ def token_vector(token: str, dim: int) -> np.ndarray:
     return rng.standard_normal(dim)
 
 
-def make_table(tokens, dim: int = 8,
-               unk_policy: str = "zero_vector") -> EmbeddingTable:
+def make_table(tokens, dim: int = 8) -> EmbeddingTable:
+    """A zero_vector table of `tokens`; its last row is the unknown row."""
     vocab = {}
     rows = []
     for t in tokens:
         if t not in vocab:
             vocab[t] = len(rows)
             rows.append(token_vector(t, dim))
-    return EmbeddingTable(dim=dim, vocab=vocab, matrix=np.vstack(rows),
-                          unk_policy=unk_policy)
+    return EmbeddingTable(dim=dim, vocab=vocab,
+                          matrix=np.vstack([*rows, np.zeros(dim)]))
 
 
 def make_precomputed(table: dict,

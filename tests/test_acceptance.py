@@ -155,7 +155,7 @@ def released_model(tmp_root: Path):
     train_ex = examples_from_records(core, table)
     valid_ex = examples_from_records(valid, table)
     test_ex = examples_from_records(test_records, table)
-    params, curve = train(table, train_ex, valid_ex, config)
+    params, curve = train(table.matrix, train_ex, valid_ex, config)
     _cache["model"] = ((params, config, table, records, test_ex,
                         hidden, dropout), None)
     return _cache["model"]
@@ -244,7 +244,7 @@ def test_criterion_2_memorizes_toy_items():
         model=ModelConfig(input_dim=8, hidden_dim=32, dropout_rate=0.0,
                           use_attention=True, seed=0),
         epochs=500, batch_size=8, lr=0.001, seed=0)
-    params, curve = train(table, examples, [], config)
+    params, curve = train(table.matrix, examples, [], config)
     elapsed = time.time() - started
     best = min(e.train_mse for e in curve.epochs)
     reached = [i + 1 for i, e in enumerate(curve.epochs)
@@ -301,7 +301,7 @@ def test_criterion_4_desk_scale_quality(tmp_path):
         report(4, "SKIP", why)
         pytest.skip(why)
     params, config, table, records, test_ex, hidden, dropout = bundle
-    scores = evaluate(table, test_ex, params, config)
+    scores = evaluate(table.matrix, test_ex, params, config)
     targets = np.array([ex.target for ex in test_ex])
     r = pearson(scores, targets)
     tuned = "full grid" if os.environ.get("SIL_FULL_TUNE") == "1" \
@@ -437,7 +437,7 @@ def test_criterion_7_regression_probe(tmp_path):
     params, tconfig, table, corpus_records = bundle[0], bundle[1], \
         bundle[2], bundle[3]
     examples = examples_from_records(corpus_records, table)
-    preds = cv_predict(table, examples, tconfig, k=6, seed=0)
+    preds = cv_predict(table.matrix, examples, tconfig, k=6, seed=0)
     comp = regression_compare(corpus_records, preds, RegressionSpec(),
                               B=10000, seed=0)
     for name in ("partitive", "subjecthood", "modification"):
@@ -459,7 +459,7 @@ def test_criterion_8_determinism():
         test_criterion_2_memorizes_toy_items.__wrapped__()
         ACCEPTANCE_LINES.pop()  # keep one line per criterion
     params_a, curve_a, config, table, examples = _cache["criterion2"]
-    params_b, curve_b = train(table, examples, [], config)
+    params_b, curve_b = train(table.matrix, examples, [], config)
     train_same = (
         all(params_a.tensors[n].tobytes() == params_b.tensors[n].tobytes()
             for n in params_a.names())

@@ -27,9 +27,10 @@ import sil
 from sil.cli import (COMMANDS, FLAGS, PAPER_GRID, _grid_entry_problem,
                      _grid_points, _parse_grid, build_parser, main)
 from sil.corpus import COLUMNS, parse_corpus, write_corpus
-from sil.embeddings import save_precomputed
+from sil.embeddings import (UNK_POLICIES, UNK_TOKEN, embed_utterance,
+                            load_glove, save_precomputed)
 from sil.errors import ContractError, ValidationError
-from sil.model import load_checkpoint
+from sil.model import load_checkpoint, predict_batch
 
 
 def read_csv(path):
@@ -821,6 +822,39 @@ def test_eval_reports_and_predictions(workspace, trained, tmp_path):
     predicted = [float(r["predicted"]) for r in scatter_rows]
     assert all(1.0 <= v <= 7.0 for v in empirical)
     assert all(1.0 <= v <= 7.0 for v in predicted)
+
+
+@pytest.mark.parametrize("policy", UNK_POLICIES)
+def test_eval_of_a_final_state_model(workspace, tmp_path, policy):
+    # the file lacks two of the corpus's tokens, so some inputs read the
+    # unknown row, as loaded without a cut to the corpus's tokens
+    records = workspace["records"]
+    glove = tmp_path / "vectors.txt"
+    write_glove(glove, [*sorted(vocab_of(records) - {"dogs", "park"}),
+                        UNK_TOKEN])
+    model = tmp_path / "m.bin"
+    assert main(["train", "--corpus", str(workspace["corpus"]),
+                 "--glove", str(glove), "--unk-policy", policy,
+                 "--pooling", "final_state", "--hidden-dim", "4",
+                 "--epochs", "1", "--out", str(model)]) == 0
+    preds = tmp_path / "preds.csv"
+    assert main(["eval", "--model", str(model),
+                 "--corpus", str(workspace["corpus"]), "--glove", str(glove),
+                 "--unk-policy", policy, "--subset", "all",
+                 "--out", str(tmp_path / "report.csv"),
+                 "--predictions", str(preds)]) == 0
+    rows = read_dicts(preds)
+    assert [row["id"] for row in rows] == [r.id for r in records]
+    assert all(row["attention"] == "" for row in rows)
+    params, config = load_checkpoint(model)
+    assert not config.use_attention
+    table = load_glove(glove, policy)
+    ids = [embed_utterance(record, table) for record in records]
+    unknown = table.row_ids(["absent"])[0]
+    assert any(unknown in item for item in ids)
+    scores, attention = predict_batch(table.matrix, ids, params, config)
+    assert attention is None
+    assert [float(row["score"]) for row in rows] == scores.tolist()
 
 
 def test_eval_subset_sizes_match_split(workspace, trained, tmp_path):
@@ -2295,10 +2329,28 @@ def _text_input_argv(workspace, kind, path, out):
      "frames file missing columns: ['subj_premod', 'subj_postmod', "
      "'obj_premod', 'obj_head', 'obj_postmod', 'verb_active', "
      "'verb_passive', 'passive_aux', 'other_det', 'complement']"),
+    ("frames", FRAMES_HEADER
+     + b"f01\tbig\tdogs\tin town\tred\tcars\ton show\tsaw\tseen\twere"
+       b"\tthe\t\n"
+     + b"f02\tsmall\tdogs\tat home\tblue\tcars\tfor sale\tsaw\tseen"
+       b"\twere\tthe\t\n",
+     "row 3: duplicate verb/NP combination in frame f02"),
+    ("config", b'["seed", 1]', "config must be an object"),
+    ("grid", b'{"hidden_dim": 2}', "grid must be a nonempty JSON array"),
+    ("grid", b"[]", "grid must be a nonempty JSON array"),
+    ("import", RAW_HEADER.replace(",rating,", ",").encode("utf-8") + b"\n"
+     + RAW_ROWS[0].replace(",5.5,", ",").encode("utf-8") + b"\n",
+     "need a mean_rating or participant_ratings column"),
+    ("import", (RAW_HEADER + "\n" + RAW_ROWS[0] + "\n"
+                + 'r2,"The dogs barked.",3.0,False,2.0,1,0,1\n')
+     .encode("utf-8"),
+     "row 3: no 'some' token in ['the', 'dogs', 'barked', '.']"),
 ], ids=["corpus-utf8", "frames-utf8", "predictions-utf8", "config-utf8",
         "grid-utf8", "import-utf8", "predictions-field", "import-field",
         "corpus-field", "config-depth", "grid-depth", "frames-empty-cell",
-        "frames-missing-columns"])
+        "frames-missing-columns", "frames-duplicate", "config-not-object",
+        "grid-not-array", "grid-empty", "import-no-rating-column",
+        "import-no-some"])
 def test_malformed_text_input_names_file(workspace, tmp_path, capsys, kind,
                                          content, named):
     path = tmp_path / "input.csv"
@@ -2308,6 +2360,55 @@ def test_malformed_text_input_names_file(workspace, tmp_path, capsys, kind,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{path}: {named}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, named", [
+    (5, "not an object"), ({"dropout_rate": 0.1}, "hidden_dim is missing"),
+], ids=["not-object", "no-hidden-dim"])
+def test_unusable_grid_entry_names_the_grid_file(workspace, tmp_path, capsys,
+                                                 entry, named):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"hidden_dim": 2, "dropout_rate": 0.0},
+                                entry]), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(_text_input_argv(workspace, "grid", str(grid), out)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == (f"sil tune: error: bad grid entry {entry!r}: {named} "
+                   f"(grid file {grid})\n")
+    assert not out.exists()
+
+
+def test_tune_without_a_vector_source_exits_one(workspace, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    rc = main(["tune", "--corpus", str(workspace["corpus"]),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "sil tune: error: tune needs --glove and/or --precomputed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, cell, named", [
+    ("id", " ", "empty id"), ("tokens", "", "record has no tokens"),
+    ("of_partitive_indices", "0,99", "of-index 99 outside token range"),
+    ("of_other_indices", "-1", "of-index -1 outside token range"),
+])
+def test_bad_corpus_row_names_file_and_row(workspace, tmp_path, capsys,
+                                           column, cell, named):
+    lines = workspace["corpus"].read_text(encoding="utf-8").split("\n")
+    cells = lines[3].split("\t")
+    cells[COLUMNS.index(column)] = cell
+    lines[3] = "\t".join(cells)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    rc = main(["ceiling", "--corpus", str(corpus), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"sil ceiling: error: {corpus}: row 4: {named}\n"
     assert not out.exists()
 
 
@@ -2449,14 +2550,20 @@ def test_command_loads_only_the_modules_it_runs(workspace, trained, tmp_path,
     }[command]
     done = _run_sil(
         [command, *argv, "--out", str(tmp_path / "out.csv")], tmp_path,
-        code="rc = main(sys.argv[1:])\nprint(rc, sorted(sys.modules))")
+        code="imported = set(sys.modules)\nrc = main(sys.argv[1:])\n"
+             "print(repr((rc, sorted(sys.modules), "
+             "sorted(set(sys.modules) - imported))))")
     assert done.returncode == 0, done.stderr
-    rc, modules = done.stdout.splitlines()[-1].split(" ", 1)
-    modules = set(ast.literal_eval(modules))
-    assert rc == "0", done.stderr
+    rc, modules, run_loaded = ast.literal_eval(done.stdout.splitlines()[-1])
+    modules = set(modules)
+    assert rc == 0, done.stderr
     assert {m for m in modules if m.split(".")[0] == "sil"} == _LOADED[command]
     assert "concurrent.futures" not in modules
     assert "sil.autodiff" not in modules
+    # numpy 2.4's np.unique and np.quantile import numpy.ma as they run,
+    # which adds milliseconds to a run; these commands call neither
+    if command in ("ceiling", "eval", "train"):
+        assert "numpy.ma" not in run_loaded
 
 
 def test_blas_threads_default_to_one(workspace, tmp_path):

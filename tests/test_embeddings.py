@@ -10,9 +10,9 @@ import pytest
 
 from sil import embeddings
 from sil.corpus import truncate
-from sil.embeddings import (EmbeddingTable, UNK_TOKEN, embed_utterance,
-                            load_glove, load_precomputed, save_glove,
-                            save_precomputed, tokenize)
+from sil.embeddings import (EmbeddingTable, UNK_POLICIES, UNK_TOKEN,
+                            embed_utterance, load_glove, load_precomputed,
+                            save_glove, save_precomputed, tokenize)
 from sil.errors import ContractError, IntegrityError, ParseError
 
 from conftest import make_precomputed, make_records, make_table, vectors_of
@@ -39,7 +39,7 @@ def test_duplicate_token_keeps_first(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("cat 0.1 0.2\ncat 9.0 9.0\ndog 0.3 0.4\n")
     table = load_glove(path)
-    assert table.matrix.shape[0] == 2
+    assert table.matrix.shape == (3, 2)  # two tokens, then the unknown row
     np.testing.assert_array_equal(table.lookup("cat"), [0.1, 0.2])
 
 
@@ -119,11 +119,11 @@ def test_embed_shapes_without_and_with_context():
     with_ctx = embed_utterance(record, table, with_context=True)
     assert no_ctx.shape == (5,)
     assert with_ctx.shape == (12,)
-    assert table[with_ctx].shape == (12, 100)
+    assert table.matrix[with_ctx].shape == (12, 100)
     # context rows come first
     np.testing.assert_array_equal(with_ctx[7:], no_ctx)
     np.testing.assert_array_equal(
-        table[with_ctx], np.vstack([table.lookup(t) for t in
+        table.matrix[with_ctx], np.vstack([table.lookup(t) for t in
                                     record.context_tokens + record.tokens]))
 
 
@@ -146,7 +146,7 @@ def test_embed_utterance_truncates_the_record():
          record.id: np.arange(45 * 3.0).reshape(45, 3)})
     ids = embed_utterance(record, source)
     np.testing.assert_array_equal(ids, np.arange(2, 32))
-    np.testing.assert_array_equal(source[ids],
+    np.testing.assert_array_equal(source.matrix[ids],
                                   vectors_of(source, record.id)[:30])
 
 
@@ -182,7 +182,7 @@ def test_precomputed_count_must_match_tokens():
     record = make_records(1, seed=1)[0]
     n = len(record.tokens)
     good = make_precomputed({record.id: np.ones((n, 6))}, layer_id=2)
-    assert good[embed_utterance(record, good)].shape == (n, 6)
+    assert good.matrix[embed_utterance(record, good)].shape == (n, 6)
     bad = make_precomputed({record.id: np.ones((n - 1, 6))}, layer_id=2)
     with pytest.raises(IntegrityError):
         embed_utterance(record, bad)
@@ -272,9 +272,10 @@ def reference_finite(values, vec, line_num):
                              line=line_num)
 
 
-def reference_load_glove(path, unk_policy: str = "zero_vector"):
+def reference_load_glove(path):
     """The per-value `float` loader that `load_glove` replaced, verbatim,
-    and the finite check that kept values have had since."""
+    and the finite check that kept values have had since; the table ends
+    in the zero_vector policy's unknown row, a row of zeros."""
     path = Path(path)
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -304,7 +305,7 @@ def reference_load_glove(path, unk_policy: str = "zero_vector"):
     if dim is None:
         raise ParseError("empty embedding file", line=1)
     return EmbeddingTable(dim=dim, vocab=vocab,
-                          matrix=np.vstack(rows), unk_policy=unk_policy)
+                          matrix=np.vstack([*rows, np.zeros(dim)]))
 
 
 def assert_same_as_reference(path):
@@ -333,12 +334,12 @@ def test_round_trip_of_extreme_values_matches_reference(tmp_path):
                1.7976931348623157e308, -1.7976931348623157e308]
     matrix.flat[:len(special)] = special
     table = EmbeddingTable(dim=7, vocab={f"w{i}": i for i in range(40)},
-                           matrix=matrix)
+                           matrix=np.vstack([matrix, np.zeros(7)]))
     path = tmp_path / "v.txt"
     save_glove(table, path)
     assert_same_as_reference(path)
     again = load_glove(path)
-    assert again.matrix.tobytes() == matrix.tobytes()
+    assert again.matrix.tobytes() == table.matrix.tobytes()
 
 
 VALID_LAYOUTS = {
@@ -482,8 +483,8 @@ def reference_load_kept(path, keep):
             rows.append(vec)
     if dim is None:
         raise ParseError("empty embedding file", line=1)
-    matrix = np.vstack(rows) if rows else np.empty((0, dim))
-    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
+    return EmbeddingTable(dim=dim, vocab=vocab,
+                          matrix=np.vstack([*rows, np.zeros(dim)]))
 
 
 def assert_same_as_kept_reference(path, keep):
@@ -553,7 +554,7 @@ def test_non_finite_kept_value_names_its_line(tmp_path, value):
     # a row that is not kept is not parsed
     table = load_glove(path, keep={"a", "c"})
     assert table.vocab == {"a": 0, "c": 1}
-    # mean_vector's mean is over every row, so it keeps them all
+    # mean_vector's mean is over every row, so it parses them all
     with pytest.raises(ParseError, match="line 2: vector value"):
         load_glove(path, unk_policy="mean_vector", keep={"a"})
 
@@ -603,9 +604,10 @@ def test_row_with_dim_spaces_but_wrong_count_rejected(tmp_path, row, got):
 
 @pytest.mark.parametrize("policy, same", [
     ("unk_token", ("a", "zzz", UNK_TOKEN)),
-    ("mean_vector", ("a", "b", "c", "zzz", UNK_TOKEN))])
+    ("mean_vector", ("a", "zzz"))])
 def test_unk_policies_look_up_as_without_keep(tmp_path, policy, same):
-    # unk_token keeps the <unk> row; mean_vector's mean needs every row
+    # unk_token keeps the <unk> row; mean_vector's mean is over every row,
+    # kept or not
     path = tmp_path / "v.txt"
     path.write_text(f"a 0 2\nb 2 0\n{UNK_TOKEN} 5 6\nc 4 4\n",
                     encoding="utf-8")
@@ -613,6 +615,52 @@ def test_unk_policies_look_up_as_without_keep(tmp_path, policy, same):
     kept = load_glove(path, unk_policy=policy, keep={"a", "zzz"})
     for token in same:
         assert kept.lookup(token).tobytes() == full.lookup(token).tobytes()
+
+
+@pytest.mark.parametrize("policy", UNK_POLICIES)
+def test_unknown_row_is_fixed_at_load(tmp_path, policy):
+    # the row an unknown token reads is the same bytes whatever `keep` is;
+    # mean_vector's is np.loadtxt's mean of every row of the file, bit for
+    # bit, and the table holds only the kept rows and that one
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(
+        -5, 5, size=(50, 3))
+    tokens = [f"w{i}" for i in range(49)] + [UNK_TOKEN]
+    path = tmp_path / "v.txt"
+    path.write_text("".join(f"{t} {' '.join(map(repr, row))}\n"
+                            for t, row in zip(tokens, values.tolist())),
+                    encoding="utf-8")
+    expected = {
+        "zero_vector": np.zeros(3),
+        "unk_token": values[-1],
+        "mean_vector": np.loadtxt(
+            [line.split(None, 1)[1]
+             for line in path.read_text(encoding="utf-8").splitlines()]
+        ).mean(axis=0)}[policy]
+    for keep in (None, set(), {"w3", "w17", "absent"}, set(tokens)):
+        table = load_glove(path, unk_policy=policy, keep=keep)
+        assert table.lookup("absent").tobytes() == expected.tobytes()
+        kept = set(tokens if keep is None else keep) & set(tokens)
+        if policy == "unk_token":
+            kept.add(UNK_TOKEN)
+        assert set(table.vocab) == kept
+        assert table.matrix.shape == (
+            len(kept) + (policy != "unk_token"), 3)
+        for token in kept:
+            assert table.lookup(token).tobytes() == \
+                values[tokens.index(token)].tobytes()
+
+
+def test_table_needs_an_unknown_row_no_token_names():
+    with pytest.raises(ContractError, match="unknown-token row"):
+        EmbeddingTable(dim=2, vocab={"a": 0}, matrix=np.zeros((1, 2)))
+    with pytest.raises(ContractError, match="unknown-token row"):
+        EmbeddingTable(dim=2, vocab={}, matrix=np.zeros((0, 2)))
+    with pytest.raises(ContractError, match="width"):
+        EmbeddingTable(dim=3, vocab={"a": 0}, matrix=np.zeros((2, 2)))
+    table = EmbeddingTable(dim=2, vocab={"a": 0, UNK_TOKEN: 1},
+                           matrix=np.eye(2), unk_policy="unk_token")
+    assert table.row_ids(["a", "b"]).tolist() == [0, 1]
 
 
 def test_table_carries_sha256_of_file_bytes(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from conftest import make_records, make_table, stacked, vocab_of
 from sil.corpus import (FeatureVector, UtteranceRecord, kfold,
                         rescale_rating, split)
 from sil.autodiff import backward
+from sil.embeddings import UNK_POLICIES, UNK_TOKEN, load_glove
 from sil.errors import ContractError
 from sil.metrics import pearson
 from sil.model import (ModelConfig, forward, init_params, predict_batch,
@@ -55,7 +57,7 @@ def test_examples_carry_rescaled_targets(tiny_records, tiny_table):
         assert ex.id == record.id
         assert ex.target == rescale_rating(record.mean_rating)
         assert ex.rows.shape == (len(record.tokens),)
-        assert tiny_table[ex.rows].tobytes() == np.vstack(
+        assert tiny_table.matrix[ex.rows].tobytes() == np.vstack(
             [tiny_table.lookup(t) for t in record.tokens]).tobytes()
 
 
@@ -82,13 +84,13 @@ def test_evaluate_preserves_input_order(tiny_records, tiny_table):
     config = tiny_train_config()
     examples = examples_from_records(tiny_records[:5], tiny_table)
     params = init_params(config.model)
-    scores = evaluate(tiny_table, examples, params, config)
+    scores = evaluate(tiny_table.matrix, examples, params, config)
     assert scores.shape == (5,)
-    batch, _ = predict_batch(tiny_table, [ex.rows for ex in examples],
+    batch, _ = predict_batch(tiny_table.matrix, [ex.rows for ex in examples],
                              params, config.model)
     assert scores.tobytes() == batch.tobytes()
     for ex, score in zip(examples, scores):
-        direct = forward(tiny_table[ex.rows], params,
+        direct = forward(tiny_table.matrix[ex.rows], params,
                          config.model).score.value
         assert abs(float(direct) - float(score)) <= 1e-12
 
@@ -96,10 +98,10 @@ def test_evaluate_preserves_input_order(tiny_records, tiny_table):
 def test_memorizes_a_handful_of_items(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:8], tiny_table)
     config = tiny_train_config(model_kw=dict(hidden_dim=16), epochs=200)
-    params, curve = train(tiny_table, examples, [], config)
+    params, curve = train(tiny_table.matrix, examples, [], config)
     assert curve.aborted is None
     assert curve.epochs[-1].train_mse < 1e-3
-    scores = evaluate(tiny_table, examples, params, config)
+    scores = evaluate(tiny_table.matrix, examples, params, config)
     targets = np.array([ex.target for ex in examples])
     assert float(np.mean((scores - targets) ** 2)) < 1e-3
 
@@ -109,8 +111,8 @@ def test_training_is_bit_deterministic(tiny_records, tiny_table):
     runs = []
     for _ in range(2):
         config = tiny_train_config(model_kw=dict(dropout_rate=0.2), seed=11)
-        params, curve = train(tiny_table, examples[:10], examples[10:14],
-                              config)
+        params, curve = train(tiny_table.matrix, examples[:10],
+                              examples[10:14], config)
         runs.append((params, curve))
     a, b = runs
     assert [e.train_mse for e in a[1].epochs] == \
@@ -123,7 +125,7 @@ def test_training_is_bit_deterministic(tiny_records, tiny_table):
 
 def test_curve_length_matches_epochs(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:6], tiny_table)
-    params, curve = train(tiny_table, examples, [],
+    params, curve = train(tiny_table.matrix, examples, [],
                           tiny_train_config(epochs=1))
     assert len(curve.epochs) == 1
     assert curve.best_epoch == 1
@@ -132,7 +134,7 @@ def test_curve_length_matches_epochs(tiny_records, tiny_table):
 def test_best_epoch_tracks_peak_validation_r(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records, tiny_table)
     config = tiny_train_config(epochs=6, seed=2)
-    params, curve = train(tiny_table, examples[:16], examples[16:],
+    params, curve = train(tiny_table.matrix, examples[:16], examples[16:],
                           config)
     rs = [e.valid_r for e in curve.epochs]
     assert all(math.isfinite(r) for r in rs)
@@ -141,7 +143,7 @@ def test_best_epoch_tracks_peak_validation_r(tiny_records, tiny_table):
 
 def test_no_validation_signal_keeps_final_epoch(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:6], tiny_table)
-    params, curve = train(tiny_table, examples, [],
+    params, curve = train(tiny_table.matrix, examples, [],
                           tiny_train_config(epochs=4))
     assert curve.best_epoch == 4
     assert all(math.isnan(e.valid_r) for e in curve.epochs)
@@ -163,7 +165,7 @@ def test_best_epoch_parameters_are_that_epochs_snapshot(tiny_records,
     monkeypatch.setattr(sil.trainer, "evaluate", snapshot_then_evaluate)
     examples = examples_from_records(tiny_records, tiny_table)
     config = tiny_train_config(epochs=epochs, lr=0.05, seed=1)
-    params, curve = train(tiny_table, examples[:16], examples[16:],
+    params, curve = train(tiny_table.matrix, examples[:16], examples[16:],
                           config)
     assert curve.best_epoch == 2
     best, last = snapshots[1], snapshots[-1]
@@ -188,7 +190,7 @@ def test_no_validation_returns_the_final_parameters(tiny_records, tiny_table,
 
     monkeypatch.setattr(sil.trainer, "adam_step", step_then_snapshot)
     examples = examples_from_records(tiny_records, tiny_table)
-    params, curve = train(tiny_table, examples[:16], [],
+    params, curve = train(tiny_table.matrix, examples[:16], [],
                           tiny_train_config(epochs=2))
     assert curve.best_epoch == 2
     assert {n: a.tobytes() for n, a in params.tensors.items()} == after_step
@@ -196,20 +198,20 @@ def test_no_validation_returns_the_final_parameters(tiny_records, tiny_table,
 
 def test_empty_train_set_rejected(tiny_table):
     with pytest.raises(ContractError):
-        train(tiny_table, [], [], tiny_train_config())
+        train(tiny_table.matrix, [], [], tiny_train_config())
 
 
 def test_width_mismatch_rejected(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:4], tiny_table)
     config = tiny_train_config(model_kw=dict(input_dim=9))
     with pytest.raises(ContractError, match="width"):
-        train(tiny_table, examples, [], config)
+        train(tiny_table.matrix, examples, [], config)
 
 
 def _poisoned(table, example, t, value):
     """`table`'s matrix and one more row, `example`'s row t with its first
     value set to `value`; example's row t alone now points to it."""
-    row = table[example.rows[t:t + 1]]
+    row = table.matrix[example.rows[t:t + 1]]
     row[0, 0] = value
     example.rows = example.rows.copy()
     example.rows[t] = len(table.matrix)
@@ -306,7 +308,7 @@ def test_streamed_updates_equal_one_update_over_all_tensors(pooling):
         model_kw=dict(hidden_dim=5, dropout_rate=0.2,
                       use_attention=pooling == "attention"),
         epochs=3, batch_size=4, seed=3)
-    runs = [train(table, examples[:10], examples[10:],
+    runs = [train(table.matrix, examples[:10], examples[10:],
                   replace(config, grad_clip=clip))
             for clip in (None, 1e300)]
     (streamed, s_curve), (collected, c_curve) = runs
@@ -373,7 +375,7 @@ def test_training_holds_row_ids_not_embedded_inputs():
             base = tracemalloc.get_traced_memory()[0]
             examples = examples_from_records(records[:n], table,
                                              with_context=True)
-            train(table, examples, [], config)
+            train(table.matrix, examples, [], config)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -434,17 +436,17 @@ def test_train_matches_tape_reference_loop(pooling):
                       use_attention=pooling == "attention"),
         epochs=5, batch_size=4, seed=3)
     # with validation: the curve and the best epoch's parameters
-    params, curve = train(table, examples[:10], examples[10:], config)
-    ref_params, ref_curve = _tape_train(table, examples[:10], examples[10:],
-                                        config)
+    params, curve = train(table.matrix, examples[:10], examples[10:], config)
+    ref_params, ref_curve = _tape_train(table.matrix, examples[:10],
+                                        examples[10:], config)
     assert curve.aborted is None
     assert len(curve.epochs) == len(ref_curve) == 5
     for stats, (mse, r) in zip(curve.epochs, ref_curve):
         assert abs(stats.train_mse - mse) <= 1e-9
         assert abs(stats.valid_r - r) <= 1e-9
     # without: the parameters after the fifth epoch
-    final, _ = train(table, examples[:10], [], config)
-    ref_final, _ = _tape_train(table, examples[:10], [], config)
+    final, _ = train(table.matrix, examples[:10], [], config)
+    ref_final, _ = _tape_train(table.matrix, examples[:10], [], config)
     for got, want in ((params, ref_params), (final, ref_final)):
         for name in want.names():
             np.testing.assert_allclose(got.tensors[name], want.tensors[name],
@@ -453,8 +455,8 @@ def test_train_matches_tape_reference_loop(pooling):
 
 def test_inactive_grad_clip_changes_nothing(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:8], tiny_table)
-    plain, _ = train(tiny_table, examples, [], tiny_train_config())
-    clipped, _ = train(tiny_table, examples, [],
+    plain, _ = train(tiny_table.matrix, examples, [], tiny_train_config())
+    clipped, _ = train(tiny_table.matrix, examples, [],
                        tiny_train_config(grad_clip=1e9))
     for name in plain.names():
         assert plain.tensors[name].tobytes() == clipped.tensors[name].tobytes()
@@ -473,8 +475,9 @@ def test_label_shuffle_control_ranks_true_labels_first():
             model=ModelConfig(input_dim=8, hidden_dim=8, dropout_rate=0.0,
                               seed=0),
             epochs=30, batch_size=8, lr=0.01, seed=0)
-        params, _ = train(table, train_set, [], config)
-        return pearson(evaluate(table, valid_ex, params, config), targets)
+        params, _ = train(table.matrix, train_set, [], config)
+        return pearson(evaluate(table.matrix, valid_ex, params, config),
+                       targets)
 
     perm = np.random.default_rng(0).permutation(len(train_ex))
     shuffled = [replace(ex, target=train_ex[j].target)
@@ -487,9 +490,10 @@ def test_label_shuffle_control_ranks_true_labels_first():
 
 def test_active_grad_clip_alters_updates(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:8], tiny_table)
-    plain, plain_curve = train(tiny_table, examples, [], tiny_train_config())
+    plain, plain_curve = train(tiny_table.matrix, examples, [],
+                               tiny_train_config())
     clipped, clipped_curve = train(
-        tiny_table, examples, [], tiny_train_config(grad_clip=1e-4))
+        tiny_table.matrix, examples, [], tiny_train_config(grad_clip=1e-4))
     assert clipped_curve.aborted is None
     assert any(plain.tensors[n].tobytes() != clipped.tensors[n].tobytes()
                for n in plain.names())
@@ -577,6 +581,34 @@ def test_tune_rejects_a_nan_learning_rate():
         tune(records, sources, [grid_point(2, 0.0, lr=float("nan"))], folds)
 
 
+def test_tune_tasks_carry_only_the_rows_their_examples_read(tmp_path,
+                                                            monkeypatch):
+    # every UNK policy cuts the table to the records' rows and the one an
+    # unknown token reads, so a pickled mean_vector fold task is at most
+    # one row larger than a zero_vector one, however many rows the file has
+    records, _, folds = grid_fixture()
+    # "some" is left out of the file, so it reads the unknown row
+    tokens = sorted(vocab_of(records) - {"some"})
+    path = tmp_path / "v.txt"
+    path.write_text("".join(
+        f"{t} {i}.5 -1 2 3 4 5 6 7\n"
+        for i, t in enumerate([*tokens, *(f"x{j}" for j in range(2000)),
+                               UNK_TOKEN])), encoding="utf-8")
+    tasks = []
+    monkeypatch.setattr("sil.trainer._train_fold", lambda task: (
+        tasks.append(task) or (task[0], task[1], 0.0, None)))
+    sizes = {}
+    for policy in UNK_POLICIES:
+        table = load_glove(path, policy, keep=vocab_of(records))
+        tune(records, {"glove": table}, [grid_point(2, 0.0, epochs=1)],
+             folds, seed=0)
+        sizes[policy] = len(pickle.dumps(tasks[-1]))
+    assert len(tasks) == 2 * len(UNK_POLICIES)
+    assert sizes["mean_vector"] <= sizes["zero_vector"] + 8 * 8
+    assert sizes["unk_token"] <= sizes["zero_vector"] + 8 * 8
+    assert sizes["zero_vector"] < 2000 * 8 * 8
+
+
 def test_tune_records_a_fold_abort_in_its_points_error():
     records, sources, folds = grid_fixture()
     # a NaN vector for a token that one record alone holds: the fold that
@@ -611,7 +643,7 @@ def test_tune_fold_scores_do_not_depend_on_grid_position():
 def test_cv_predict_scores_every_item_once(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:12], tiny_table)
     config = tiny_train_config(model_kw=dict(hidden_dim=3), epochs=2)
-    scores = cv_predict(tiny_table, examples, config, k=6, seed=0)
+    scores = cv_predict(tiny_table.matrix, examples, config, k=6, seed=0)
     assert sorted(scores) == sorted(ex.id for ex in examples)
     assert all(0.0 < s < 1.0 for s in scores.values())
 
@@ -619,8 +651,8 @@ def test_cv_predict_scores_every_item_once(tiny_records, tiny_table):
 def test_cv_predict_deterministic(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:12], tiny_table)
     config = tiny_train_config(model_kw=dict(hidden_dim=3), epochs=2)
-    a = cv_predict(tiny_table, examples, config, k=4, seed=1)
-    b = cv_predict(tiny_table, examples, config, k=4, seed=1)
+    a = cv_predict(tiny_table.matrix, examples, config, k=4, seed=1)
+    b = cv_predict(tiny_table.matrix, examples, config, k=4, seed=1)
     assert a == b
 
 
@@ -628,7 +660,7 @@ def test_cv_predict_rejects_duplicate_ids(tiny_records, tiny_table):
     examples = examples_from_records(tiny_records[:4], tiny_table)
     examples.append(examples[0])
     with pytest.raises(ContractError, match="duplicate"):
-        cv_predict(tiny_table, examples, tiny_train_config(), k=2)
+        cv_predict(tiny_table.matrix, examples, tiny_train_config(), k=2)
 
 
 def test_cv_predict_holds_out_each_fold(tiny_records, tiny_table):
@@ -637,9 +669,9 @@ def test_cv_predict_holds_out_each_fold(tiny_records, tiny_table):
     # so held-out scores should miss by more than train scores do
     examples = examples_from_records(tiny_records[:12], tiny_table)
     config = tiny_train_config(model_kw=dict(hidden_dim=16), epochs=150)
-    heldout = cv_predict(tiny_table, examples, config, k=2, seed=0)
-    params, _ = train(tiny_table, examples, [], config)
-    fit = evaluate(tiny_table, examples, params, config)
+    heldout = cv_predict(tiny_table.matrix, examples, config, k=2, seed=0)
+    params, _ = train(tiny_table.matrix, examples, [], config)
+    fit = evaluate(tiny_table.matrix, examples, params, config)
     targets = {ex.id: ex.target for ex in examples}
     fit_mse = float(np.mean(
         [(s - ex.target) ** 2 for ex, s in zip(examples, fit)]))
